@@ -28,6 +28,7 @@ __all__ = [
     "concat",
     "feedback",
     "check_unitary",
+    "is_singular_loop",
     "CircuitError",
     "ArityError",
     "DomainError",
@@ -71,6 +72,12 @@ class SingularLoopError(CircuitError, ArithmeticError):
                 f"S_kl = {self.s_kl}"
             )
         super().__init__(message)
+
+
+def is_singular_loop(d):
+    """The one singular-loop rule, elementwise on the loop denominator
+    ``d = 1 - S_kl``: refuse when ``|d| <= FEEDBACK_SINGULAR_TOL``."""
+    return abs(d) <= FEEDBACK_SINGULAR_TOL
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -180,7 +187,7 @@ def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
     ki, li = k - 1, l - 1
     s = g.scattering
     d = 1.0 - s[ki, li]
-    if abs(d) <= FEEDBACK_SINGULAR_TOL:
+    if is_singular_loop(d):
         raise SingularLoopError(k, l, s[ki, li])
     keep_r = np.arange(n) != ki
     keep_c = np.arange(n) != li

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .core import CircuitError, SlhModel, concat, feedback, identity, series
+from .core import CircuitError, SingularLoopError, SlhModel, concat, feedback, identity, series
 from .components import beamsplitter, coherent_drive, phase_shift
 
 __all__ = [
@@ -360,6 +360,9 @@ def elaborate(nl: Netlist) -> SlhModel:
                     model = concat(model, nxt)
             else:
                 model = feedback(parts[0], d.output, d.input)
+        except SingularLoopError as exc:
+            # keeps its type, so the CLI exits 3 (numerical domain), not 2
+            raise SingularLoopError(exc.k, exc.l, exc.s_kl, f"{location}: {exc}") from exc
         except CircuitError as exc:
             raise NetlistError(location, str(exc)) from exc
         built[d.name] = model

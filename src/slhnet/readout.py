@@ -29,15 +29,15 @@ from . import kernels
 from .core import (
     ArityError,
     DomainError,
-    FEEDBACK_SINGULAR_TOL,
     SingularLoopError,
     SlhModel,
     feedback,
     identity,
+    is_singular_loop,
     series,
 )
 from .components import beamsplitter, phase_shift
-from .selector import TWO_PI, _phase_on_port, canonical_phase
+from .selector import TWO_PI, _phase_on_port, _check_binary_phases, canonical_phase
 
 __all__ = [
     "TransferCurve",
@@ -94,17 +94,18 @@ def feedback_selector_scattering(phi: float, mu: float,
     S = (1 + e^{i phi} - 2 e^{i(phi+mu)}) / (2 - e^{i mu} - e^{i(phi+mu)}).
     The numerator equals -e^{i(mu+phi)} times the conjugate of the
     denominator, which forces |S| = 1 wherever the loop is well posed.
+    The denominator is 2(1 - S_11), S_11 that of the open loop.
     """
     e_mu = cmath.exp(1j * mu)
     e_pm = cmath.exp(1j * (phi + mu))
     den = 2.0 - e_mu - e_pm
-    if abs(den) < FEEDBACK_SINGULAR_TOL:
+    if is_singular_loop(den / 2.0):
         if allow_removable:
             return 1.0 + 0.0j
         raise SingularLoopError(
             1, 1, 1.0 - den / 2.0,
             f"feedback selector singular at phi={phi!r}, mu={mu!r}: "
-            f"|loop denominator| = {abs(den):.3e}",
+            f"|loop denominator| = {abs(den / 2.0):.3e}",
         )
     return (1.0 + cmath.exp(1j * phi) - 2.0 * e_pm) / den
 
@@ -121,9 +122,7 @@ def chain_feedback_selectors(mu, phi) -> float:
     phi_arr = np.asarray(phi, dtype=np.float64)
     if mu_arr.shape != phi_arr.shape or mu_arr.ndim != 1:
         raise ArityError("memory and control vectors must have equal length")
-    for x in phi_arr:
-        if not (x == 0.0 or x == math.pi):
-            raise DomainError(f"control phase must be exactly 0 or pi, got {x!r}")
+    _check_binary_phases(phi_arr)
     model = identity(1)
     for i in range(mu_arr.shape[0]):
         # (0, 0) is the removable bypass: reading a zero phase is a no-op
@@ -153,11 +152,13 @@ def build_weighted_selector(phi: float, mu: float) -> SlhModel:
 
 
 def weighted_selector_scattering(phi: float, mu: float) -> complex:
-    """Closed-form scattering (e^{i mu} - cos phi) / (1 - e^{i mu} cos phi)."""
+    """Closed-form scattering (e^{i mu} - cos phi) / (1 - e^{i mu} cos phi).
+
+    |1 - e^{i mu} cos phi| equals |1 - S_11| of the open loop."""
     e_mu = cmath.exp(1j * mu)
     cos_phi = math.cos(phi)
     den = 1.0 - e_mu * cos_phi
-    if abs(den) < FEEDBACK_SINGULAR_TOL:
+    if is_singular_loop(den):
         raise SingularLoopError(
             1, 1, e_mu * cos_phi,
             f"weighted selector singular at phi={phi!r}, mu={mu!r}: "
@@ -208,8 +209,11 @@ class TransferCurve:
         object.__setattr__(self, "samples", arr)
 
     def column(self, phi: float) -> np.ndarray:
-        """The (mu, mu_out) rows for one control value, in sweep order."""
+        """The (mu, mu_out) rows for one swept control value, in sweep order;
+        a phi equal to no swept value raises DomainError."""
         rows = self.samples[self.samples[:, 1] == phi]
+        if not rows.size:
+            raise DomainError(f"no sweep column has phi = {phi!r}")
         return rows[:, [0, 2]]
 
 
@@ -224,8 +228,8 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     mus = np.sort(np.asarray(mu_grid, dtype=np.float64))
     if phis_arr.ndim != 1 or mus.ndim != 1:
         raise ArityError("phi list and mu grid must be 1-D")
-    den = np.abs(1.0 - np.exp(1j * mus)[None, :] * np.cos(phis_arr)[:, None])
-    bad = np.argwhere(den < FEEDBACK_SINGULAR_TOL)
+    bad = np.argwhere(is_singular_loop(
+        1.0 - np.exp(1j * mus)[None, :] * np.cos(phis_arr)[:, None]))
     if bad.size:
         i, j = bad[0]
         raise SingularLoopError(
@@ -235,10 +239,6 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
         )
     out = kernels.weighted_phase_grid(phis_arr, mus)
     out = np.where(out == -math.pi, math.pi, out)
-    samples = np.empty((phis_arr.size * mus.size, 3), dtype=np.float64)
-    for i in range(phis_arr.size):
-        block = samples[i * mus.size : (i + 1) * mus.size]
-        block[:, 0] = mus
-        block[:, 1] = phis_arr[i]
-        block[:, 2] = out[i]
-    return TransferCurve(samples)
+    samples = np.empty((phis_arr.size, mus.size, 3), dtype=np.float64)
+    samples[..., 0], samples[..., 1], samples[..., 2] = mus, phis_arr[:, None], out
+    return TransferCurve(samples.reshape(-1, 3))

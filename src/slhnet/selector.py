@@ -8,10 +8,10 @@ rail wherever a control phase of pi flips the switch state, picks up the
 memory phase stored there, and is returned to the top rail by the tail
 phase.  The output phase is then the dot product s . mu modulo 2*pi.
 
-Control schedules are compiled from selector vectors with the banded
-matrix Gamma and recovered with its lower-triangular inverse L; both are
-exact in floating point because every entry is an integer multiple of pi
-(or 1/pi) and (1/pi)*pi == 1.0 holds in IEEE double precision.
+Control schedules are compiled by the banded matrix Gamma, which is pi
+times the first difference, and recovered by its inverse L, prefix sums
+mod 2; both run in integer space, so both are exact.  The dense matrices
+are the reference route the checks compare against.
 """
 
 from __future__ import annotations
@@ -68,6 +68,16 @@ def _as_bits(s, what: str = "selector") -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_binary_phases(values, what: str = "control phase") -> None:
+    """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
+    naming the first offending entry as the caller passed it."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
+    if bad.size:
+        x = values if arr.ndim == 0 else values[bad[0]]
+        raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # Mach-Zehnder cells
 # ---------------------------------------------------------------------------
@@ -88,8 +98,7 @@ def mz_switch(phi: float) -> SlhModel:
     exactly the identity or the swap.  Anything else raises DomainError,
     because a partial switch is never a valid control setting here.
     """
-    if not (phi == 0.0 or phi == math.pi):
-        raise DomainError(f"switch control phase must be exactly 0 or pi, got {phi!r}")
+    _check_binary_phases(phi, what="switch control phase")
     return mz(math.pi / 4, -math.pi / 4, phi)
 
 
@@ -130,9 +139,7 @@ class SelectorSpec:
         for x in mem:
             if not (0.0 <= x < TWO_PI) or not math.isfinite(x):
                 raise DomainError(f"memory phase {x!r} outside [0, 2*pi)")
-        for x in ctrl + (self.tail_phase,):
-            if not (x == 0.0 or x == math.pi):
-                raise DomainError(f"control phase must be exactly 0 or pi, got {x!r}")
+        _check_binary_phases(ctrl + (self.tail_phase,))
         if sum(self.control_bits) % 2 != int(self.tail_phase == math.pi):
             raise DomainError(
                 "tail phase must equal the mod-2 sum of the control phases"
@@ -222,12 +229,8 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
         raise ArityError(
             f"selector length {bits.shape[1]} != memory length {mu_arr.shape[0]}"
         )
-    controls = np.empty((bits.shape[0], bits.shape[1] + 1), dtype=np.float64)
-    for r in range(bits.shape[0]):
-        phi, tail = compile_selector(bits[r])
-        controls[r, :-1] = phi
-        controls[r, -1] = tail
-    return kernels.selector_batch_amplitudes(mu_arr, controls)
+    phi, tails = compile_selector_matrix(bits.T)
+    return kernels.selector_batch_amplitudes(mu_arr, np.vstack((phi, tails)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +261,7 @@ class CompilationMatrices:
 
 
 def compilation_matrices(n: int) -> CompilationMatrices:
+    """Dense L and Gamma for length n, the reference for the fast compile."""
     if n < 0:
         raise ArityError(f"selector length must be nonnegative, got {n}")
     lower = np.tril(np.ones((n, n))) / math.pi
@@ -268,36 +272,26 @@ def compilation_matrices(n: int) -> CompilationMatrices:
 def compile_selector(s):
     """Control schedule (phi vector, tail phase) for selector bits ``s``.
 
-    Applies Gamma and reduces mod 2*pi, which lands every entry on exactly
-    0.0 or math.pi: Gamma @ s has entries in {-pi, 0, pi} exactly, and
-    -pi + 2*pi == pi in floats.  The tail is the mod-2 sum of the schedule.
+    The single-column case of ``compile_selector_matrix``: pi where bits
+    i-1 and i differ, 0.0 elsewhere; the tail is the schedule's mod-2 sum.
     """
     bits = _as_bits(s)
     if bits.ndim != 1:
         raise ArityError("selector must be a 1-D vector")
-    n = bits.shape[0]
-    raw = compilation_matrices(n).gamma @ bits.astype(np.float64)
-    control = np.where(raw < 0.0, raw + TWO_PI, raw)
-    # the schedule sum telescopes to the last selector bit
-    tail = math.pi * (int(np.count_nonzero(control)) % 2)
-    return control, tail
+    control, tails = compile_selector_matrix(bits[:, None])
+    return control[:, 0], float(tails[0])
 
 
 def recover_selector(control) -> np.ndarray:
     """Invert a control schedule back to selector bits, exactly.
 
-    This is the action of L followed by the mod-2 reduction: prefix sums
-    of the schedule divided by pi.  Computed in integer space so that the
-    result cannot pick up rounding from any float path.
+    The single-column case of ``recover_selector_matrix``: L then mod 2,
+    i.e. prefix sums of the schedule over pi, in integer space.
     """
     phi = np.asarray(control, dtype=np.float64)
     if phi.ndim != 1:
         raise ArityError("control schedule must be a 1-D vector")
-    for x in phi:
-        if not (x == 0.0 or x == math.pi):
-            raise DomainError(f"control phase must be exactly 0 or pi, got {x!r}")
-    steps = (phi == math.pi).astype(np.int64)
-    return np.cumsum(steps) % 2
+    return recover_selector_matrix(phi[:, None])[:, 0]
 
 
 def eval_selector(mu, s) -> float:
@@ -350,9 +344,7 @@ class MatrixProductSpec:
             )
         if mem.size and (mem.min() < 0.0 or mem.max() >= TWO_PI):
             raise DomainError("memory phases must lie in [0, 2*pi)")
-        for x in np.concatenate([ctrl.ravel(), tail]):
-            if not (x == 0.0 or x == math.pi):
-                raise DomainError(f"control phase must be exactly 0 or pi, got {x!r}")
+        _check_binary_phases(np.concatenate([ctrl.ravel(), tail]))
         col_bits = (ctrl == math.pi).sum(axis=0) % 2
         if ctrl.size and not np.array_equal(col_bits * math.pi, tail):
             raise DomainError(
@@ -375,14 +367,13 @@ def compile_selector_matrix(selectors):
     """Columnwise control schedule (Phi, tails) for a binary matrix.
 
     Phi = Gamma @ S reduced into {0, pi}; the tails are the mod-2 column
-    sums.  Column j compiled alone equals compile_selector on column j.
+    sums.  Gamma @ S is pi times the first difference down each column,
+    -pi lifting to pi, so that difference gives it exactly in O(nk).
     """
     bits = _as_bits(selectors, what="selector matrix")
     if bits.ndim != 2:
         raise ArityError("selector matrix must be 2-D")
-    n = bits.shape[0]
-    raw = compilation_matrices(n).gamma @ bits.astype(np.float64)
-    phi = np.where(raw < 0.0, raw + TWO_PI, raw)
+    phi = math.pi * (np.diff(bits, axis=0, prepend=0) != 0)
     tails = (np.count_nonzero(phi, axis=0) % 2).astype(np.float64) * math.pi
     return phi, tails
 
@@ -392,9 +383,7 @@ def recover_selector_matrix(control_matrix) -> np.ndarray:
     phi = np.asarray(control_matrix, dtype=np.float64)
     if phi.ndim != 2:
         raise ArityError("control matrix must be 2-D")
-    for x in phi.ravel():
-        if not (x == 0.0 or x == math.pi):
-            raise DomainError(f"control phase must be exactly 0 or pi, got {x!r}")
+    _check_binary_phases(phi.ravel())
     steps = (phi == math.pi).astype(np.int64)
     return np.cumsum(steps, axis=0) % 2
 

@@ -111,19 +111,19 @@ def _check_compilation_algebra(n_max: int = 10) -> CheckResult:
             return CheckResult(
                 "compilation-algebra", False, 1.0, 0.0, f"L.Gamma != I exactly at n={n}"
             )
-        bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
-        for row in bits:
-            control, _tail = sel.compile_selector(row)
-            recovered = sel.recover_selector(control)
-            # the L action evaluated scalar-wise must agree with the
-            # integer-space recovery, and both must return the input
-            via_l = _scalar_matmul(mats.lower, control[:, None])[:, 0]
-            if not (np.array_equal(recovered, row)
-                    and np.array_equal(np.mod(via_l.astype(np.int64), 2), row)):
-                return CheckResult(
-                    "compilation-algebra", False, 1.0, 0.0,
-                    f"round trip failed for s={row.tolist()}",
-                )
+        bits = ((np.arange(2 ** n)[None, :] >> np.arange(n)[:, None]) & 1).astype(np.int64)
+        control, _tails = sel.compile_selector_matrix(bits)
+        # for each selector (a column of bits) the fast compile must equal
+        # Gamma @ S lifted into [0, 2*pi), the scalar-wise L action must agree
+        # with the integer-space recovery, and both must return the input
+        via_gamma = mats.gamma @ bits
+        via_l = _scalar_matmul(mats.lower, control)
+        if not (np.array_equal(control, np.where(via_gamma < 0.0, via_gamma + TWO_PI, via_gamma))
+                and np.array_equal(sel.recover_selector_matrix(control), bits)
+                and np.array_equal(np.mod(via_l.astype(np.int64), 2), bits)):
+            return CheckResult(
+                "compilation-algebra", False, 1.0, 0.0, f"compile round trip failed at n={n}"
+            )
     return CheckResult(
         "compilation-algebra", True, 0.0, 0.0,
         f"L.Gamma = I and exhaustive round trips exact, n <= {n_max}",

@@ -182,6 +182,18 @@ def test_netlist_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_netlist_elaborate_singular_loop_exits_3(tmp_path, capsys):
+    path = tmp_path / "singular.yaml"
+    path.write_text(
+        "version: 1\ncomponents:\n  - {name: wire, kind: identity, ports: 2}\n"
+        "circuit:\n  - {name: loop, op: feedback, of: [wire], output: 1, input: 1}\n"
+    )
+    assert main(["netlist", "elaborate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: circuit[0]: singular feedback loop")
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as info:
         main(["polish"])

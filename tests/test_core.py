@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slhnet import (
+    FEEDBACK_SINGULAR_TOL,
     ArityError,
     SingularLoopError,
     SlhModel,
@@ -17,6 +18,7 @@ from slhnet import (
     phase_shift,
     series,
 )
+from slhnet.core import is_singular_loop
 
 
 def test_model_coerces_and_freezes():
@@ -122,6 +124,21 @@ def test_feedback_singular_loop_payload():
         feedback(identity(2), 3, 1)
     with pytest.raises(ArityError):
         feedback(identity(1), 1, 1)
+
+
+def test_feedback_threshold_is_inclusive():
+    tol = FEEDBACK_SINGULAR_TOL
+    assert is_singular_loop(tol) and is_singular_loop(-1j * tol)
+    assert not is_singular_loop(tol * (1.0 + 1e-12))
+    assert np.array_equal(is_singular_loop(np.array([0.5 * tol, 2.0 * tol])), [True, False])
+    for d, inside in ((tol * (1.0 - 1e-3), True), (tol * (1.0 + 1e-3), False)):
+        # S_11 = 1 - d; only the loop entry matters to the refusal
+        model = SlhModel([[1.0 - d, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        if inside:
+            with pytest.raises(SingularLoopError):
+                feedback(model, 1, 1)
+        else:
+            feedback(model, 1, 1)
 
 
 def test_check_unitary():

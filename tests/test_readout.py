@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slhnet import (
+    FEEDBACK_SINGULAR_TOL,
     ArityError,
     DomainError,
     SingularLoopError,
@@ -83,6 +84,36 @@ def test_feedback_selector_singular_point():
     assert feedback_selector_scattering(0.0, 0.0, allow_removable=True) == 1.0
     bypass = build_feedback_selector(0.0, 0.0, allow_removable=True)
     assert_allclose(bypass.scattering, [[1.0]], atol=0)
+
+
+def _refuses(call):
+    try:
+        call()
+    except SingularLoopError:
+        return True
+    return False
+
+
+# (closed form, generic feedback route) at phi = 0, where |1 - S_11| of the
+# open loop is 2 sin(mu / 2): mu itself, far inside the 1e-3 margins below
+LOOP_ROUTES = {
+    "binary": (lambda mu: feedback_selector_scattering(0.0, mu),
+               lambda mu: build_feedback_selector(0.0, mu)),
+    "weighted": (lambda mu: weighted_selector_scattering(0.0, mu),
+                 lambda mu: build_weighted_selector(0.0, mu)),
+    "sweep": (lambda mu: sweep_transfer([0.0], [mu]),
+              lambda mu: build_weighted_selector(0.0, mu)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(LOOP_ROUTES))
+def test_closed_forms_refuse_where_feedback_refuses(route):
+    closed, generic = LOOP_ROUTES[route]
+    for mu, inside in ((7e-10, True),
+                       (FEEDBACK_SINGULAR_TOL * (1.0 - 1e-3), True),
+                       (FEEDBACK_SINGULAR_TOL * (1.0 + 1e-3), False)):
+        assert _refuses(lambda: generic(mu)) is inside
+        assert _refuses(lambda: closed(mu)) is inside
 
 
 def test_chain_examples():
@@ -195,6 +226,15 @@ def test_sweep_transfer_layout_and_columns():
     half = curve.column(PI / 2)
     assert_allclose(half[:, 1], half[:, 0], atol=1e-12)
     assert_allclose(curve.column(PI)[:, 1], 0.0, atol=1e-12)
+
+
+def test_transfer_curve_column_rejects_unswept_phi():
+    curve = sweep_transfer([PI / 3], np.linspace(-3.0, 3.0, 7))
+    assert curve.column(PI / 3).shape == (7, 2)
+    near = PI / 3 * (1 + 2.0 ** -52)
+    assert near != PI / 3
+    with pytest.raises(DomainError):
+        curve.column(near)
 
 
 def test_sweep_transfer_is_deterministic():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from slhnet import (
     selector_scattering,
     selector_sweep_amplitudes,
 )
+from slhnet import kernels
+from slhnet.readout import chain_feedback_selectors
 from slhnet.selector import TWO_PI, staircase_arrays
 
 PI = math.pi
@@ -167,6 +170,60 @@ def test_compile_examples():
         compile_selector([[0, 1]])
 
 
+def _gamma_route(s):
+    # the dense reference: Gamma @ s with negative entries lifted by 2*pi
+    s = np.asarray(s)
+    raw = compilation_matrices(s.shape[0]).gamma @ s.astype(np.float64)
+    return np.where(raw < 0.0, raw + TWO_PI, raw)
+
+
+def test_compile_equals_gamma_route_exactly():
+    rng = np.random.default_rng(61)
+    for n in (0, 1, 2, 17, 300):
+        s = rng.integers(0, 2, size=n)
+        control, tail = compile_selector(s)
+        assert np.array_equal(control, _gamma_route(s))
+        assert tail == PI * (np.count_nonzero(_gamma_route(s)) % 2)
+        mat = rng.integers(0, 2, size=(n, 5))
+        phi, tails = compile_selector_matrix(mat)
+        assert np.array_equal(phi, _gamma_route(mat))
+        assert np.array_equal(tails, PI * (np.count_nonzero(_gamma_route(mat), axis=0) % 2))
+
+
+def test_from_selector_never_builds_dense_gamma():
+    # a dense 4096 x 4096 Gamma alone takes 128 MiB
+    rng = np.random.default_rng(67)
+    s = rng.integers(0, 2, size=4096)
+    mu = rng.uniform(0.0, TWO_PI, size=4096)
+    tracemalloc.start()
+    try:
+        spec = SelectorSpec.from_selector(s, mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.n == 4096
+    assert peak < 1 << 20
+
+
+def test_binary_phase_checks_name_the_first_bad_entry():
+    ok = np.array([0.0, PI])
+    for call in (
+        lambda: SelectorSpec((0.1, 0.2, 0.3), (0.0, 0.5, 0.7), 0.0),
+        lambda: MatrixProductSpec([[0.1], [0.2], [0.3]], [[0.0], [0.5], [0.7]], [0.0]),
+        lambda: recover_selector([0.0, 0.5, 0.7]),
+        lambda: recover_selector_matrix([[0.0, 0.0], [0.5, 0.7]]),
+        lambda: chain_feedback_selectors([0.1, 0.2, 0.3], [0.0, 0.5, 0.7]),
+        lambda: mz_switch(0.5),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        msg = str(info.value)
+        assert "must be exactly 0 or pi" in msg and "0.5" in msg and "0.7" not in msg
+    recover_selector(ok)
+    with pytest.raises(DomainError, match="nan"):
+        recover_selector([0.0, float("nan")])
+
+
 def test_compile_recover_round_trip_is_exact():
     for n in range(0, 11):
         for bits in all_bit_vectors(n):
@@ -220,6 +277,18 @@ def test_selector_sweep_amplitudes():
         assert abs(row[0] / abs(row[0]) - np.exp(1j * eval_selector(mu, bits))) < 1e-9
     with pytest.raises(ArityError):
         selector_sweep_amplitudes(mu, all_bit_vectors(3))
+
+
+def test_selector_sweep_amplitudes_equals_per_row_compile():
+    rng = np.random.default_rng(71)
+    for n, m in ((1, 2), (5, 32), (16, 300)):
+        mu = rng.uniform(0.0, TWO_PI, size=n)
+        rows = rng.integers(0, 2, size=(m, n))
+        controls = np.empty((m, n + 1))
+        for r in range(m):
+            controls[r, :-1], controls[r, -1] = compile_selector(rows[r])
+        want = kernels.selector_batch_amplitudes(mu, controls)
+        assert np.array_equal(selector_sweep_amplitudes(mu, rows), want)
 
 
 def test_compile_selector_matrix_example():
