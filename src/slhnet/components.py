@@ -10,16 +10,23 @@ import math
 
 import numpy as np
 
-from .core import ArityError, DomainError, DrivenCircuitError, SlhModel
+from .core import ArityError, DomainError, DrivenCircuitError, SlhModel, _model
 
 __all__ = ["phase_shift", "beamsplitter", "coherent_drive", "output_amplitudes"]
 
 
-def phase_shift(phi: float) -> SlhModel:
-    """One-port phase shifter: ``S = [e^{i phi}]``."""
-    if not math.isfinite(phi):
-        raise DomainError(f"phase must be finite, got {phi}")
-    return SlhModel(np.array([[np.exp(1j * phi)]]), np.zeros(1))
+def phase_shift(phi) -> SlhModel:
+    """One-port phase shifter: ``S = [e^{i phi}]``.
+
+    An array of angles gives a batch of shifters of the same shape."""
+    arr = np.asarray(phi, dtype=np.float64)
+    finite = np.isfinite(arr)
+    # a single angle is tested by truth value, which skips a reduction
+    if not (finite if arr.ndim == 0 else finite.all()):
+        bad = phi if arr.ndim == 0 else arr[~finite][0]
+        raise DomainError(f"phase must be finite, got {bad}")
+    return _model(np.exp(1j * arr)[..., None, None],
+                  np.zeros(arr.shape + (1,), dtype=np.complex128), 0.0)
 
 
 def beamsplitter(theta: float) -> SlhModel:
@@ -32,7 +39,8 @@ def beamsplitter(theta: float) -> SlhModel:
     if not math.isfinite(theta):
         raise DomainError(f"mixing angle must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
-    return SlhModel(np.array([[c, -s], [s, c]], dtype=np.complex128), np.zeros(2))
+    return _model(np.array([[c, -s], [s, c]], dtype=np.complex128),
+                  np.zeros(2, dtype=np.complex128), 0.0)
 
 
 def coherent_drive(alpha) -> SlhModel:

@@ -80,20 +80,20 @@ def is_singular_loop(d):
     return abs(d) <= FEEDBACK_SINGULAR_TOL
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SlhModel:
-    """A passive-circuit SLH triplet.
+    """A passive-circuit SLH triplet, or a batch of them.
 
     Attributes:
-        scattering: ``(n, n)`` complex scattering matrix.
-        coupling: length-``n`` complex coupling vector (sqrt(photons/time)).
-        hamiltonian: real scalar Hamiltonian constant (frequency units).
+        scattering: ``(..., n, n)`` complex scattering matrix.
+        coupling: ``(..., n)`` complex coupling vector (sqrt(photons/time)).
+        hamiltonian: real Hamiltonian constant (frequency units); a float
+            when the batch shape ``scattering.shape[:-2]`` is ``()``, else a
+            float array of the batch shape.
 
+    The leading batch axes hold independent models with the same port
+    count; every operation acts on each element as it would on that model
+    alone, and batch shapes broadcast against each other.
     Undriven passive components have ``coupling == 0`` and
     ``hamiltonian == 0``; their scattering stays unitary under composition.
     Ports are 1-indexed everywhere in the public interface.
@@ -105,26 +105,61 @@ class SlhModel:
 
     def __post_init__(self):
         s = np.array(self.scattering, dtype=np.complex128)
-        l = np.array(self.coupling, dtype=np.complex128).reshape(-1)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        l = np.array(self.coupling, dtype=np.complex128)
+        if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
             raise ArityError(f"scattering must be square, got shape {s.shape}")
-        if s.shape[0] == 0:
+        if s.shape[-1] == 0:
             raise ArityError("model must have at least one port")
-        if l.shape[0] != s.shape[0]:
+        if s.ndim == 2:
+            l = l.reshape(-1)
+        if l.shape != s.shape[:-1]:
             raise ArityError(
-                f"coupling length {l.shape[0]} does not match {s.shape[0]} ports"
+                f"coupling length {l.shape[-1]} does not match {s.shape[-1]} ports"
+                if s.ndim == 2 else
+                f"coupling shape {l.shape} does not match scattering shape {s.shape}"
             )
-        object.__setattr__(self, "scattering", _readonly(s))
-        object.__setattr__(self, "coupling", _readonly(l))
-        object.__setattr__(self, "hamiltonian", float(self.hamiltonian))
+        h = self.hamiltonian
+        if s.ndim > 2:
+            h = np.array(np.broadcast_to(np.asarray(h, dtype=np.float64), s.shape[:-2]))
+        _init(self, s, l, h)
 
     @property
     def ports(self) -> int:
-        return self.scattering.shape[0]
+        return self.scattering.shape[-1]
+
+    def at(self, index) -> "SlhModel":
+        """The model at ``index`` of the batch axes."""
+        if not isinstance(index, tuple):
+            index = (index,)
+        if len(index) > self.scattering.ndim - 2:
+            raise ArityError(
+                f"index {index} has more axes than batch shape {self.scattering.shape[:-2]}"
+            )
+        return _model(self.scattering[index], self.coupling[index],
+                      np.asarray(self.hamiltonian)[index])
 
     def is_passive(self, tol: float = 0.0) -> bool:
-        """True when the coupling vector vanishes (to within ``tol``)."""
+        """True when the coupling vector vanishes (to within ``tol``), for
+        every element of a batch."""
         return bool(np.all(np.abs(self.coupling) <= tol))
+
+
+def _init(m: SlhModel, s: np.ndarray, l: np.ndarray, h) -> SlhModel:
+    for a in (s, l) if s.ndim == 2 else (s, l, h):
+        a.setflags(write=False)
+    object.__setattr__(m, "scattering", s)
+    object.__setattr__(m, "coupling", l)
+    object.__setattr__(m, "hamiltonian", float(h) if s.ndim == 2 else h)
+    return m
+
+
+def _model(s: np.ndarray, l: np.ndarray, h) -> SlhModel:
+    """An SlhModel from arrays the algebra itself produced, skipping
+    validation: ``s`` and ``l`` are complex128 of shapes ``(..., n, n)`` and
+    ``(..., n)``, and ``h`` is real and broadcasts to the batch shape."""
+    if s.ndim > 2 and np.shape(h) != s.shape[:-2]:
+        h = np.array(np.broadcast_to(h, s.shape[:-2]), dtype=np.float64)
+    return _init(object.__new__(SlhModel), s, l, h)
 
 
 def identity(n: int) -> SlhModel:
@@ -134,23 +169,28 @@ def identity(n: int) -> SlhModel:
     """
     if n < 1:
         raise ArityError(f"identity needs at least one port, got n={n}")
-    return SlhModel(np.eye(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128))
+    return _model(np.eye(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128), 0.0)
 
 
 def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
     """Series product ``g2 <| g1``: g1 acts on the input first.
 
-    Returns ``(S2 S1, S2 L1 + L2, H1 + H2 + Im(L2^dag S2 L1))``.
+    Returns ``(S2 S1, S2 L1 + L2, H1 + H2 + Im(L2^dag S2 L1))``, elementwise
+    over the broadcast batch shape.
     """
     if g1.ports != g2.ports:
         raise ArityError(
             f"series needs equal port counts, got {g2.ports} <| {g1.ports}"
         )
-    s = g2.scattering @ g1.scattering
-    l = g2.scattering @ g1.coupling + g2.coupling
-    cross = np.vdot(g2.coupling, g2.scattering @ g1.coupling)
+    s2 = g2.scattering
+    # products with unit axes keep the per-element BLAS calls of the
+    # matrix-vector and conjugated dot products, so a batch element rounds
+    # exactly as the same model composed alone
+    s2l1 = s2 @ g1.coupling[..., None]
+    l = s2l1[..., 0] + g2.coupling
+    cross = (g2.coupling.conj()[..., None, :] @ s2l1)[..., 0, 0]
     h = g1.hamiltonian + g2.hamiltonian + cross.imag
-    return SlhModel(s, l, h)
+    return _model(s2 @ g1.scattering, l, h)
 
 
 def concat(g1: SlhModel, g2: SlhModel) -> SlhModel:
@@ -161,11 +201,46 @@ def concat(g1: SlhModel, g2: SlhModel) -> SlhModel:
     the first ``g1.ports`` ports of the result.
     """
     n1, n2 = g1.ports, g2.ports
-    s = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-    s[:n1, :n1] = g1.scattering
-    s[n1:, n1:] = g2.scattering
-    l = np.concatenate([g1.coupling, g2.coupling])
-    return SlhModel(s, l, g1.hamiltonian + g2.hamiltonian)
+    b1, b2 = g1.scattering.shape[:-2], g2.scattering.shape[:-2]
+    batch = b1 if b1 == b2 else np.broadcast_shapes(b1, b2)
+    s = np.zeros(batch + (n1 + n2, n1 + n2), dtype=np.complex128)
+    s[..., :n1, :n1] = g1.scattering
+    s[..., n1:, n1:] = g2.scattering
+    l = np.empty(batch + (n1 + n2,), dtype=np.complex128)
+    l[..., :n1] = g1.coupling
+    l[..., n1:] = g2.coupling
+    return _model(s, l, g1.hamiltonian + g2.hamiltonian)
+
+
+def _feedback_masked(g: SlhModel, k: int, l: int):
+    """Feedback elimination of every batch element, and the boolean mask of
+    the elements whose loop is singular.  Masked elements are divided by a
+    unit denominator instead, so their values are meaningless but finite."""
+    n = g.ports
+    if n < 2:
+        raise ArityError("feedback needs at least two ports")
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise ArityError(f"feedback ports ({k}, {l}) out of range for {n}-port model")
+    ki, li = k - 1, l - 1
+    s, c = g.scattering, g.coupling
+    d = 1.0 - s[..., ki, li]
+    singular = is_singular_loop(d)
+    d = np.where(singular, 1.0, d)
+    keep_r = np.array([i for i in range(n) if i != ki])
+    keep_c = np.array([i for i in range(n) if i != li])
+    col = s[..., keep_r, li]      # column l with row k removed
+    row = s[..., ki, keep_c]      # row k with column l removed
+    s_fb = (s[..., keep_r[:, None], keep_c]
+            + col[..., :, None] * row[..., None, :] / d[..., None, None])
+    l_fb = c[..., keep_r] + col * (c[..., ki] / d)[..., None]
+    v = (c.conj()[..., None, :] @ s[..., :, li, None])[..., 0, 0]
+    lk = c[..., ki]
+    # (sum_j L_j^* S_jl) L_k as Re(v) L_k + Im(v) (i L_k): each real product
+    # is rounded once, as in numpy's scalar complex product, where its
+    # vectorized complex multiply may fuse a product into the sum
+    vlk = v.real * lk + v.imag * (1j * lk)
+    h_fb = g.hamiltonian + (vlk / d).imag
+    return _model(s_fb, l_fb, h_fb), singular
 
 
 def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
@@ -177,26 +252,14 @@ def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
         L_fb = L[del k]        + S[del k, col l] (1 - S_kl)^-1 L_k
         H_fb = H + Im( (sum_j L_j^* S_jl) (1 - S_kl)^-1 L_k )
 
-    Raises SingularLoopError when ``|1 - S_kl| <= FEEDBACK_SINGULAR_TOL``.
+    Raises SingularLoopError when ``|1 - S_kl| <= FEEDBACK_SINGULAR_TOL``,
+    for the first such element of a batch in C order.
     """
-    n = g.ports
-    if n < 2:
-        raise ArityError("feedback needs at least two ports")
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ArityError(f"feedback ports ({k}, {l}) out of range for {n}-port model")
-    ki, li = k - 1, l - 1
-    s = g.scattering
-    d = 1.0 - s[ki, li]
-    if is_singular_loop(d):
-        raise SingularLoopError(k, l, s[ki, li])
-    keep_r = np.arange(n) != ki
-    keep_c = np.arange(n) != li
-    col = s[keep_r, li]          # column l with row k removed
-    row = s[ki, keep_c]          # row k with column l removed
-    s_fb = s[np.ix_(keep_r, keep_c)] + np.outer(col, row) / d
-    l_fb = g.coupling[keep_r] + col * (g.coupling[ki] / d)
-    h_fb = g.hamiltonian + (np.vdot(g.coupling, s[:, li]) * g.coupling[ki] / d).imag
-    return SlhModel(s_fb, l_fb, h_fb)
+    model, singular = _feedback_masked(g, k, l)
+    if singular.any():
+        first = np.unravel_index(np.argmax(singular), singular.shape)
+        raise SingularLoopError(k, l, g.scattering[first + (k - 1, l - 1)])
+    return model
 
 
 def check_unitary(s: np.ndarray, tol: float) -> bool:

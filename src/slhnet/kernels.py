@@ -106,7 +106,14 @@ def weighted_phase_grid_numpy(phis, mus) -> np.ndarray:
     mus = np.asarray(mus, dtype=np.float64)
     e_mu = np.exp(1j * mus)[None, :]
     cos_phi = np.cos(phis)[:, None]
-    w = (e_mu - cos_phi) * np.conj(1.0 - e_mu * cos_phi)
+    # the same operations as (e_mu - cos_phi) * conj(1 - e_mu cos_phi), done
+    # in place so that two grid-sized complex arrays are alive, not five
+    den = e_mu * cos_phi
+    np.subtract(1.0, den, out=den)
+    np.conjugate(den, out=den)
+    w = e_mu - cos_phi
+    w *= den
+    del den
     return np.angle(w)
 
 

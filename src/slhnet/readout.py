@@ -31,6 +31,8 @@ from .core import (
     DomainError,
     SingularLoopError,
     SlhModel,
+    _feedback_masked,
+    _model,
     feedback,
     identity,
     is_singular_loop,
@@ -63,28 +65,29 @@ def principal_phase(z: complex) -> float:
 # binary feedback selector
 # ---------------------------------------------------------------------------
 
-def _selector_loop(phi: float, mu: float) -> SlhModel:
+def _selector_loop(phi, mu) -> SlhModel:
     # (Phi_mu + I) <| B(-pi/4) <| (Phi_phi + I) <| B(pi/4), not yet closed
     chain = series(_phase_on_port(phi, 1), beamsplitter(math.pi / 4))
     chain = series(beamsplitter(-math.pi / 4), chain)
     return series(_phase_on_port(mu, 1), chain)
 
 
-def build_feedback_selector(phi: float, mu: float,
-                            allow_removable: bool = False) -> SlhModel:
+def build_feedback_selector(phi, mu, allow_removable: bool = False) -> SlhModel:
     """One-port selector: the switch loop closed from output 1 to input 1.
 
-    Singular exactly at (phi, mu) = (0, 0) mod 2*pi, where the loop gain
-    hits the well-posedness threshold.  There the limit of the scattering
-    is 1 from every direction; ``allow_removable`` substitutes that limit
-    instead of raising.
+    Array angles broadcast to a batch of selectors.  Singular exactly at
+    (phi, mu) = (0, 0) mod 2*pi, where the loop gain hits the
+    well-posedness threshold.  There the limit of the scattering is 1 from
+    every direction; ``allow_removable`` substitutes that limit, element by
+    element, instead of raising.
     """
-    try:
-        return feedback(_selector_loop(phi, mu), 1, 1)
-    except SingularLoopError:
-        if allow_removable:
-            return SlhModel(np.eye(1), np.zeros(1), 0.0)
-        raise
+    loop = _selector_loop(phi, mu)
+    if not allow_removable:
+        return feedback(loop, 1, 1)
+    model, singular = _feedback_masked(loop, 1, 1)
+    return _model(np.where(singular[..., None, None], 1.0 + 0.0j, model.scattering),
+                  np.where(singular[..., None], 0.0j, model.coupling),
+                  np.where(singular, 0.0, model.hamiltonian))
 
 
 def feedback_selector_scattering(phi: float, mu: float,
@@ -110,25 +113,31 @@ def feedback_selector_scattering(phi: float, mu: float,
     return (1.0 + cmath.exp(1j * phi) - 2.0 * e_pm) / den
 
 
-def chain_feedback_selectors(mu, phi) -> float:
+def chain_feedback_selectors(mu, phi):
     """Output phase of n feedback selectors in series, in [0, 2*pi).
 
     With binary controls the selector vector is read off directly as
     s = phi / pi; no banded-matrix compilation and no tail phase are
-    needed, unlike the staircase layout.  Each stage is built by generic
-    feedback elimination and the stages are series-composed in order.
+    needed, unlike the staircase layout.  All stages are built in one
+    batched generic feedback elimination and series-composed in order.
+    ``phi`` may also be an (m, n) matrix of control rows sharing the
+    memory bank ``mu``; the result is then the m output phases.
     """
     mu_arr = np.asarray(mu, dtype=np.float64)
     phi_arr = np.asarray(phi, dtype=np.float64)
-    if mu_arr.shape != phi_arr.shape or mu_arr.ndim != 1:
+    if mu_arr.ndim != 1 or phi_arr.ndim not in (1, 2) or phi_arr.shape[-1:] != mu_arr.shape:
         raise ArityError("memory and control vectors must have equal length")
-    _check_binary_phases(phi_arr)
+    _check_binary_phases(phi_arr.ravel())
+    # stage axis first, rows after; (0, 0) is the removable bypass: reading
+    # a zero phase is a no-op
+    stages = build_feedback_selector(phi_arr.T, np.broadcast_to(mu_arr, phi_arr.shape).T,
+                                     allow_removable=True)
     model = identity(1)
     for i in range(mu_arr.shape[0]):
-        # (0, 0) is the removable bypass: reading a zero phase is a no-op
-        stage = build_feedback_selector(phi_arr[i], mu_arr[i], allow_removable=True)
-        model = series(stage, model)
-    return canonical_phase(principal_phase(model.scattering[0, 0]))
+        model = series(stages.at(i), model)
+    out = np.broadcast_to(model.scattering[..., 0, 0], phi_arr.shape[:-1])
+    phases = [canonical_phase(principal_phase(z)) for z in out.ravel()]
+    return phases[0] if phi_arr.ndim == 1 else np.array(phases)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +237,11 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     mus = np.sort(np.asarray(mu_grid, dtype=np.float64))
     if phis_arr.ndim != 1 or mus.ndim != 1:
         raise ArityError("phi list and mu grid must be 1-D")
-    bad = np.argwhere(is_singular_loop(
-        1.0 - np.exp(1j * mus)[None, :] * np.cos(phis_arr)[:, None]))
+    # the loop denominator is formed in place and freed before the kernel
+    # call, which bounds the sweep's peak memory
+    den = np.exp(1j * mus)[None, :] * np.cos(phis_arr)[:, None]
+    bad = np.argwhere(is_singular_loop(np.subtract(1.0, den, out=den)))
+    del den
     if bad.size:
         i, j = bad[0]
         raise SingularLoopError(
@@ -238,7 +250,7 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
             f"mu={mus[j]!r}",
         )
     out = kernels.weighted_phase_grid(phis_arr, mus)
-    out = np.where(out == -math.pi, math.pi, out)
+    out[out == -math.pi] = math.pi
     samples = np.empty((phis_arr.size, mus.size, 3), dtype=np.float64)
     samples[..., 0], samples[..., 1], samples[..., 2] = mus, phis_arr[:, None], out
     return TransferCurve(samples.reshape(-1, 3))

@@ -60,7 +60,14 @@ def canonical_phase(x: float) -> float:
 
 def _as_bits(s, what: str = "selector") -> np.ndarray:
     arr = np.asarray(s)
-    if arr.size and not np.issubdtype(arr.dtype, np.number) and arr.dtype != np.bool_:
+    if arr.dtype == np.bool_:
+        return arr.astype(np.int64)
+    if np.issubdtype(arr.dtype, np.integer):
+        # integers are checked as they are, without a float copy
+        if arr.size and (arr.min() < 0 or arr.max() > 1):
+            raise DomainError(f"{what} entries must be 0 or 1")
+        return arr.astype(np.int64, copy=False)
+    if arr.size and not np.issubdtype(arr.dtype, np.number):
         raise DomainError(f"{what} entries must be 0 or 1")
     arr = np.asarray(arr, dtype=np.float64)
     if arr.size and not np.all((arr == 0.0) | (arr == 1.0)):
@@ -229,7 +236,7 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
         raise ArityError(
             f"selector length {bits.shape[1]} != memory length {mu_arr.shape[0]}"
         )
-    phi, tails = compile_selector_matrix(bits.T)
+    phi, tails = _compile_bits(bits.T)
     return kernels.selector_batch_amplitudes(mu_arr, np.vstack((phi, tails)).T)
 
 
@@ -278,7 +285,7 @@ def compile_selector(s):
     bits = _as_bits(s)
     if bits.ndim != 1:
         raise ArityError("selector must be a 1-D vector")
-    control, tails = compile_selector_matrix(bits[:, None])
+    control, tails = _compile_bits(bits[:, None])
     return control[:, 0], float(tails[0])
 
 
@@ -373,6 +380,11 @@ def compile_selector_matrix(selectors):
     bits = _as_bits(selectors, what="selector matrix")
     if bits.ndim != 2:
         raise ArityError("selector matrix must be 2-D")
+    return _compile_bits(bits)
+
+
+def _compile_bits(bits: np.ndarray):
+    # compile_selector_matrix on a 2-D integer 0/1 array already validated
     phi = math.pi * (np.diff(bits, axis=0, prepend=0) != 0)
     tails = (np.count_nonzero(phi, axis=0) % 2).astype(np.float64) * math.pi
     return phi, tails

@@ -18,7 +18,8 @@ from slhnet import (
     phase_shift,
     series,
 )
-from slhnet.core import is_singular_loop
+from slhnet.core import _feedback_masked, is_singular_loop
+from slhnet.verify import random_passive_circuit
 
 
 def test_model_coerces_and_freezes():
@@ -120,6 +121,12 @@ def test_feedback_singular_loop_payload():
         feedback(identity(2), 1, 1)
     assert info.value.k == 1 and info.value.l == 1
     assert info.value.s_kl == 1.0 + 0.0j
+    assert str(info.value) == "singular feedback loop: output 1 -> input 1, S_kl = (1+0j)"
+    s_kl = 1.0 - 5e-10j
+    with pytest.raises(SingularLoopError) as info:
+        feedback(SlhModel([[0.0, 0.3], [s_kl, 0.0]], [0.0, 0.0]), 2, 1)
+    assert (info.value.k, info.value.l, info.value.s_kl) == (2, 1, s_kl)
+    assert str(info.value) == f"singular feedback loop: output 2 -> input 1, S_kl = {s_kl}"
     with pytest.raises(ArityError):
         feedback(identity(2), 3, 1)
     with pytest.raises(ArityError):
@@ -146,3 +153,113 @@ def test_check_unitary():
     assert not check_unitary(np.eye(3) * 1.1, 1e-10)
     with pytest.raises(ArityError):
         check_unitary(np.ones((2, 3)), 1e-10)
+
+
+def _stack(models):
+    return SlhModel(np.stack([m.scattering for m in models]),
+                    np.stack([m.coupling for m in models]),
+                    np.array([m.hamiltonian for m in models]))
+
+
+def _assert_same(got, want):
+    # bit for bit, including the type of a scalar Hamiltonian
+    assert np.array_equal(got.scattering, want.scattering)
+    assert np.array_equal(got.coupling, want.coupling)
+    assert np.array_equal(got.hamiltonian, want.hamiltonian)
+    assert type(got.hamiltonian) is type(want.hamiltonian)
+
+
+def _circuits_by_ports(seed, count=400):
+    """random_passive_circuit outputs grouped by port count, each also
+    driven by a random coherent drive so the coupling and H are nonzero."""
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for _ in range(count):
+        g = random_passive_circuit(rng, max_depth=12)
+        drive = rng.standard_normal(g.ports) + 1j * rng.standard_normal(g.ports)
+        driven = series(g, coherent_drive(drive))
+        driven = SlhModel(driven.scattering, driven.coupling, rng.standard_normal())
+        groups.setdefault(g.ports, []).extend([g, driven])
+    return groups
+
+
+def test_batched_algebra_equals_elementwise_bit_for_bit():
+    a_groups, b_groups = _circuits_by_ports(101), _circuits_by_ports(202)
+    rng = np.random.default_rng(303)
+    seen = set()
+    for n in range(1, 7):
+        size = min(len(a_groups.get(n, ())), len(b_groups.get(n, ())))
+        if size < 2:
+            continue
+        seen.add(n)
+        a, b = a_groups[n][:size], b_groups[n][:size]
+        sa, sb = _stack(a), _stack(b)
+        for op in (series, concat):
+            got = op(sa, sb)
+            for j in range(size):
+                _assert_same(got.at(j), op(a[j], b[j]))
+        # an unbatched operand broadcasts against the batch
+        got = series(a[0], sb)
+        for j in range(size):
+            _assert_same(got.at(j), series(a[0], b[j]))
+        if n >= 2:
+            k, l = (int(x) for x in rng.integers(1, n + 1, size=2))
+            keep = [g for g in a if not is_singular_loop(1.0 - g.scattering[k - 1, l - 1])]
+            closed = feedback(_stack(keep), k, l)
+            for j, g in enumerate(keep):
+                _assert_same(closed.at(j), feedback(g, k, l))
+    assert seen == set(range(1, 7))
+
+
+def test_batched_singular_mask_agrees_with_scalar_raise():
+    tol = FEEDBACK_SINGULAR_TOL
+    ds = [tol * f * np.exp(1j * a)
+          for f in (1.0 - 1e-3, 1.0 + 1e-3, 0.0, 0.5, 1e3)
+          for a in (0.0, 1.0, -2.5)]
+    models = [SlhModel([[1.0 - d, 0.2], [0.1, 1.0]], [0.3, 0.1j], 0.0) for d in ds]
+    batch = _stack(models)
+    _, singular = _feedback_masked(batch, 1, 1)
+    for g, masked in zip(models, singular):
+        try:
+            feedback(g, 1, 1)
+            raised = False
+        except SingularLoopError:
+            raised = True
+        assert masked == raised
+    assert singular.sum() == 9
+    # the batched public call names the first singular element in C order
+    with pytest.raises(SingularLoopError) as info:
+        feedback(_stack(models[3:]), 1, 1)
+    first = 3 + int(np.argmax(singular[3:]))
+    assert info.value.s_kl == models[first].scattering[0, 0]
+    with np.errstate(all="raise"):
+        _feedback_masked(batch, 1, 1)
+
+
+def test_algebra_results_are_readonly_complex128():
+    g = series(beamsplitter(0.3), coherent_drive([0.5, 1j]))
+    batch = _stack([g, beamsplitter(0.1)])
+    for m in (g, concat(g, phase_shift(0.2)), feedback(g, 1, 2), identity(2),
+              phase_shift(0.4), batch, series(batch, g), concat(phase_shift([0.1, 0.2]), g),
+              feedback(batch, 2, 1), batch.at(1)):
+        for a in (m.scattering, m.coupling):
+            assert a.dtype == np.complex128 and not a.flags.writeable
+        if m.scattering.ndim == 2:
+            assert type(m.hamiltonian) is float
+        else:
+            h = m.hamiltonian
+            assert h.dtype == np.float64 and h.shape == m.scattering.shape[:-2]
+            assert not h.flags.writeable
+
+
+def test_batched_model_shapes():
+    m = SlhModel(np.stack([np.eye(2)] * 3), np.zeros((3, 2)))
+    assert m.ports == 2 and m.hamiltonian.shape == (3,)
+    assert np.array_equal(m.hamiltonian, np.zeros(3))
+    with pytest.raises(ArityError):
+        SlhModel(np.stack([np.eye(2)] * 3), np.zeros(2))
+    with pytest.raises(ArityError):
+        m.at((0, 1))
+    assert phase_shift(np.zeros((4, 5))).scattering.shape == (4, 5, 1, 1)
+    with pytest.raises(ValueError, match="got nan"):
+        phase_shift([0.0, float("nan"), float("inf")])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from slhnet import (
     TransferCurve,
     build_feedback_selector,
     build_weighted_selector,
+    canonical_phase,
     chain_feedback_selectors,
     feedback_selector_scattering,
+    identity,
     principal_phase,
+    series,
     sweep_transfer,
     weighted_output_phase,
     weighted_selector_scattering,
@@ -138,8 +142,77 @@ def test_chain_accepts_zero_memory_with_zero_control():
 def test_chain_validation():
     with pytest.raises(ArityError):
         chain_feedback_selectors([0.3], [0.0, PI])
+    with pytest.raises(ArityError):
+        chain_feedback_selectors([0.3], [[0.0, PI]])
+    with pytest.raises(ArityError):
+        chain_feedback_selectors([0.3], [[[0.0]]])
     with pytest.raises(DomainError):
         chain_feedback_selectors([0.3], [0.5])
+    with pytest.raises(DomainError, match="0.5"):
+        chain_feedback_selectors([0.3, 0.4], [[0.0, PI], [0.5, 0.7]])
+
+
+def _chain_reference(mu, phi):
+    # one scalar build per stage, series-composed in order
+    model = identity(1)
+    for m, p in zip(mu, phi):
+        model = series(build_feedback_selector(p, m, allow_removable=True), model)
+    return canonical_phase(principal_phase(model.scattering[0, 0]))
+
+
+def test_chain_equals_per_stage_fold_bit_for_bit():
+    rng = np.random.default_rng(89)
+    for n in range(0, 9):
+        mu = rng.uniform(0.0, TWO_PI, size=n)
+        mu[: n // 3] = 0.0  # a zero memory under a zero control is the removable point
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n)[None, :]) & 1
+        rows = chain_feedback_selectors(mu, bits * PI)
+        assert rows.shape == (2 ** n,)
+        for row, got in zip(bits, rows):
+            want = _chain_reference(mu, row * PI)
+            assert got == want
+            assert chain_feedback_selectors(mu, row * PI) == want
+
+
+def _assert_same_model(got, want):
+    assert np.array_equal(got.scattering, want.scattering)
+    assert np.array_equal(got.coupling, want.coupling)
+    assert got.hamiltonian == want.hamiltonian
+
+
+def test_batched_feedback_selector_equals_per_point_builds():
+    # the grid holds the removable point (0, 0) and the refused (0, 7e-10)
+    pts = np.append(TWO_PI * np.arange(12) / 12, 7e-10)
+    phi, mu = np.meshgrid(pts, pts, indexing="ij")
+    batch = build_feedback_selector(phi, mu, allow_removable=True)
+    for i, j in np.ndindex(phi.shape):
+        want = build_feedback_selector(phi[i, j], mu[i, j], allow_removable=True)
+        _assert_same_model(batch.at((i, j)), want)
+    assert batch.at((0, 0)).scattering[0, 0] == 1.0 and batch.at((0, 12)).scattering[0, 0] == 1.0
+    with pytest.raises(SingularLoopError) as batched:
+        build_feedback_selector(phi, mu)
+    with pytest.raises(SingularLoopError) as single:
+        build_feedback_selector(0.0, 0.0)
+    assert (batched.value.k, batched.value.l, batched.value.s_kl, str(batched.value)) == (
+        single.value.k, single.value.l, single.value.s_kl, str(single.value))
+    # off the singular set the strict build agrees too
+    phi, mu = np.meshgrid(pts[:12] + PI / 12, pts[:12] + PI / 12, indexing="ij")
+    batch = build_feedback_selector(phi, mu)
+    for i, j in np.ndindex(phi.shape):
+        _assert_same_model(batch.at((i, j)), build_feedback_selector(phi[i, j], mu[i, j]))
+
+
+def test_closed_form_check_error_equals_per_point_loop():
+    from slhnet.verify import _check_feedback_closed_form
+
+    grid = 20
+    pts = TWO_PI * (np.arange(grid) + 0.5) / grid
+    worst = max(
+        abs(feedback_selector_scattering(phi, mu)
+            - build_feedback_selector(phi, mu).scattering[0, 0])
+        for phi in pts for mu in pts
+    )
+    assert _check_feedback_closed_form(grid).error == worst
 
 
 def test_chain_matches_staircase_eval():
@@ -242,6 +315,19 @@ def test_sweep_transfer_is_deterministic():
     a = sweep_transfer([1.0, 2.0, 3.0], mus)
     b = sweep_transfer([1.0, 2.0, 3.0], mus)
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_sweep_transfer_peak_memory_per_point():
+    # the (phi, mu, mu_out) samples take 24 B per point; the singular-set
+    # check and the kernel add two grid-sized complex arrays at most
+    phis, mus = np.linspace(0.1, 3.0, 16), np.linspace(-3.0, 3.0, 20000)
+    tracemalloc.start()
+    try:
+        sweep_transfer(phis, mus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (phis.size * mus.size) < 42.0
 
 
 def test_sweep_transfer_rejects_singular_grid():

@@ -170,6 +170,23 @@ def test_compile_examples():
         compile_selector([[0, 1]])
 
 
+def test_selector_bits_accept_every_binary_dtype_and_name_the_input():
+    want, _ = compile_selector([1, 0, 1])
+    for bits in ([True, False, True], np.array([1, 0, 1], dtype=np.uint8),
+                 np.array([1, 0, 1], dtype=np.int8), [1.0, 0.0, 1.0]):
+        assert np.array_equal(compile_selector(bits)[0], want)
+    for bad in ([0, 2], [0, -1], np.array([0, 255], dtype=np.uint8), [0.0, 0.5], ["0", "1"]):
+        with pytest.raises(DomainError) as info:
+            compile_selector(bad)
+        assert str(info.value) == "selector entries must be 0 or 1"
+        with pytest.raises(DomainError) as info:
+            compile_selector_matrix([bad])
+        assert str(info.value) == "selector matrix entries must be 0 or 1"
+        with pytest.raises(DomainError) as info:
+            selector_sweep_amplitudes(np.zeros(2), [bad])
+        assert str(info.value) == "selector entries must be 0 or 1"
+
+
 def _gamma_route(s):
     # the dense reference: Gamma @ s with negative entries lifted by 2*pi
     s = np.asarray(s)
