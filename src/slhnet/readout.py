@@ -99,6 +99,8 @@ def feedback_selector_scattering(phi: float, mu: float,
     denominator, which forces |S| = 1 wherever the loop is well posed.
     The denominator is 2(1 - S_11), S_11 that of the open loop.
     """
+    if not (math.isfinite(phi) and math.isfinite(mu)):
+        raise DomainError(f"angles must be finite, got phi={phi!r}, mu={mu!r}")
     e_mu = cmath.exp(1j * mu)
     e_pm = cmath.exp(1j * (phi + mu))
     den = 2.0 - e_mu - e_pm
@@ -164,6 +166,8 @@ def weighted_selector_scattering(phi: float, mu: float) -> complex:
     """Closed-form scattering (e^{i mu} - cos phi) / (1 - e^{i mu} cos phi).
 
     |1 - e^{i mu} cos phi| equals |1 - S_11| of the open loop."""
+    if not (math.isfinite(phi) and math.isfinite(mu)):
+        raise DomainError(f"angles must be finite, got phi={phi!r}, mu={mu!r}")
     e_mu = cmath.exp(1j * mu)
     cos_phi = math.cos(phi)
     den = 1.0 - e_mu * cos_phi
@@ -187,6 +191,8 @@ def weighted_output_phase(phi: float, mu: float) -> float:
 
 def weighted_small_mu_gain(phi: float) -> float:
     """Small-signal phase gain d(mu_out)/d(mu) at mu = 0: cot^2(phi/2)."""
+    if not math.isfinite(phi):
+        raise DomainError(f"phi must be finite, got {phi!r}")
     den = 1.0 - math.cos(phi)
     if den == 0.0:
         raise DomainError(f"gain diverges at phi = 0 (mod 2*pi), got {phi!r}")

@@ -218,7 +218,7 @@ def build_selector_chain(spec: SelectorSpec) -> SlhModel:
 
 
 def selector_scattering(spec: SelectorSpec) -> np.ndarray:
-    """2x2 scattering of the staircase via the compiled chain kernel."""
+    """2x2 scattering of the staircase via the chain kernel."""
     thetas, phases, ports = staircase_arrays(spec)
     return kernels.chain_unitary(thetas, phases, ports)
 
@@ -313,6 +313,8 @@ def eval_selector(mu, s) -> float:
         raise ArityError(
             f"memory length {mu_arr.shape} != selector length {bits.shape}"
         )
+    if not np.all(np.isfinite(mu_arr)):
+        raise DomainError("memory phases must be finite")
     total = float(bits @ mu_arr) if bits.size else 0.0
     return canonical_phase(total)
 
@@ -349,7 +351,7 @@ class MatrixProductSpec:
             raise ArityError(
                 f"{ctrl.shape[1]} selector columns need {ctrl.shape[1]} tails"
             )
-        if mem.size and (mem.min() < 0.0 or mem.max() >= TWO_PI):
+        if not np.all((mem >= 0.0) & (mem < TWO_PI)):  # NaN fails too
             raise DomainError("memory phases must lie in [0, 2*pi)")
         _check_binary_phases(np.concatenate([ctrl.ravel(), tail]))
         col_bits = (ctrl == math.pi).sum(axis=0) % 2
@@ -357,12 +359,10 @@ class MatrixProductSpec:
             raise DomainError(
                 "each tail phase must equal the mod-2 column sum of the schedule"
             )
-        mem.setflags(write=False)
-        ctrl.setflags(write=False)
-        tail.setflags(write=False)
-        object.__setattr__(self, "memory_matrix", mem)
-        object.__setattr__(self, "control_matrix", ctrl)
-        object.__setattr__(self, "tail_phases", tail)
+        for name, arr in zip(("memory_matrix", "control_matrix", "tail_phases"),
+                             (mem, ctrl, tail)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_selector_matrix(cls, selectors, memories) -> "MatrixProductSpec":

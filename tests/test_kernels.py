@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -64,61 +61,3 @@ def test_weighted_phase_grid_values():
         for j, mu in enumerate(mus):
             z = (np.exp(1j * mu) - math.cos(phi)) / (1.0 - np.exp(1j * mu) * math.cos(phi))
             assert got[i, j] == pytest.approx(np.angle(z), abs=1e-15)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree():
-    rng = np.random.default_rng(29)
-    thetas, phases, ports = _random_chain(rng, 9)
-    assert_allclose(
-        kernels.chain_unitary_numba(thetas, phases, ports.astype(np.int8)),
-        kernels.chain_unitary_numpy(thetas, phases, ports),
-        atol=1e-14,
-    )
-    mu = rng.uniform(0.0, 2.0 * math.pi, size=4)
-    controls = math.pi * rng.integers(0, 2, size=(8, 5)).astype(np.float64)
-    assert_allclose(
-        kernels.selector_batch_amplitudes_numba(mu, controls),
-        kernels.selector_batch_amplitudes_numpy(mu, controls),
-        atol=1e-14,
-    )
-    phis = rng.uniform(0.1, 3.0, size=7)
-    mus = rng.uniform(-3.0, 3.0, size=11)
-    assert_allclose(
-        kernels.weighted_phase_grid_numba(phis, mus),
-        kernels.weighted_phase_grid_numpy(phis, mus),
-        atol=1e-14,
-    )
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("SLHNET_BACKEND", None)
-    else:
-        env["SLHNET_BACKEND"] = value
-    return subprocess.run(
-        [sys.executable, "-c", "from slhnet import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-
-
-def test_backend_env_selection():
-    out = _backend_in_subprocess("numpy")
-    assert out.returncode == 0 and out.stdout.strip() == "numpy"
-
-    out = _backend_in_subprocess(None)
-    expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-    assert out.returncode == 0 and out.stdout.strip() == expected
-
-    out = _backend_in_subprocess("cuda")
-    assert out.returncode != 0
-    assert "SLHNET_BACKEND" in out.stderr
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backend_env_numba_explicit():
-    out = _backend_in_subprocess("numba")
-    assert out.returncode == 0 and out.stdout.strip() == "numba"

@@ -10,12 +10,14 @@ from slhnet import (
     FEEDBACK_SINGULAR_TOL,
     ArityError,
     DomainError,
+    SelectorSpec,
     SingularLoopError,
     TransferCurve,
     build_feedback_selector,
     build_weighted_selector,
     canonical_phase,
     chain_feedback_selectors,
+    eval_selector,
     feedback_selector_scattering,
     identity,
     principal_phase,
@@ -118,6 +120,36 @@ def test_closed_forms_refuse_where_feedback_refuses(route):
                        (FEEDBACK_SINGULAR_TOL * (1.0 + 1e-3), False)):
         assert _refuses(lambda: generic(mu)) is inside
         assert _refuses(lambda: closed(mu)) is inside
+
+
+# (closed form, its generic route, finite arguments); each argument in turn
+# is made non-finite, and both routes must refuse it
+FINITE_ROUTES = {
+    "feedback_selector_scattering": (feedback_selector_scattering,
+                                     build_feedback_selector, (0.3, 0.7)),
+    "weighted_selector_scattering": (weighted_selector_scattering,
+                                     build_weighted_selector, (0.3, 0.7)),
+    "weighted_output_phase": (weighted_output_phase, build_weighted_selector, (0.3, 0.7)),
+    "weighted_small_mu_gain": (weighted_small_mu_gain,
+                               lambda phi: build_weighted_selector(phi, 0.0), (0.3,)),
+    # the second memory slot is not selected, and is refused all the same
+    "eval_selector": (lambda a, b: eval_selector([a, b], [1, 0]),
+                      lambda a, b: SelectorSpec.from_selector([1, 0], [a, b]), (0.7, 0.2)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(FINITE_ROUTES))
+def test_closed_forms_refuse_non_finite_angles_as_generic_routes_do(name, bad):
+    closed, generic, args = FINITE_ROUTES[name]
+    closed(*args)
+    generic(*args)
+    for i in range(len(args)):
+        bad_args = args[:i] + (bad,) + args[i + 1:]
+        with pytest.raises(DomainError):
+            generic(*bad_args)
+        with pytest.raises(DomainError):
+            closed(*bad_args)
 
 
 def test_chain_examples():

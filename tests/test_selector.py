@@ -362,6 +362,11 @@ def test_matrix_product_spec_validation():
         MatrixProductSpec([[0.1], [0.2]], phi, [PI])  # tail parity off
     with pytest.raises(DomainError):
         MatrixProductSpec([[7.0], [0.2]], phi, tails)  # memory out of range
+    for bad in (math.nan, math.inf, -math.inf, TWO_PI):  # NaN compares False
+        for memories in ([[bad]], [[0.5, bad]]):
+            with pytest.raises(DomainError) as exc:
+                MatrixProductSpec.from_selector_matrix([[1]], memories)
+            assert str(exc.value) == "memory phases must lie in [0, 2*pi)"
     with pytest.raises(ArityError):
         MatrixProductSpec([[0.1]], phi, tails)
     with pytest.raises(ArityError):
