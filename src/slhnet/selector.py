@@ -75,6 +75,11 @@ def _as_bits(s, what: str = "selector") -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_memory_phases(mem: np.ndarray) -> None:
+    if not np.all((mem >= 0.0) & (mem < TWO_PI)):  # NaN fails too
+        raise DomainError("memory phases must lie in [0, 2*pi)")
+
+
 def _check_binary_phases(values, what: str = "control phase") -> None:
     """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
     naming the first offending entry as the caller passed it."""
@@ -236,6 +241,7 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
         raise ArityError(
             f"selector length {bits.shape[1]} != memory length {mu_arr.shape[0]}"
         )
+    _check_memory_phases(mu_arr)
     phi, tails = _compile_bits(bits.T)
     return kernels.selector_batch_amplitudes(mu_arr, np.vstack((phi, tails)).T)
 
@@ -351,8 +357,7 @@ class MatrixProductSpec:
             raise ArityError(
                 f"{ctrl.shape[1]} selector columns need {ctrl.shape[1]} tails"
             )
-        if not np.all((mem >= 0.0) & (mem < TWO_PI)):  # NaN fails too
-            raise DomainError("memory phases must lie in [0, 2*pi)")
+        _check_memory_phases(mem)
         _check_binary_phases(np.concatenate([ctrl.ravel(), tail]))
         col_bits = (ctrl == math.pi).sum(axis=0) % 2
         if ctrl.size and not np.array_equal(col_bits * math.pi, tail):

@@ -90,16 +90,13 @@ def _check_selector_exhaustive(rng, n_max: int) -> CheckResult:
 
 
 def _scalar_matmul(a, b) -> np.ndarray:
-    # per-element products with one rounding each; BLAS matmul may fuse
-    # multiply-adds, which breaks the (1/pi)*pi == 1.0 cancellation
-    out = np.empty((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += float(a[i, k]) * float(b[k, j])
-            out[i, j] = acc
-    return out
+    # per-element products with one rounding each, summed in order over k;
+    # BLAS matmul may fuse multiply-adds, which breaks the (1/pi)*pi == 1.0
+    # cancellation
+    acc = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        acc = acc + a[:, k, None] * b[None, k, :]
+    return acc
 
 
 def _check_compilation_algebra(n_max: int = 10) -> CheckResult:

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from slhnet.cli import fmt12, main
 from slhnet.netlist import parse_netlist, serialize_netlist
+from slhnet.selector import TWO_PI, eval_selector
 
 SWITCH_DOC = """\
 version: 1
@@ -93,6 +95,45 @@ def test_eval_bad_inputs(capsys):
     assert main(["eval", "--mu-matrix", "0.2"]) == 2  # matrix needs both flags
     assert main(["eval", "--mu", "0.3"]) == 2  # neither bits nor schedule
     capsys.readouterr()
+
+
+_LONG_MU = np.random.default_rng(5000).uniform(0.0, TWO_PI, size=5000)
+_LONG_BITS = np.random.default_rng(5001).integers(0, 2, size=5000)
+
+
+def _long_eval_holds(out):
+    got = dict(line.split(": ", 1) for line in out.splitlines())
+    diff = abs(float(got["output_phase"]) - eval_selector(_LONG_MU, _LONG_BITS))
+    return min(diff, TWO_PI - diff) < 1e-9 and float(got["residual_off_port_power"]) < 1e-20
+
+
+_EDGE_INPUTS = [
+    # argv, exit code, stderr, check on stdout
+    (["eval", "--mu", "", "--selector", ""], 2, "error: empty memory list ''\n", None),
+    (["eval", "--mu", "0.3", "--selector", ""], 2,
+     "error: selector must be a string of 0/1 bits, got ''\n", None),
+    (["eval", "--mu", "nan", "--selector", "1"], 2,
+     "error: memory: angle must be finite, got 'nan'\n", None),
+    (["eval", "--mu", "inf", "--selector", "1"], 2,
+     "error: memory: angle must be finite, got 'inf'\n", None),
+    (["eval", "--mu", "0.3,-inf", "--selector", "01"], 2,
+     "error: memory: angle must be finite, got '-inf'\n", None),
+    (["sweep", "--phi", "nan"], 2, "error: phi: angle must be finite, got 'nan'\n", None),
+    (["compile", "01" * 10000], 0, "",
+     lambda out: out.startswith("control: [0, pi, pi,") and out.count(",") == 19999),
+    (["eval", "--mu", ",".join(repr(float(x)) for x in _LONG_MU),
+      "--selector", "".join(str(b) for b in _LONG_BITS)], 0, "", _long_eval_holds),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, check", _EDGE_INPUTS,
+                         ids=["empty-mu", "empty-selector", "nan-mu", "inf-mu",
+                              "neg-inf-mu", "nan-phi", "compile-20000", "eval-5000"])
+def test_edge_inputs(capsys, argv, code, err, check):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == "" if check is None else check(captured.out)
 
 
 def test_sweep_csv(tmp_path, capsys):

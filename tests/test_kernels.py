@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slhnet import kernels
-from slhnet.selector import SelectorSpec, staircase_arrays
+from slhnet.selector import (TWO_PI, SelectorSpec, canonical_phase, eval_selector,
+                             staircase_arrays)
 
 
 def _chain_reference(thetas, phases, ports):
@@ -17,6 +19,18 @@ def _chain_reference(thetas, phases, ports):
             p = np.eye(2, dtype=complex)
             p[ports[i] - 1, ports[i] - 1] = np.exp(1j * phases[i])
             s = p @ s
+    return s
+
+
+def _sequential_fold(thetas, phases, ports):
+    # the plain cell-by-cell fold: one 2x2 product per cell, then the phase
+    # on its row; the blocked kernel must equal it bit for bit up to BLOCK cells
+    s = np.eye(2, dtype=np.complex128)
+    for i in range(len(thetas)):
+        c, sn = np.cos(thetas[i]), np.sin(thetas[i])
+        s = np.array([[c, -sn], [sn, c]], dtype=np.complex128) @ s
+        if i < len(phases):
+            s[ports[i] - 1, :] *= np.exp(1j * phases[i])
     return s
 
 
@@ -33,6 +47,36 @@ def test_chain_unitary_against_reference():
         thetas, phases, ports = _random_chain(rng, int(rng.integers(1, 12)))
         got = kernels.chain_unitary(thetas, phases, ports)
         assert_allclose(got, _chain_reference(thetas, phases, ports), atol=1e-13)
+
+
+def test_chain_unitary_of_one_block_is_the_sequential_fold_bit_for_bit():
+    rng = np.random.default_rng(29)
+    assert kernels.BLOCK == 64
+    for length in range(1, kernels.BLOCK + 1):
+        for _ in range(3):
+            chain = _random_chain(rng, length)
+            assert np.array_equal(kernels.chain_unitary(*chain), _sequential_fold(*chain))
+    assert np.array_equal(kernels.chain_unitary([], [], []), np.eye(2))
+
+
+def test_chain_unitary_across_block_boundaries():
+    rng = np.random.default_rng(31)
+    for length in (63, 64, 65, 127, 128, 129, 4097):
+        thetas, phases, ports = _random_chain(rng, length)
+        got = kernels.chain_unitary(thetas, phases, ports)
+        assert_allclose(got, _chain_reference(thetas, phases, ports), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [4096, 100_000])
+def test_chain_unitary_long_staircase_contracts(n):
+    rng = np.random.default_rng(n)
+    mu = rng.uniform(0.0, TWO_PI, size=n)
+    bits = rng.integers(0, 2, size=n)
+    spec = SelectorSpec.from_selector(bits, mu)
+    out = kernels.chain_unitary(*staircase_arrays(spec)) @ np.array([1.0, 0.0])
+    diff = abs(canonical_phase(cmath.phase(out[0])) - eval_selector(mu, bits))
+    assert min(diff, TWO_PI - diff) <= 1e-9
+    assert abs(out[1]) <= 1e-10
 
 
 def test_selector_batch_matches_chain_rows():

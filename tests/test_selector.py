@@ -308,6 +308,17 @@ def test_selector_sweep_amplitudes_equals_per_row_compile():
         assert np.array_equal(selector_sweep_amplitudes(mu, rows), want)
 
 
+def test_selector_sweep_amplitudes_refuses_memory_outside_range():
+    for bad in (math.nan, math.inf, -math.inf, -0.1, TWO_PI, 7.0):
+        for mu in ([bad], [0.5, bad]):
+            bits = [1] * len(mu)
+            with pytest.raises(DomainError) as exc:
+                selector_sweep_amplitudes(mu, [bits])
+            assert str(exc.value) == "memory phases must lie in [0, 2*pi)"
+            with pytest.raises(DomainError):  # the per-row route refuses too
+                SelectorSpec.from_selector(bits, mu)
+
+
 def test_compile_selector_matrix_example():
     phi, tails = compile_selector_matrix([[0, 1], [1, 1], [1, 0]])
     assert np.array_equal(phi, [[0.0, PI], [PI, 0.0], [0.0, PI]])
