@@ -173,12 +173,26 @@ def _cmd_verify(args) -> int:
         compositions=args.compositions,
         grid=args.grid,
     )
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failures += not r.passed
-        print(f"{status} {r.name:<32} error={r.error:.3e} tol={r.tolerance:g}  {r.detail}")
-    print(f"{len(results)} checks, {len(results) - failures} passed, {failures} failed")
+    failures = sum(not r.passed for r in results)
+    if args.json:
+        # imported here so that no other command pays for it at start-up
+        import json
+
+        for r in results:
+            print(json.dumps({
+                "name": r.name, "passed": r.passed, "error": r.error,
+                "tol": r.tolerance,
+                "margin": None if r.error == 0.0 else r.tolerance / r.error,
+                "seconds": r.seconds, "detail": r.detail,
+            }))
+        print(json.dumps({"checks": len(results), "passed": len(results) - failures,
+                          "failed": failures,
+                          "seconds": sum(r.seconds for r in results)}))
+    else:
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{status} {r.name:<32} error={r.error:.3e} tol={r.tolerance:g}  {r.detail}")
+        print(f"{len(results)} checks, {len(results) - failures} passed, {failures} failed")
     return 0 if failures == 0 else 1
 
 
@@ -241,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random compositions in the unitarity check (default 1000)")
     p.add_argument("--grid", type=int, default=100,
                    help="closed-form comparison grid size per axis (default 100)")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON object per check (name, passed, error, tol, margin, "
+                        "seconds, detail), then a summary object")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("netlist", help="elaborate or reprint a netlist file")

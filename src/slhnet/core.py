@@ -17,6 +17,7 @@ functions, so models can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,10 +213,25 @@ def concat(g1: SlhModel, g2: SlhModel) -> SlhModel:
     return _model(s, l, g1.hamiltonian + g2.hamiltonian)
 
 
+@functools.lru_cache(maxsize=1024)
+def _feedback_indices(n: int, ki: int, li: int):
+    """Read-only index arrays for closing output ``ki`` onto input ``li``
+    (0-indexed) of an n-port: kept rows, kept columns, and the kept rows as
+    a column for 2-D fancy indexing."""
+    keep_r = np.array([i for i in range(n) if i != ki])
+    keep_c = np.array([i for i in range(n) if i != li])
+    rows = keep_r[:, None]
+    for a in (keep_r, keep_c, rows):
+        a.setflags(write=False)
+    return keep_r, keep_c, rows
+
+
 def _feedback_masked(g: SlhModel, k: int, l: int):
     """Feedback elimination of every batch element, and the boolean mask of
     the elements whose loop is singular.  Masked elements are divided by a
-    unit denominator instead, so their values are meaningless but finite."""
+    unit denominator instead, so their values are meaningless but finite.
+    The index arrays come from ``_feedback_indices``, cached per
+    ``(n, k, l)``."""
     n = g.ports
     if n < 2:
         raise ArityError("feedback needs at least two ports")
@@ -225,12 +241,12 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     s, c = g.scattering, g.coupling
     d = 1.0 - s[..., ki, li]
     singular = is_singular_loop(d)
-    d = np.where(singular, 1.0, d)
-    keep_r = np.array([i for i in range(n) if i != ki])
-    keep_c = np.array([i for i in range(n) if i != li])
+    if singular.any():
+        d = np.where(singular, 1.0, d)
+    keep_r, keep_c, rows = _feedback_indices(n, ki, li)
     col = s[..., keep_r, li]      # column l with row k removed
     row = s[..., ki, keep_c]      # row k with column l removed
-    s_fb = (s[..., keep_r[:, None], keep_c]
+    s_fb = (s[..., rows, keep_c]
             + col[..., :, None] * row[..., None, :] / d[..., None, None])
     l_fb = c[..., keep_r] + col * (c[..., ki] / d)[..., None]
     v = (c.conj()[..., None, :] @ s[..., :, li, None])[..., 0, 0]

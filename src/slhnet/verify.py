@@ -12,14 +12,15 @@ up as a number, not just a boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import readout as ro
 from . import selector as sel
-from .components import beamsplitter, coherent_drive, phase_shift
-from .core import SingularLoopError, SlhModel, concat, feedback, series
+from .components import beamsplitter, coherent_drive
+from .core import SingularLoopError, SlhModel, _model, concat, feedback, series
 from .selector import TWO_PI
 
 __all__ = ["CheckResult", "random_passive_circuit", "run_all"]
@@ -34,6 +35,7 @@ class CheckResult:
     error: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0
 
 
 def _result(name, error, tolerance, detail="") -> CheckResult:
@@ -267,19 +269,23 @@ def _check_chain_equivalence(rng, n_max: int) -> CheckResult:
 
 
 def _random_stage(rng, ports: int) -> SlhModel:
-    parts = []
-    left = ports
-    while left > 0:
-        if left >= 2 and rng.uniform() < 0.5:
-            parts.append(beamsplitter(rng.uniform(-math.pi, math.pi)))
-            left -= 2
+    # one block-diagonal model, drawn in the order a chain of concatenated
+    # beamsplitters and phase shifters would draw it: per slot the 0.5 coin
+    # (when two ports are left), then the angle.  Each angle is rng.random()
+    # scaled as rng.uniform scales it, low + (high - low) * next_double, so
+    # the values and the generator state match that chain bit for bit.
+    s = np.zeros((ports, ports), dtype=np.complex128)
+    i = 0
+    while i < ports:
+        if ports - i >= 2 and rng.random() < 0.5:
+            theta = -math.pi + TWO_PI * rng.random()
+            c, sn = math.cos(theta), math.sin(theta)
+            s[i:i + 2, i:i + 2] = [[c, -sn], [sn, c]]
+            i += 2
         else:
-            parts.append(phase_shift(rng.uniform(0.0, TWO_PI)))
-            left -= 1
-    model = parts[0]
-    for p in parts[1:]:
-        model = concat(model, p)
-    return model
+            s[i, i] = np.exp(1j * np.float64(TWO_PI * rng.random()))
+            i += 1
+    return _model(s, np.zeros(ports, dtype=np.complex128), 0.0)
 
 
 def random_passive_circuit(rng, max_depth: int = 20) -> SlhModel:
@@ -292,7 +298,7 @@ def random_passive_circuit(rng, max_depth: int = 20) -> SlhModel:
     model = _random_stage(rng, int(rng.integers(1, 4)))
     depth = int(rng.integers(1, max_depth + 1))
     for _ in range(depth):
-        choice = rng.uniform()
+        choice = rng.random()
         if choice < 0.45:
             model = series(_random_stage(rng, model.ports), model)
         elif choice < 0.75 and model.ports < 6:
@@ -346,22 +352,30 @@ def _check_sweep_columns() -> CheckResult:
 
 def run_all(seed: int = DEFAULT_SEED, exhaustive_n: int = 8,
             compositions: int = 1000, grid: int = 100):
-    """Run the whole battery and return a list of CheckResult."""
+    """Run the whole battery and return a list of CheckResult, each with the
+    wall time of its check.  The checks run in this fixed order, which fixes
+    the draws each one takes from the shared generator."""
     rng = np.random.default_rng(seed)
     checks = [
-        _check_switch_dichotomy(),
-        _check_driven_beamsplitter(rng),
-        _check_selector_exhaustive(rng, exhaustive_n),
-        _check_compilation_algebra(),
-        _check_matrix_products(rng),
-        _check_feedback_closed_form(grid),
-        _check_feedback_dichotomy(rng),
-        _check_weighted_lines(rng),
-        _check_weighted_tangent(rng),
-        _check_small_mu_gain(),
-        _check_gain_slope_at_half_pi(),
-        _check_chain_equivalence(rng, exhaustive_n),
-        _check_unitarity_closure(rng, compositions),
-        _check_sweep_columns(),
+        lambda: _check_switch_dichotomy(),
+        lambda: _check_driven_beamsplitter(rng),
+        lambda: _check_selector_exhaustive(rng, exhaustive_n),
+        lambda: _check_compilation_algebra(),
+        lambda: _check_matrix_products(rng),
+        lambda: _check_feedback_closed_form(grid),
+        lambda: _check_feedback_dichotomy(rng),
+        lambda: _check_weighted_lines(rng),
+        lambda: _check_weighted_tangent(rng),
+        lambda: _check_small_mu_gain(),
+        lambda: _check_gain_slope_at_half_pi(),
+        lambda: _check_chain_equivalence(rng, exhaustive_n),
+        lambda: _check_unitarity_closure(rng, compositions),
+        lambda: _check_sweep_columns(),
     ]
-    return checks
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, passed=bool(result.passed),
+                               seconds=time.perf_counter() - start))
+    return results

@@ -107,8 +107,13 @@ def _long_eval_holds(out):
     return min(diff, TWO_PI - diff) < 1e-9 and float(got["residual_off_port_power"]) < 1e-20
 
 
+def _one_part_doc(part):
+    return f"version: 1\ncomponents:\n  - {{name: p, {part}}}\ncircuit: []\n"
+
+
 _EDGE_INPUTS = [
-    # argv, exit code, stderr, check on stdout
+    # argv, exit code, stderr, check on stdout; a netlist row's last
+    # argument is the YAML text, which the test writes to a file
     (["eval", "--mu", "", "--selector", ""], 2, "error: empty memory list ''\n", None),
     (["eval", "--mu", "0.3", "--selector", ""], 2,
      "error: selector must be a string of 0/1 bits, got ''\n", None),
@@ -123,13 +128,27 @@ _EDGE_INPUTS = [
      lambda out: out.startswith("control: [0, pi, pi,") and out.count(",") == 19999),
     (["eval", "--mu", ",".join(repr(float(x)) for x in _LONG_MU),
       "--selector", "".join(str(b) for b in _LONG_BITS)], 0, "", _long_eval_holds),
+    (["netlist", "elaborate", _one_part_doc("kind: beamsplitter, theta: .nan")], 2,
+     "error: components[0].theta: angle must be finite, got nan\n", None),
+    (["netlist", "elaborate", _one_part_doc("kind: beamsplitter, theta: .inf")], 2,
+     "error: components[0].theta: angle must be finite, got inf\n", None),
+    (["netlist", "elaborate", _one_part_doc("kind: beamsplitter, theta: -.inf")], 2,
+     "error: components[0].theta: angle must be finite, got -inf\n", None),
+    (["netlist", "elaborate", _one_part_doc("kind: drive, amplitudes: [.nan]")], 2,
+     "error: components[0].amplitudes[0]: angle must be finite, got nan\n", None),
 ]
 
 
 @pytest.mark.parametrize("argv, code, err, check", _EDGE_INPUTS,
                          ids=["empty-mu", "empty-selector", "nan-mu", "inf-mu",
-                              "neg-inf-mu", "nan-phi", "compile-20000", "eval-5000"])
-def test_edge_inputs(capsys, argv, code, err, check):
+                              "neg-inf-mu", "nan-phi", "compile-20000", "eval-5000",
+                              "netlist-nan-theta", "netlist-inf-theta",
+                              "netlist-neg-inf-theta", "netlist-nan-amplitude"])
+def test_edge_inputs(tmp_path, capsys, argv, code, err, check):
+    if argv[0] == "netlist":
+        path = tmp_path / "edge.yaml"
+        path.write_text(argv[-1])
+        argv = argv[:-1] + [str(path)]
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err == err
