@@ -25,6 +25,11 @@ spelling ``pi``, ``-pi/4``, ``3pi/4`` through parse/serialize round trips,
 so binary control phases survive I/O bit-exactly; everything else is
 serialized with ``repr`` which round-trips IEEE doubles.  Serialization is
 deterministic and ``parse -> serialize`` is idempotent after one pass.
+
+The document is read by libyaml's C scanner and parser with PyYAML's safe
+constructor (``CSafeLoader``), so PyYAML must be built with its libyaml
+binding; scalars follow PyYAML's YAML 1.1 rules and no arbitrary Python
+object can be constructed.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import re
 from dataclasses import dataclass
 
 import yaml
+from yaml import CSafeLoader
 
 from .core import CircuitError, SingularLoopError, SlhModel, concat, feedback, identity, series
 from .components import beamsplitter, coherent_drive, phase_shift
@@ -263,7 +269,7 @@ def _parse_combinator(node, location: str) -> CombinatorDecl:
 
 def parse_netlist(text: str) -> Netlist:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=CSafeLoader)
     except yaml.YAMLError as exc:
         raise NetlistError("document", f"not valid YAML: {exc}") from None
     doc = _require_map(doc, "document")

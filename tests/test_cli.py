@@ -242,6 +242,17 @@ def test_netlist_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_netlist_elaborate_malformed_yaml_exits_2(tmp_path, capsys):
+    path = tmp_path / "unclosed.yaml"
+    path.write_text("version: 1\ncomponents:\n  - {name: a, kind: identity, ports: 1\n")
+    assert main(["netlist", "elaborate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: document: not valid YAML: while parsing a flow mapping"
+    )
+
+
 def test_netlist_elaborate_singular_loop_exits_3(tmp_path, capsys):
     path = tmp_path / "singular.yaml"
     path.write_text(

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 from slhnet import (
@@ -14,6 +16,7 @@ from slhnet import (
     parse_netlist,
     serialize_netlist,
 )
+from slhnet.netlist import CombinatorDecl, ComponentDecl
 
 PI = math.pi
 
@@ -236,3 +239,118 @@ def test_serialize_is_deterministic():
     nl = parse_netlist(FULL_DOC)
     assert serialize_netlist(nl) == serialize_netlist(nl)
     assert serialize_netlist(Netlist(nl.components, ())).endswith("\n")
+
+
+# -- the libyaml loader against PyYAML's pure-Python reference ----------------
+
+# every spelling PyYAML's YAML 1.1 resolver treats specially, as an angle and
+# as a port count; some are refused, and both loaders must refuse them alike
+YAML11_SPELLINGS = ["1e3", ".5", "0x10", "1_000", "0o7", "yes", "~"]
+
+YAML11_DOC = """\
+version: 1
+components:
+  - {name: a, kind: phase, phi: 1e3}
+  - {name: b, kind: beamsplitter, theta: .5}
+  - {name: c, kind: phase, phi: 0x10}
+  - {name: d, kind: phase, phi: 1_000}
+  - {name: e, kind: identity, ports: 0x10}
+  - {name: f, kind: identity, ports: 1_000}
+  - {name: g, kind: drive, amplitudes: [[1e3, .5], 0x10, 1_000]}
+circuit:
+  - {name: all, op: concat, of: [a, b, c, d, e, f]}
+"""
+
+
+def _random_netlist(rng) -> Netlist:
+    """A random netlist over every kind and op; angles mix pi multiples,
+    plain doubles and tiny values that serialize with an exponent."""
+    def angle():
+        pick = rng.integers(0, 3)
+        if pick == 0:
+            return float(rng.integers(-12, 13)) * PI / float(rng.choice([1, 2, 3, 4, 6, 8, 12]))
+        if pick == 1:
+            return float(rng.uniform(-2 * PI, 2 * PI))
+        return float(rng.uniform(-1, 1)) * 10.0 ** float(rng.integers(-12, -4))
+
+    components = []
+    for i in range(int(rng.integers(1, 8))):
+        kind = ("phase", "beamsplitter", "identity", "drive")[int(rng.integers(0, 4))]
+        if kind == "identity":
+            value = int(rng.integers(1, 5))
+        elif kind == "drive":
+            value = tuple(complex(angle(), angle()) for _ in range(int(rng.integers(1, 4))))
+        else:
+            value = angle()
+        components.append(ComponentDecl(f"c{i}", kind, value))
+    names = [c.name for c in components]
+    circuit = []
+    for i in range(int(rng.integers(1, 5))):
+        op = ("series", "concat", "feedback")[int(rng.integers(0, 3))]
+        if op == "feedback":
+            decl = CombinatorDecl(f"n{i}", op, (str(rng.choice(names)),),
+                                  int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        else:
+            k = int(rng.integers(2, 5))
+            decl = CombinatorDecl(f"n{i}", op, tuple(str(s) for s in rng.choice(names, k)))
+        circuit.append(decl)
+        names.append(decl.name)
+    return Netlist(tuple(components), tuple(circuit))
+
+
+def _yaml11_docs():
+    for token in YAML11_SPELLINGS:
+        yield f"version: 1\ncomponents:\n  - {{name: p, kind: phase, phi: {token}}}\n"
+        yield f"version: 1\ncomponents:\n  - {{name: w, kind: identity, ports: {token}}}\n"
+
+
+def _outcome(text):
+    """What parse_netlist makes of ``text``: the netlist and its canonical
+    text, or the refusal's location and message."""
+    try:
+        nl = parse_netlist(text)
+    except NetlistError as exc:
+        return ("refused", exc.location, str(exc))
+    return (nl, serialize_netlist(nl))
+
+
+def test_libyaml_loader_matches_pure_python_loader(monkeypatch):
+    rng = np.random.default_rng(9)
+    valid = [FULL_DOC, SWITCH_DOC, LOOP_DOC, YAML11_DOC,
+             "version: 1\ncomponents:\n  - {name: w, kind: identity, ports: 2}\n"]
+    valid += [serialize_netlist(_random_netlist(rng)) for _ in range(20)]
+    corpus = valid + list(_yaml11_docs())
+    fast = [_outcome(text) for text in corpus]
+    monkeypatch.setattr("slhnet.netlist.CSafeLoader", yaml.SafeLoader)
+    reference = [_outcome(text) for text in corpus]
+    assert fast == reference
+    # the valid corpus really parses, and the YAML 1.1 spellings resolve
+    assert all(isinstance(out[0], Netlist) for out in fast[:len(valid)])
+    values = [c.value for c in fast[3][0].components]
+    assert values == [1000.0, 0.5, 16.0, 1000.0, 16, 1000,
+                      (1000 + 0.5j, 16 + 0j, 1000 + 0j)]
+
+
+def _first_mark(message):
+    return re.search(r"line \d+, column \d+", message).group(0)
+
+
+MALFORMED_YAML = {
+    "unclosed-flow-mapping": "version: 1\ncomponents:\n  - {name: a, kind: identity, ports: 1\n",
+    "unclosed-flow-sequence": "version: 1\ncomponents: [{name: a, kind: identity, ports: 1}\n",
+    "nested-mapping-value": "a: b: c\n",
+    "leading-tab": "\tversion: 1\n",
+    "undefined-alias": "version: 1\ncomponents: *nope\n",
+    "two-documents": "version: 1\n---\nversion: 1\n",
+    "python-tag": "!!python/object:os.system ls\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_YAML.values(), ids=MALFORMED_YAML.keys())
+def test_malformed_yaml_diagnostics(text):
+    with pytest.raises(yaml.YAMLError) as ref:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    e = _err(text)
+    assert e.location == "document"
+    assert str(e).startswith("document: not valid YAML:")
+    assert _first_mark(str(e)) == _first_mark(str(ref.value))

@@ -122,6 +122,21 @@ def test_closed_forms_refuse_where_feedback_refuses(route):
         assert _refuses(lambda: closed(mu)) is inside
 
 
+def test_binary_refusal_band_equals_batched_feedback_mask():
+    # a dense band around the singular point (0, 0): the closed form must
+    # refuse exactly where the batched generic elimination masks the loop
+    from slhnet.core import _feedback_masked
+    from slhnet.readout import _selector_loop
+
+    rng = np.random.default_rng(7)
+    phi, mu = rng.uniform(-4e-9, 4e-9, size=(2, 10 ** 5))
+    _, singular = _feedback_masked(_selector_loop(phi, mu), 1, 1)
+    refused = np.array([_refuses(lambda: feedback_selector_scattering(p, m))
+                        for p, m in zip(phi.tolist(), mu.tolist())])
+    assert 0 < refused.sum() < refused.size
+    assert np.array_equal(refused, singular)
+
+
 # (closed form, its generic route, finite arguments); each argument in turn
 # is made non-finite, and both routes must refuse it
 FINITE_ROUTES = {
