@@ -3,7 +3,11 @@ fold, the batched selector sweep and the weighted transfer grid."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .core import DomainError, SingularLoopError, is_singular_loop
 
 __all__ = ["BACKEND", "chain_unitary", "selector_batch_amplitudes",
            "weighted_phase_grid"]
@@ -13,6 +17,9 @@ BACKEND = "numpy"
 
 # cells per block of the chain fold
 BLOCK = 64
+
+# np.exp(1j * phi) of the two switch states, phi = 0 and phi = pi
+SWITCH_FACTORS = np.exp(1j * np.array([0.0, np.pi]))
 
 
 def chain_unitary(thetas, phases, ports) -> np.ndarray:
@@ -61,6 +68,16 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     return out
 
 
+def _check_binary_phases(values, what: str = "control phase") -> None:
+    """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
+    naming the first offending entry as the caller passed it."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
+    if bad.size:
+        x = values if arr.ndim == 0 else values[bad[0]]
+        raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
+
+
 def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     """Left/right output amplitudes of selector staircases, drive ``(1, 0)``.
 
@@ -69,30 +86,45 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     share the memory phases ``mu`` (length ``n``).  Returns an ``(m, 2)``
     complex array.  This walks the full chain product row by row; it never
     shortcuts through the switch dichotomy.
+
+    Every control must be exactly 0.0 or pi, else DomainError; its factor
+    is looked up in ``SWITCH_FACTORS``.  The rows are held as two
+    contiguous rails, and B(+-pi/4) writes both from the products
+    ``p = c45 * top`` and ``q = c45 * bot``.  The memory phase multiplies
+    the bottom rail in place by a complex scalar: numpy rounds that product
+    unfused on a one-element rail and may fuse it on a longer one, so a
+    one-row call can differ from a batch in the last bit.
     """
     mu = np.asarray(mu, dtype=np.float64)
     controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
-    m, w = controls.shape
-    n = w - 1
-    amps = np.zeros((m, 2), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    ctl = controls.T
+    _check_binary_phases(np.ravel(ctl, order="K"))
+    on = ctl == math.pi
+    n, m = ctl.shape[0] - 1, ctl.shape[1]
+    top = np.ones(m, dtype=np.complex128)
+    bot = np.zeros(m, dtype=np.complex128)
+    p, q, f = (np.empty(m, dtype=np.complex128) for _ in range(3))
     c45 = np.cos(np.pi / 4)
 
-    def mix(a, sign):
-        # B(+-pi/4) applied to every row at once
-        left = c45 * a[:, 0] - sign * c45 * a[:, 1]
-        right = sign * c45 * a[:, 0] + c45 * a[:, 1]
-        return np.stack([left, right], axis=1)
+    def mix(plus):
+        # B(+pi/4): (p - q, p + q); B(-pi/4): (p + q, q - p)
+        np.multiply(c45, top, out=p)
+        np.multiply(c45, bot, out=q)
+        if plus:
+            np.subtract(p, q, out=top)
+            np.add(p, q, out=bot)
+        else:
+            np.add(p, q, out=top)
+            np.subtract(q, p, out=bot)
 
-    for i in range(n):
-        amps = mix(amps, 1.0)
-        amps[:, 0] *= np.exp(1j * controls[:, i])
-        amps = mix(amps, -1.0)
-        amps[:, 1] *= np.exp(1j * mu[i])
-    amps = mix(amps, 1.0)
-    amps[:, 0] *= np.exp(1j * controls[:, n])
-    amps = mix(amps, -1.0)
-    return amps
+    for i in range(n + 1):
+        mix(True)
+        np.take(SWITCH_FACTORS, on[i], out=f)
+        top *= f
+        mix(False)
+        if i < n:
+            bot *= np.exp(1j * mu[i])
+    return np.stack([top, bot], axis=1)
 
 
 def weighted_phase_grid(phis, mus) -> np.ndarray:
@@ -101,8 +133,11 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     Entry ``[i, j]`` is ``arg((e^{i mu_j} - cos phi_i) / (1 - e^{i mu_j}
     cos phi_i))`` in ``(-pi, pi]``.  Evaluated as the argument of
     numerator times conjugated denominator, which skips the complex
-    division and lands the phi = pi collapse line on exactly 0.  Singular
-    grid points are the caller's problem; this only evaluates.
+    division and lands the phi = pi collapse line on exactly 0.
+
+    The denominator is formed once and tested with ``is_singular_loop``:
+    the first grid point on the singular set, in C order, raises
+    SingularLoopError naming that (phi, mu).
     """
     phis = np.asarray(phis, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
@@ -112,6 +147,14 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     # in place so that two grid-sized complex arrays are alive, not five
     den = e_mu * cos_phi
     np.subtract(1.0, den, out=den)
+    bad = np.argwhere(is_singular_loop(den))
+    if bad.size:
+        i, j = bad[0]
+        raise SingularLoopError(
+            1, 1, np.exp(1j * mus[j]) * np.cos(phis[i]),
+            f"sweep grid touches the singular set at phi={phis[i]!r}, "
+            f"mu={mus[j]!r}",
+        )
     np.conjugate(den, out=den)
     w = e_mu - cos_phi
     w *= den

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import _check_binary_phases
 from .core import ArityError, DomainError, SlhModel, concat, identity, series
 from .components import beamsplitter, phase_shift
 
@@ -78,16 +79,6 @@ def _as_bits(s, what: str = "selector") -> np.ndarray:
 def _check_memory_phases(mem: np.ndarray) -> None:
     if not np.all((mem >= 0.0) & (mem < TWO_PI)):  # NaN fails too
         raise DomainError("memory phases must lie in [0, 2*pi)")
-
-
-def _check_binary_phases(values, what: str = "control phase") -> None:
-    """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
-    naming the first offending entry as the caller passed it."""
-    arr = np.asarray(values, dtype=np.float64)
-    bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
-    if bad.size:
-        x = values if arr.ndim == 0 else values[bad[0]]
-        raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +228,11 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
     """
     bits = np.atleast_2d(_as_bits(selectors))
     mu_arr = np.asarray(mu, dtype=np.float64)
+    if bits.ndim != 2 or mu_arr.ndim != 1:
+        raise ArityError(
+            f"need 1-D memory phases and 1-D or 2-D selectors, got {mu_arr.ndim}-D "
+            f"and {bits.ndim}-D"
+        )
     if bits.shape[1] != mu_arr.shape[0]:
         raise ArityError(
             f"selector length {bits.shape[1]} != memory length {mu_arr.shape[0]}"

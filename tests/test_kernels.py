@@ -6,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slhnet import kernels
+from slhnet.core import DomainError, SingularLoopError
+from slhnet.readout import sweep_transfer
 from slhnet.selector import (TWO_PI, SelectorSpec, canonical_phase, eval_selector,
                              staircase_arrays)
 
@@ -32,6 +34,42 @@ def _sequential_fold(thetas, phases, ports):
         if i < len(phases):
             s[ports[i] - 1, :] *= np.exp(1j * phases[i])
     return s
+
+
+def _batch_reference(mu, controls) -> np.ndarray:
+    # the strided row walk the two-rail kernel replaced, kept verbatim: the
+    # kernel must equal it bit for bit
+    mu = np.asarray(mu, dtype=np.float64)
+    controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
+    m, w = controls.shape
+    n = w - 1
+    amps = np.zeros((m, 2), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    c45 = np.cos(np.pi / 4)
+
+    def mix(a, sign):
+        # B(+-pi/4) applied to every row at once
+        left = c45 * a[:, 0] - sign * c45 * a[:, 1]
+        right = sign * c45 * a[:, 0] + c45 * a[:, 1]
+        return np.stack([left, right], axis=1)
+
+    for i in range(n):
+        amps = mix(amps, 1.0)
+        amps[:, 0] *= np.exp(1j * controls[:, i])
+        amps = mix(amps, -1.0)
+        amps[:, 1] *= np.exp(1j * mu[i])
+    amps = mix(amps, 1.0)
+    amps[:, 0] *= np.exp(1j * controls[:, n])
+    amps = mix(amps, -1.0)
+    return amps
+
+
+def _all_rows_controls(n):
+    # every n-bit selector's control schedule: pi where adjacent bits
+    # differ, tail pi when the last bit is set
+    rows = (np.arange(2 ** n)[:, None] >> np.arange(n)[None, :]) & 1
+    prev = np.concatenate([np.zeros((rows.shape[0], 1), dtype=rows.dtype), rows[:, :-1]], axis=1)
+    return np.concatenate([(rows != prev) * math.pi, rows[:, -1:] * math.pi], axis=1)
 
 
 def _random_chain(rng, length):
@@ -105,3 +143,57 @@ def test_weighted_phase_grid_values():
         for j, mu in enumerate(mus):
             z = (np.exp(1j * mu) - math.cos(phi)) / (1.0 - np.exp(1j * mu) * math.cos(phi))
             assert got[i, j] == pytest.approx(np.angle(z), abs=1e-15)
+
+
+def test_selector_batch_equals_strided_reference_bit_for_bit():
+    # n <= 8, row counts from one (the scalar-loop case) up, memory phases
+    # uniform or on the quarter turns, where signed zeros show up
+    rng = np.random.default_rng(37)
+    quarter = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+    for _ in range(9000):
+        n = int(rng.integers(0, 9))
+        m = int(rng.choice([1, 2, 3, 5, 17, 256]))
+        mu = rng.uniform(0.0, TWO_PI, size=n) if rng.random() < 0.5 else rng.choice(quarter, n)
+        controls = rng.integers(0, 2, size=(m, n + 1)) * math.pi
+        got = kernels.selector_batch_amplitudes(mu, controls)
+        want = _batch_reference(mu, controls)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_selector_batch_all_16_bit_rows_bit_for_bit():
+    mu = np.random.default_rng(41).uniform(0.0, TWO_PI, size=16)
+    controls = _all_rows_controls(16)
+    want = _batch_reference(mu, controls).tobytes()
+    assert kernels.selector_batch_amplitudes(mu, controls).tobytes() == want
+    # the stage-major layout selector_sweep_amplitudes passes
+    stage_major = np.ascontiguousarray(controls.T).T
+    assert kernels.selector_batch_amplitudes(mu, stage_major).tobytes() == want
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, np.nextafter(math.pi, 4.0)])
+def test_selector_batch_refuses_non_binary_controls(bad):
+    controls = np.zeros((3, 3))
+    controls[1, 2] = bad
+    with pytest.raises(DomainError, match="must be exactly 0 or pi"):
+        kernels.selector_batch_amplitudes(np.zeros(2), controls)
+
+
+@pytest.mark.parametrize("phis, mus, message, s_kl", [
+    ([1.0, 0.0], [-0.5, 0.0, 0.25],
+     "sweep grid touches the singular set at phi=np.float64(0.0), mu=np.float64(0.0)",
+     1 + 0j),
+    ([math.pi], [0.5, math.pi],
+     "sweep grid touches the singular set at phi=np.float64(3.141592653589793), "
+     "mu=np.float64(3.141592653589793)",
+     1 - 1.2246467991473532e-16j),
+])
+def test_weighted_phase_grid_refuses_singular_points(phis, mus, message, s_kl):
+    # the error sweep_transfer raised from its own pre-check before the
+    # kernel took the test over: same message, same ports, same S_kl
+    for call in (kernels.weighted_phase_grid, sweep_transfer):
+        with pytest.raises(SingularLoopError) as info:
+            call(phis, mus)
+        err = info.value
+        assert str(err) == message
+        assert (err.k, err.l) == (1, 1)
+        assert err.s_kl == s_kl

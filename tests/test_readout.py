@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,56 @@ def test_binary_refusal_band_equals_batched_feedback_mask():
                         for p, m in zip(phi.tolist(), mu.tolist())])
     assert 0 < refused.sum() < refused.size
     assert np.array_equal(refused, singular)
+
+
+def _weighted_band(rng, box):
+    if box == "origin":
+        return rng.uniform(-4e-9, 4e-9, size=(2, 10 ** 5))
+    # near (pi, pi) the singular set is anisotropic: |1 - e^{i mu} cos phi|
+    # is about (phi - pi)^2 / 2 along phi but |mu - pi| along mu
+    phi = PI + rng.uniform(-1e-4, 1e-4, size=10 ** 5)
+    return phi, PI + rng.uniform(-4e-9, 4e-9, size=10 ** 5)
+
+
+@pytest.mark.parametrize("box, count", [("origin", 24883), ("pi", 9685)])
+def test_weighted_refusal_band_equals_batched_feedback_mask(box, count):
+    # dense bands around both singular points of the weighted readout: the
+    # closed form, the batched generic elimination and sweep_transfer must
+    # refuse exactly the same points
+    from slhnet.core import _feedback_masked
+    from slhnet.readout import _weighted_loop
+
+    rng = np.random.default_rng(7)
+    if box == "pi":
+        _weighted_band(rng, "origin")  # the boxes are drawn in sequence
+    phi, mu = _weighted_band(rng, box)
+    _, singular = _feedback_masked(_weighted_loop(phi, mu), 1, 1)
+    refused = np.array([_refuses(lambda: weighted_selector_scattering(p, m))
+                        for p, m in zip(phi.tolist(), mu.tolist())])
+    assert refused.sum() == count
+    assert np.array_equal(refused, singular)
+    swept = np.array([_refuses(lambda: sweep_transfer([p], [m]))
+                      for p, m in zip(phi[:10 ** 4], mu[:10 ** 4])])
+    assert np.array_equal(swept, singular[:10 ** 4])
+
+
+def test_weighted_routes_agree_with_batched_generic_route_on_cli_grid():
+    # the whole 4 x 401 grid of the CLI sweep and verify's sweep-columns,
+    # against one batched generic feedback elimination
+    from slhnet.verify import _fig_grid
+
+    phis = np.array([PI / 3, PI / 2, 2 * PI / 3, PI])
+    grid = _fig_grid()
+    phi, mu = np.meshgrid(phis, grid, indexing="ij")
+    generic = build_weighted_selector(phi, mu).scattering[..., 0, 0]
+    closed = np.array([weighted_selector_scattering(p, m)
+                       for p, m in zip(phi.ravel().tolist(), mu.ravel().tolist())])
+    assert_allclose(closed, generic.ravel(), rtol=0, atol=1e-12)
+    curve = sweep_transfer(phis, grid)
+    assert np.array_equal(curve.samples[:, 0], mu.ravel())
+    assert np.array_equal(curve.samples[:, 1], phi.ravel())
+    # compare on the unit circle: immune to the branch cut at pi
+    assert_allclose(np.exp(1j * curve.samples[:, 2]), generic.ravel(), rtol=0, atol=1e-12)
 
 
 # (closed form, its generic route, finite arguments); each argument in turn
@@ -375,6 +426,19 @@ def test_sweep_transfer_peak_memory_per_point():
     finally:
         tracemalloc.stop()
     assert peak / (phis.size * mus.size) < 42.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["phi", "mu"])
+def test_sweep_transfer_refuses_non_finite_angles_up_front(bad, slot):
+    phis, mus = [0.5, 1.0], [-1.0, 0.0, 1.0]
+    (phis if slot == "phi" else mus)[1] = bad
+    (phis if slot == "phi" else mus).append(math.nan)  # only the first is named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            sweep_transfer(phis, mus)
+    assert str(info.value) == f"sweep {slot} must be finite, got {bad!r}"
 
 
 def test_sweep_transfer_rejects_singular_grid():

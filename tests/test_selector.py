@@ -296,6 +296,14 @@ def test_selector_sweep_amplitudes():
         selector_sweep_amplitudes(mu, all_bit_vectors(3))
 
 
+def test_selector_sweep_amplitudes_refuses_other_shapes():
+    for mu, selectors in ((np.zeros(2), np.zeros((2, 2, 2), dtype=int)),
+                          (0.5, [[1]]),
+                          (np.zeros((1, 1)), [[1]])):
+        with pytest.raises(ArityError):
+            selector_sweep_amplitudes(mu, selectors)
+
+
 def test_selector_sweep_amplitudes_equals_per_row_compile():
     rng = np.random.default_rng(71)
     for n, m in ((1, 2), (5, 32), (16, 300)):
