@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from .core import DomainError, SingularLoopError, is_singular_loop
+from .core import (FEEDBACK_SINGULAR_TOL, DomainError, SingularLoopError,
+                   is_singular_loop)
 
 __all__ = ["BACKEND", "chain_unitary", "selector_batch_amplitudes",
            "weighted_phase_grid"]
@@ -20,6 +21,17 @@ BLOCK = 64
 
 # np.exp(1j * phi) of the two switch states, phi = 0 and phi = pi
 SWITCH_FACTORS = np.exp(1j * np.array([0.0, np.pi]))
+# [part, state, 2]: the real (part 0) and imaginary (part 1) parts of
+# SWITCH_FACTORS, each twice, to scale both floats of a complex rail entry
+SWITCH_PAIRS = np.repeat(
+    np.array([SWITCH_FACTORS.real, SWITCH_FACTORS.imag])[:, :, None], 2, axis=2)
+
+# B(+-pi/4) weight
+C45 = np.cos(np.pi / 4)
+
+# rows per block of the selector sweep: a block's four complex rails stay
+# within a core's L2 cache
+ROW_BLOCK = 8192
 
 
 def chain_unitary(thetas, phases, ports) -> np.ndarray:
@@ -78,6 +90,37 @@ def _check_binary_phases(values, what: str = "control phase") -> None:
         raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
 
 
+def _turner(rail, w):
+    """A function ``turn(factor)`` that does ``rail *= factor[0] + 1j *
+    factor[1]`` in place, as real arithmetic on the float64 view of
+    ``rail`` with every product rounded once: ``(zr*fr - zi*fi, zr*fi +
+    zi*fr)``.  ``w`` is ``(2, 2 * len(rail))`` float scratch; ``factor``
+    broadcasts against the float64 view (``(2, 1)``, or ``w`` itself)."""
+    z = rail.view(np.float64)
+    zr, zi = z[0::2], z[1::2]
+    # w[0] holds (zr*fr, zi*fr) interleaved, w[1] (zr*fi, zi*fi)
+    rr, ir = w[0, 0::2], w[0, 1::2]
+    ri, ii = w[1, 0::2], w[1, 1::2]
+
+    def turn(factor):
+        np.multiply(z, factor, out=w)
+        np.subtract(rr, ii, out=zr)
+        np.add(ri, ir, out=zi)
+    return turn
+
+
+def _mix(plus: bool, top, bot, p, q) -> None:
+    # B(+pi/4): (p - q, p + q); B(-pi/4): (p + q, q - p)
+    np.multiply(C45, top, out=p)
+    np.multiply(C45, bot, out=q)
+    if plus:
+        np.subtract(p, q, out=top)
+        np.add(p, q, out=bot)
+    else:
+        np.add(p, q, out=top)
+        np.subtract(q, p, out=bot)
+
+
 def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     """Left/right output amplitudes of selector staircases, drive ``(1, 0)``.
 
@@ -88,12 +131,16 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     shortcuts through the switch dichotomy.
 
     Every control must be exactly 0.0 or pi, else DomainError; its factor
-    is looked up in ``SWITCH_FACTORS``.  The rows are held as two
-    contiguous rails, and B(+-pi/4) writes both from the products
-    ``p = c45 * top`` and ``q = c45 * bot``.  The memory phase multiplies
-    the bottom rail in place by a complex scalar: numpy rounds that product
-    unfused on a one-element rail and may fuse it on a longer one, so a
-    one-row call can differ from a batch in the last bit.
+    is looked up in ``SWITCH_FACTORS``.  Each block of ``ROW_BLOCK`` rows is
+    held as two contiguous rails, and B(+-pi/4) writes both from the
+    products ``p = c45 * top`` and ``q = c45 * bot``.  The switch factor
+    and the memory phase turn a rail in place by the unfused complex
+    product, each real product rounded once (``_turner``), never by a fused
+    multiply-add.  B(+-pi/4) needs no such care: c45 is real, so one of
+    the two products in each part of ``c45 * z`` is an exact zero and a
+    fused multiply-add rounds it the same.  So every row of a batch equals
+    its one-row call bit for bit, whatever the batch size and the CPU's
+    SIMD path.
     """
     mu = np.asarray(mu, dtype=np.float64)
     controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
@@ -101,30 +148,30 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     _check_binary_phases(np.ravel(ctl, order="K"))
     on = ctl == math.pi
     n, m = ctl.shape[0] - 1, ctl.shape[1]
-    top = np.ones(m, dtype=np.complex128)
-    bot = np.zeros(m, dtype=np.complex128)
-    p, q, f = (np.empty(m, dtype=np.complex128) for _ in range(3))
-    c45 = np.cos(np.pi / 4)
-
-    def mix(plus):
-        # B(+pi/4): (p - q, p + q); B(-pi/4): (p + q, q - p)
-        np.multiply(c45, top, out=p)
-        np.multiply(c45, bot, out=q)
-        if plus:
-            np.subtract(p, q, out=top)
-            np.add(p, q, out=bot)
-        else:
-            np.add(p, q, out=top)
-            np.subtract(q, p, out=bot)
-
-    for i in range(n + 1):
-        mix(True)
-        np.take(SWITCH_FACTORS, on[i], out=f)
-        top *= f
-        mix(False)
-        if i < n:
-            bot *= np.exp(1j * mu[i])
-    return np.stack([top, bot], axis=1)
+    e = np.exp(1j * mu[:n])
+    # (real, imag) of each memory factor, as a column for _turner
+    memory = np.stack([e.real, e.imag], axis=1)[:, :, None]
+    out = np.empty((m, 2), dtype=np.complex128)
+    for lo in range(0, m, ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, m))
+        rails = np.empty((4, rows.stop - lo), dtype=np.complex128)
+        top, bot, p, q = rails
+        # the free p/q buffer as (2, 2 * rows) float scratch for _turner
+        w = rails[2:].view(np.float64)
+        switch = w.reshape(2, -1, 2)
+        turn_top, turn_bot = _turner(top, w), _turner(bot, w)
+        top.fill(1.0)
+        bot.fill(0.0)
+        for i in range(n + 1):
+            _mix(True, top, bot, p, q)
+            SWITCH_PAIRS.take(on[i, rows], axis=1, out=switch, mode="clip")
+            turn_top(w)
+            _mix(False, top, bot, p, q)
+            if i < n:
+                turn_bot(memory[i])
+        out[rows, 0] = top
+        out[rows, 1] = bot
+    return out
 
 
 def weighted_phase_grid(phis, mus) -> np.ndarray:
@@ -137,7 +184,9 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
 
     The denominator is formed once and tested with ``is_singular_loop``:
     the first grid point on the singular set, in C order, raises
-    SingularLoopError naming that (phi, mu).
+    SingularLoopError naming that (phi, mu).  Only the points with
+    ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are tested, since ``|d| >= |Re d|``
+    and no other point can be singular.
     """
     phis = np.asarray(phis, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
@@ -147,9 +196,10 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     # in place so that two grid-sized complex arrays are alive, not five
     den = e_mu * cos_phi
     np.subtract(1.0, den, out=den)
-    bad = np.argwhere(is_singular_loop(den))
+    near = np.flatnonzero(np.abs(den.real) <= FEEDBACK_SINGULAR_TOL)
+    bad = near[is_singular_loop(den.reshape(-1)[near])]
     if bad.size:
-        i, j = bad[0]
+        i, j = divmod(int(bad[0]), den.shape[1])
         raise SingularLoopError(
             1, 1, np.exp(1j * mus[j]) * np.cos(phis[i]),
             f"sweep grid touches the singular set at phi={phis[i]!r}, "

@@ -238,8 +238,7 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
             f"selector length {bits.shape[1]} != memory length {mu_arr.shape[0]}"
         )
     _check_memory_phases(mu_arr)
-    phi, tails = _compile_bits(bits.T)
-    return kernels.selector_batch_amplitudes(mu_arr, np.vstack((phi, tails)).T)
+    return kernels.selector_batch_amplitudes(mu_arr, _compile_bits(bits.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +286,8 @@ def compile_selector(s):
     bits = _as_bits(s)
     if bits.ndim != 1:
         raise ArityError("selector must be a 1-D vector")
-    control, tails = _compile_bits(bits[:, None])
-    return control[:, 0], float(tails[0])
+    schedule = _compile_bits(bits[:, None])
+    return schedule[:-1, 0], float(schedule[-1, 0])
 
 
 def recover_selector(control) -> np.ndarray:
@@ -381,14 +380,23 @@ def compile_selector_matrix(selectors):
     bits = _as_bits(selectors, what="selector matrix")
     if bits.ndim != 2:
         raise ArityError("selector matrix must be 2-D")
-    return _compile_bits(bits)
+    schedule = _compile_bits(bits)
+    return schedule[:-1], schedule[-1]
 
 
-def _compile_bits(bits: np.ndarray):
-    # compile_selector_matrix on a 2-D integer 0/1 array already validated
-    phi = math.pi * (np.diff(bits, axis=0, prepend=0) != 0)
-    tails = (np.count_nonzero(phi, axis=0) % 2).astype(np.float64) * math.pi
-    return phi, tails
+def _compile_bits(bits: np.ndarray) -> np.ndarray:
+    # compile_selector_matrix on an (n, k) integer 0/1 array already
+    # validated, as one (n + 1, k) array: the schedule, then the tails.  The
+    # schedule's mod-2 column sum telescopes to the last bit, so each tail
+    # is pi times that bit
+    n, k = bits.shape
+    if not n:
+        return np.zeros((1, k))
+    schedule = np.empty((n + 1, k))
+    np.multiply(bits[0] != 0, math.pi, out=schedule[0])
+    np.multiply(bits[1:] != bits[:-1], math.pi, out=schedule[1:n])
+    np.multiply(bits[-1] != 0, math.pi, out=schedule[n])
+    return schedule
 
 
 def recover_selector_matrix(control_matrix) -> np.ndarray:

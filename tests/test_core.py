@@ -263,3 +263,98 @@ def test_batched_model_shapes():
     assert phase_shift(np.zeros((4, 5))).scattering.shape == (4, 5, 1, 1)
     with pytest.raises(ValueError, match="got nan"):
         phase_shift([0.0, float("nan"), float("inf")])
+
+
+def _close_one_at_a_time(g, outs, ins):
+    # close output outs[j] onto input ins[j] (ports of g, 1-indexed) in
+    # order, renumbering the ports each feedback leaves
+    outs_left, ins_left = list(range(1, g.ports + 1)), list(range(1, g.ports + 1))
+    for k, l in zip(outs, ins):
+        g = feedback(g, outs_left.index(k) + 1, ins_left.index(l) + 1)
+        outs_left.remove(k)
+        ins_left.remove(l)
+    return g
+
+
+def _close_by_solve(g, outs, ins):
+    """All loops at once, outputs K onto inputs L, as the Schur complement
+    (Gough & James 2009):
+
+        S_EE + S_EL (I - S_KL)^-1 S_KE,   L_E + S_EL (I - S_KL)^-1 L_K
+
+    by one np.linalg.solve.  Returns (S, L, cond(I - S_KL)), or None where
+    it refuses: is_singular_loop on a pivot of I - S_KL eliminated in loop
+    order, which for one loop is 1 - S_kl itself."""
+    s, c = g.scattering, g.coupling
+    k, l = np.asarray(outs) - 1, np.asarray(ins) - 1
+    e_out = np.setdiff1d(np.arange(g.ports), k)
+    e_in = np.setdiff1d(np.arange(g.ports), l)
+    a = np.eye(len(k)) - s[np.ix_(k, l)]
+    u = a.copy()
+    for j in range(len(k)):
+        if is_singular_loop(u[j, j]):
+            return None
+        u[j + 1:, j:] -= np.outer(u[j + 1:, j] / u[j, j], u[j, j:])
+    x = np.linalg.solve(a, np.column_stack([s[np.ix_(k, e_in)], c[k]]))
+    gain = s[np.ix_(e_out, l)]
+    return s[np.ix_(e_out, e_in)] + gain @ x[:, :-1], c[e_out] + gain @ x[:, -1], np.linalg.cond(a)
+
+
+def test_feedback_equals_one_schur_complement_solve():
+    # driven random circuits, 1-3 loops closed one at a time in either order
+    # and all at once; the H term is not compared
+    rng = np.random.default_rng(47)
+    loops = {1: 0, 2: 0, 3: 0}
+    for _ in range(800):
+        g = random_passive_circuit(rng)
+        if g.ports < 2:
+            continue
+        g = series(g, coherent_drive(rng.standard_normal(g.ports)
+                                     + 1j * rng.standard_normal(g.ports)))
+        r = int(rng.integers(1, min(3, g.ports - 1) + 1))
+        outs = [int(x) + 1 for x in rng.choice(g.ports, r, replace=False)]
+        ins = [int(x) + 1 for x in rng.choice(g.ports, r, replace=False)]
+        solved = _close_by_solve(g, outs, ins)
+        try:
+            routes = [_close_one_at_a_time(g, outs, ins),
+                      _close_one_at_a_time(g, outs[::-1], ins[::-1])]
+        except SingularLoopError:
+            assert r > 1 or solved is None
+            continue
+        if solved is None:
+            assert r > 1
+            continue
+        s, c, cond = solved
+        # a solve's error grows with the condition number of I - S_KL
+        tol = 1e-12 * cond
+        for closed in routes:
+            assert_allclose(closed.scattering, s, rtol=0, atol=tol)
+            assert_allclose(closed.coupling, c, rtol=0, atol=tol)
+        loops[r] += 1
+    assert min(loops.values()) >= 50
+
+
+def test_schur_complement_solve_refuses_where_a_single_feedback_does():
+    # |1 - S_kl| on both sides of the threshold, at every angle
+    rng = np.random.default_rng(53)
+    tol = FEEDBACK_SINGULAR_TOL
+    refused = 0
+    for scale in (0.0, 0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-9, 1.0 + 1e-3, 2.0):
+        for _ in range(20):
+            n = int(rng.integers(2, 5))
+            s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            k, l = (int(x) for x in rng.integers(1, n + 1, size=2))
+            s[k - 1, l - 1] = 1.0 - scale * tol * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            g = SlhModel(s, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            solved = _close_by_solve(g, [k], [l])
+            try:
+                closed = feedback(g, k, l)
+            except SingularLoopError:
+                assert solved is None
+                refused += 1
+                continue
+            assert solved is not None
+            # entries grow as 1/|1 - S_kl|; compare relative to the largest
+            err = np.abs(closed.scattering - solved[0]).max()
+            assert err <= 1e-13 * np.abs(solved[0]).max()
+    assert 60 <= refused < 140

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slhnet import kernels
-from slhnet.core import DomainError, SingularLoopError
+from slhnet.core import FEEDBACK_SINGULAR_TOL, DomainError, SingularLoopError, is_singular_loop
 from slhnet.readout import sweep_transfer
 from slhnet.selector import (TWO_PI, SelectorSpec, canonical_phase, eval_selector,
                              staircase_arrays)
@@ -36,9 +36,19 @@ def _sequential_fold(thetas, phases, ports):
     return s
 
 
-def _batch_reference(mu, controls) -> np.ndarray:
-    # the strided row walk the two-rail kernel replaced, kept verbatim: the
-    # kernel must equal it bit for bit
+def _unfused_product(z, f):
+    # z * f with each real product rounded once, never a fused multiply-add
+    out = np.empty(np.broadcast(z, f).shape, dtype=np.complex128)
+    out.real = z.real * f.real - z.imag * f.imag
+    out.imag = z.real * f.imag + z.imag * f.real
+    return out
+
+
+def _batch_reference(mu, controls, unfused=False) -> np.ndarray:
+    # the strided row walk the two-rail kernel replaced.  As written, its
+    # phase steps multiply a column in place, which numpy may fuse on a
+    # column longer than one row; unfused=True writes them as the unfused
+    # complex product instead
     mu = np.asarray(mu, dtype=np.float64)
     controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
     m, w = controls.shape
@@ -53,15 +63,26 @@ def _batch_reference(mu, controls) -> np.ndarray:
         right = sign * c45 * a[:, 0] + c45 * a[:, 1]
         return np.stack([left, right], axis=1)
 
+    def phase(rail, factor):
+        if unfused:
+            amps[:, rail] = _unfused_product(amps[:, rail], factor)
+        else:
+            amps[:, rail] *= factor
+
     for i in range(n):
         amps = mix(amps, 1.0)
-        amps[:, 0] *= np.exp(1j * controls[:, i])
+        phase(0, np.exp(1j * controls[:, i]))
         amps = mix(amps, -1.0)
-        amps[:, 1] *= np.exp(1j * mu[i])
+        phase(1, np.exp(1j * mu[i]))
     amps = mix(amps, 1.0)
-    amps[:, 0] *= np.exp(1j * controls[:, n])
+    phase(0, np.exp(1j * controls[:, n]))
     amps = mix(amps, -1.0)
     return amps
+
+
+def _rows_one_at_a_time(mu, controls, rows):
+    return np.concatenate([kernels.selector_batch_amplitudes(mu, controls[r:r + 1])
+                           for r in rows])
 
 
 def _all_rows_controls(n):
@@ -147,8 +168,10 @@ def test_weighted_phase_grid_values():
 
 def test_selector_batch_equals_strided_reference_bit_for_bit():
     # n <= 8, row counts from one (the scalar-loop case) up, memory phases
-    # uniform or on the quarter turns, where signed zeros show up
-    rng = np.random.default_rng(37)
+    # uniform or on the quarter turns, where signed zeros show up.  One row
+    # equals the strided walk as written; every batch equals the unfused
+    # walk, and each of its rows its own one-row call, bit for bit
+    rng, pick = np.random.default_rng(37), np.random.default_rng(38)
     quarter = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
     for _ in range(9000):
         n = int(rng.integers(0, 9))
@@ -156,18 +179,31 @@ def test_selector_batch_equals_strided_reference_bit_for_bit():
         mu = rng.uniform(0.0, TWO_PI, size=n) if rng.random() < 0.5 else rng.choice(quarter, n)
         controls = rng.integers(0, 2, size=(m, n + 1)) * math.pi
         got = kernels.selector_batch_amplitudes(mu, controls)
-        want = _batch_reference(mu, controls)
+        want = _batch_reference(mu, controls, unfused=True)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if m == 1:
+            assert got.tobytes() == _batch_reference(mu, controls).tobytes()
+        else:
+            r = int(pick.integers(0, m))
+            assert _rows_one_at_a_time(mu, controls, [r]).tobytes() == got[r].tobytes()
 
 
 def test_selector_batch_all_16_bit_rows_bit_for_bit():
     mu = np.random.default_rng(41).uniform(0.0, TWO_PI, size=16)
     controls = _all_rows_controls(16)
-    want = _batch_reference(mu, controls).tobytes()
+    want = _batch_reference(mu, controls, unfused=True).tobytes()
     assert kernels.selector_batch_amplitudes(mu, controls).tobytes() == want
     # the stage-major layout selector_sweep_amplitudes passes
     stage_major = np.ascontiguousarray(controls.T).T
-    assert kernels.selector_batch_amplitudes(mu, stage_major).tobytes() == want
+    got = kernels.selector_batch_amplitudes(mu, stage_major)
+    assert got.tobytes() == want
+    # rows on both sides of the kernel's block boundaries, and a sample
+    rows = np.concatenate([np.arange(kernels.ROW_BLOCK - 2, kernels.ROW_BLOCK + 2),
+                           np.random.default_rng(43).choice(2 ** 16, size=60)])
+    assert _rows_one_at_a_time(mu, controls, rows).tobytes() == got[rows].tobytes()
+    for r in rows[:8]:
+        one = controls[r:r + 1]
+        assert got[r:r + 1].tobytes() == _batch_reference(mu, one).tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.5, math.nan, np.nextafter(math.pi, 4.0)])
@@ -197,3 +233,55 @@ def test_weighted_phase_grid_refuses_singular_points(phis, mus, message, s_kl):
         assert str(err) == message
         assert (err.k, err.l) == (1, 1)
         assert err.s_kl == s_kl
+
+def _full_scan_error(phis, mus):
+    # the refusal as a full is_singular_loop scan of the grid finds it
+    phis, mus = np.asarray(phis, dtype=np.float64), np.asarray(mus, dtype=np.float64)
+    den = 1.0 - np.exp(1j * mus)[None, :] * np.cos(phis)[:, None]
+    bad = np.argwhere(is_singular_loop(den))
+    if not bad.size:
+        return None
+    i, j = bad[0]
+    return (f"sweep grid touches the singular set at phi={phis[i]!r}, mu={mus[j]!r}",
+            np.exp(1j * mus[j]) * np.cos(phis[i]))
+
+
+def _grid_error(call, phis, mus):
+    try:
+        call(phis, mus)
+    except SingularLoopError as err:
+        assert (err.k, err.l) == (1, 1)
+        return str(err), err.s_kl
+    return None
+
+
+def test_weighted_phase_grid_prefilter_skips_non_singular_candidates():
+    # |Re d| <= tol but |Im d| ~ 1e-5 > tol at (pi, pi - 2e-5), (pi, pi - 3e-5)
+    # and (0, -1e-5): candidates of the prefilter, none singular, all before
+    # the one singular point (0, 0) in C order
+    phis = np.array([math.pi, 0.0])
+    mus = np.array([math.pi - 2e-5, -1e-5, 0.0, math.pi - 3e-5])
+    den = 1.0 - np.exp(1j * mus)[None, :] * np.cos(phis)[:, None]
+    near = np.abs(den.real) <= FEEDBACK_SINGULAR_TOL
+    singular = is_singular_loop(den)
+    first = np.flatnonzero(singular)[0]
+    assert np.flatnonzero(near & ~singular).tolist() == [0, 3, 5] and first == 6
+    want = _full_scan_error(phis, mus)
+    assert want[0].endswith("phi=np.float64(0.0), mu=np.float64(0.0)")
+    assert _grid_error(kernels.weighted_phase_grid, phis, mus) == want
+    # sweep_transfer sorts the mus first: (0, -1e-5) still comes before (0, 0)
+    assert _grid_error(sweep_transfer, phis, mus) == _full_scan_error(phis, np.sort(mus))
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_weighted_phase_grid_refuses_where_the_full_scan_does(seed):
+    # grids around both singular points, offsets log-uniform in [1e-12, 1e-3]
+    # on either side, some grids singular and some not
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        def near(centers, size):
+            off = 10.0 ** rng.uniform(-12, -3, size) * rng.choice([-1.0, 1.0], size)
+            return rng.choice(centers, size) + off * (rng.random(size) < 0.9)
+        phis = near([0.0, math.pi], int(rng.integers(1, 5)))
+        mus = near([0.0, math.pi, -math.pi], int(rng.integers(1, 30)))
+        assert _grid_error(kernels.weighted_phase_grid, phis, mus) == _full_scan_error(phis, mus)
