@@ -48,15 +48,14 @@ def _parse_bit_vector(text: str) -> np.ndarray:
     return np.array([int(c) for c in cleaned], dtype=np.int64)
 
 
-def _parse_bit_matrix(text: str) -> np.ndarray:
-    rows = [r for r in re.split(r"[;/]", text) if r.strip()]
+def _parse_matrix(text: str, what: str, parse_row) -> np.ndarray:
+    """Rows split by ';' or '/', each read by ``parse_row``, all one width."""
+    rows = [parse_row(r) for r in re.split(r"[;/]", text) if r.strip()]
     if not rows:
-        raise ValueError(f"empty selector matrix {text!r}")
-    parsed = [_parse_bit_vector(r) for r in rows]
-    width = {len(r) for r in parsed}
-    if len(width) != 1:
-        raise ValueError(f"selector matrix rows have unequal lengths in {text!r}")
-    return np.vstack(parsed)
+        raise ValueError(f"empty {what} matrix {text!r}")
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError(f"{what} matrix rows have unequal lengths in {text!r}")
+    return np.array(rows)
 
 
 def _parse_angle_list(text: str, what: str) -> list:
@@ -64,17 +63,6 @@ def _parse_angle_list(text: str, what: str) -> list:
     if not toks:
         raise ValueError(f"empty {what} list {text!r}")
     return [parse_angle(t, what) for t in toks]
-
-
-def _parse_angle_matrix(text: str, what: str) -> np.ndarray:
-    rows = [r for r in re.split(r"[;/]", text) if r.strip()]
-    if not rows:
-        raise ValueError(f"empty {what} matrix {text!r}")
-    parsed = [_parse_angle_list(r, what) for r in rows]
-    width = {len(r) for r in parsed}
-    if len(width) != 1:
-        raise ValueError(f"{what} matrix rows have unequal lengths in {text!r}")
-    return np.array(parsed, dtype=np.float64)
 
 
 def _angle_tokens(values) -> str:
@@ -87,7 +75,7 @@ def _angle_tokens(values) -> str:
 
 def _cmd_compile(args) -> int:
     if args.matrix:
-        bits = _parse_bit_matrix(args.bits)
+        bits = _parse_matrix(args.bits, "selector", _parse_bit_vector)
         phi, tails = sel.compile_selector_matrix(bits)
         print("control:")
         for row in phi:
@@ -105,8 +93,8 @@ def _cmd_eval(args) -> int:
     if args.mu_matrix or args.selector_matrix:
         if not (args.mu_matrix and args.selector_matrix):
             raise ValueError("matrix evaluation needs both --mu-matrix and --selector-matrix")
-        mem = _parse_angle_matrix(args.mu_matrix, "memory")
-        bits = _parse_bit_matrix(args.selector_matrix)
+        mem = _parse_matrix(args.mu_matrix, "memory", lambda r: _parse_angle_list(r, "memory"))
+        bits = _parse_matrix(args.selector_matrix, "selector", _parse_bit_vector)
         spec = sel.MatrixProductSpec.from_selector_matrix(bits, mem)
         out = sel.eval_matrix_product(spec)
         for i, row in enumerate(out, start=1):

@@ -202,8 +202,8 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
         i, j = divmod(int(bad[0]), den.shape[1])
         raise SingularLoopError(
             1, 1, np.exp(1j * mus[j]) * np.cos(phis[i]),
-            f"sweep grid touches the singular set at phi={phis[i]!r}, "
-            f"mu={mus[j]!r}",
+            f"sweep grid touches the singular set at phi={float(phis[i])!r}, "
+            f"mu={float(mus[j])!r}",
         )
     np.conjugate(den, out=den)
     w = e_mu - cos_phi

@@ -14,11 +14,13 @@ combinators that wire them together:
       - {name: switch, op: series, of: [b2, inner, b1]}
 
 Component kinds are ``phase``, ``beamsplitter``, ``drive`` and
-``identity``; combinator ops are ``series`` (n-ary, leftmost operand acts
-last), ``concat`` (n-ary, first operand owns the first ports) and
-``feedback`` (one operand plus ``output``/``input`` port numbers).  The
-model denoted by the document is the last ``circuit`` entry, or the sole
-declared component when ``circuit`` is empty or absent.
+``identity``; each kind is one row of the ``_KINDS`` table: its parameter
+key and the functions that parse, format and build it.  Combinator ops are
+``series`` (n-ary, leftmost operand acts last), ``concat`` (n-ary, first
+operand owns the first ports) and ``feedback`` (one operand plus
+``output``/``input`` port numbers).  The model denoted by the document is
+the last ``circuit`` entry, or the sole declared component when
+``circuit`` is empty or absent.
 
 Angles are radians.  Rational multiples of pi keep the exact symbolic
 spelling ``pi``, ``-pi/4``, ``3pi/4`` through parse/serialize round trips,
@@ -34,8 +36,10 @@ object can be constructed.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import yaml
@@ -57,9 +61,6 @@ __all__ = [
 ]
 
 NETLIST_VERSION = 1
-
-_KINDS = ("phase", "beamsplitter", "drive", "identity")
-_OPS = ("series", "concat", "feedback")
 
 # symbolic angle token: optional sign, optional integer multiple, pi,
 # optional integer divisor
@@ -129,6 +130,44 @@ def format_angle(x: float) -> str:
     return repr(x)
 
 
+def _parse_ports(ports, location: str) -> int:
+    if isinstance(ports, bool) or not isinstance(ports, int) or ports < 1:
+        raise NetlistError(location, f"ports must be a positive integer, got {ports!r}")
+    return ports
+
+
+def _parse_amplitudes(raw, location: str) -> tuple:
+    if not isinstance(raw, list) or not raw:
+        raise NetlistError(location, "amplitudes must be a nonempty list")
+    amps = []
+    for j, entry in enumerate(raw):
+        where = f"{location}[{j}]"
+        if isinstance(entry, list):
+            if len(entry) != 2:
+                raise NetlistError(where, "complex amplitude needs [re, im]")
+            amps.append(complex(parse_angle(entry[0], where), parse_angle(entry[1], where)))
+        else:
+            amps.append(complex(parse_angle(entry, where), 0.0))
+    return tuple(amps)
+
+
+def _format_amplitudes(amps) -> str:
+    return "[" + ", ".join(
+        f"[{format_angle(z.real)}, {format_angle(z.imag)}]" for z in amps) + "]"
+
+
+_Kind = namedtuple("_Kind", "key parse format build")
+
+# one row per component kind, in the order the "unknown kind" message lists
+_KINDS = {
+    "phase": _Kind("phi", parse_angle, format_angle, phase_shift),
+    "beamsplitter": _Kind("theta", parse_angle, format_angle, beamsplitter),
+    "drive": _Kind("amplitudes", _parse_amplitudes, _format_amplitudes, coherent_drive),
+    "identity": _Kind("ports", _parse_ports, str, identity),
+}
+_OPS = {"series": series, "concat": concat, "feedback": feedback}
+
+
 @dataclass(frozen=True)
 class ComponentDecl:
     """One primitive declaration; ``value`` holds the kind's parameter:
@@ -139,13 +178,7 @@ class ComponentDecl:
     value: object
 
     def build(self) -> SlhModel:
-        if self.kind == "phase":
-            return phase_shift(self.value)
-        if self.kind == "beamsplitter":
-            return beamsplitter(self.value)
-        if self.kind == "identity":
-            return identity(self.value)
-        return coherent_drive(list(self.value))
+        return _KINDS[self.kind].build(self.value)
 
 
 @dataclass(frozen=True)
@@ -195,41 +228,12 @@ def _parse_component(node, location: str) -> ComponentDecl:
     node = _require_map(node, location)
     name = _parse_name(node, location)
     kind = _take(node, "kind", location)
-    if kind not in _KINDS:
-        raise NetlistError(location, f"unknown kind {kind!r} (expected one of {_KINDS})")
-    if kind == "phase":
-        _check_keys(node, ("name", "kind", "phi"), location)
-        value = parse_angle(_take(node, "phi", location), f"{location}.phi")
-    elif kind == "beamsplitter":
-        _check_keys(node, ("name", "kind", "theta"), location)
-        value = parse_angle(_take(node, "theta", location), f"{location}.theta")
-    elif kind == "identity":
-        _check_keys(node, ("name", "kind", "ports"), location)
-        ports = _take(node, "ports", location)
-        if isinstance(ports, bool) or not isinstance(ports, int) or ports < 1:
-            raise NetlistError(
-                f"{location}.ports", f"ports must be a positive integer, got {ports!r}"
-            )
-        value = ports
-    else:  # drive
-        _check_keys(node, ("name", "kind", "amplitudes"), location)
-        raw = _take(node, "amplitudes", location)
-        if not isinstance(raw, list) or not raw:
-            raise NetlistError(
-                f"{location}.amplitudes", "amplitudes must be a nonempty list"
-            )
-        amps = []
-        for j, entry in enumerate(raw):
-            where = f"{location}.amplitudes[{j}]"
-            if isinstance(entry, list):
-                if len(entry) != 2:
-                    raise NetlistError(where, "complex amplitude needs [re, im]")
-                re_part = parse_angle(entry[0], where)
-                im_part = parse_angle(entry[1], where)
-                amps.append(complex(re_part, im_part))
-            else:
-                amps.append(complex(parse_angle(entry, where), 0.0))
-        value = tuple(amps)
+    # a YAML list or mapping is unhashable, so test the type before the table
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise NetlistError(location, f"unknown kind {kind!r} (expected one of {tuple(_KINDS)})")
+    row = _KINDS[kind]
+    _check_keys(node, ("name", "kind", row.key), location)
+    value = row.parse(_take(node, row.key, location), f"{location}.{row.key}")
     return ComponentDecl(name, kind, value)
 
 
@@ -237,8 +241,8 @@ def _parse_combinator(node, location: str) -> CombinatorDecl:
     node = _require_map(node, location)
     name = _parse_name(node, location)
     op = _take(node, "op", location)
-    if op not in _OPS:
-        raise NetlistError(location, f"unknown op {op!r} (expected one of {_OPS})")
+    if not isinstance(op, str) or op not in _OPS:
+        raise NetlistError(location, f"unknown op {op!r} (expected one of {tuple(_OPS)})")
     operands = _take(node, "of", location)
     if not isinstance(operands, list) or not all(
         isinstance(x, str) and x for x in operands
@@ -316,25 +320,13 @@ def parse_netlist(text: str) -> Netlist:
     return Netlist(tuple(components), tuple(circuit))
 
 
-def _amp_tokens(z: complex) -> str:
-    return f"[{format_angle(z.real)}, {format_angle(z.imag)}]"
-
-
 def serialize_netlist(nl: Netlist) -> str:
     """Deterministic canonical YAML for a netlist (fixed key order,
     flow-style entries, symbolic angles preserved)."""
     lines = [f"version: {NETLIST_VERSION}", "components:"]
     for c in nl.components:
-        if c.kind == "phase":
-            param = f"phi: {format_angle(c.value)}"
-        elif c.kind == "beamsplitter":
-            param = f"theta: {format_angle(c.value)}"
-        elif c.kind == "identity":
-            param = f"ports: {c.value}"
-        else:
-            inner = ", ".join(_amp_tokens(z) for z in c.value)
-            param = f"amplitudes: [{inner}]"
-        lines.append(f"  - {{name: {c.name}, kind: {c.kind}, {param}}}")
+        row = _KINDS[c.kind]
+        lines.append(f"  - {{name: {c.name}, kind: {c.kind}, {row.key}: {row.format(c.value)}}}")
     if nl.circuit:
         lines.append("circuit:")
         for d in nl.circuit:
@@ -356,16 +348,10 @@ def elaborate(nl: Netlist) -> SlhModel:
         location = f"circuit[{i}]"
         parts = [built[ref] for ref in d.operands]
         try:
-            if d.op == "series":
-                model = parts[0]
-                for nxt in parts[1:]:
-                    model = series(model, nxt)
-            elif d.op == "concat":
-                model = parts[0]
-                for nxt in parts[1:]:
-                    model = concat(model, nxt)
-            else:
+            if d.op == "feedback":
                 model = feedback(parts[0], d.output, d.input)
+            else:
+                model = functools.reduce(_OPS[d.op], parts)
         except SingularLoopError as exc:
             # keeps its type, so the CLI exits 3 (numerical domain), not 2
             raise SingularLoopError(exc.k, exc.l, exc.s_kl, f"{location}: {exc}") from exc

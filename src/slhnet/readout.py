@@ -38,9 +38,9 @@ from .core import (
     is_singular_loop,
     series,
 )
-from .components import beamsplitter, phase_shift
+from .components import phase_shift
 from .kernels import _check_binary_phases
-from .selector import TWO_PI, _phase_on_port, canonical_phase
+from .selector import _phase_on_port, canonical_phase, mz
 
 __all__ = [
     "TransferCurve",
@@ -68,9 +68,7 @@ def principal_phase(z: complex) -> float:
 
 def _selector_loop(phi, mu) -> SlhModel:
     # (Phi_mu + I) <| B(-pi/4) <| (Phi_phi + I) <| B(pi/4), not yet closed
-    chain = series(_phase_on_port(phi, 1), beamsplitter(math.pi / 4))
-    chain = series(beamsplitter(-math.pi / 4), chain)
-    return series(_phase_on_port(mu, 1), chain)
+    return series(_phase_on_port(mu, 1), mz(math.pi / 4, -math.pi / 4, phi))
 
 
 def build_feedback_selector(phi, mu, allow_removable: bool = False) -> SlhModel:
@@ -148,9 +146,7 @@ def chain_feedback_selectors(mu, phi):
 # ---------------------------------------------------------------------------
 
 def _weighted_loop(phi: float | np.ndarray, mu: float | np.ndarray) -> SlhModel:
-    chain = series(_phase_on_port(2.0 * phi, 1), beamsplitter(math.pi / 4))
-    chain = series(beamsplitter(-math.pi / 4), chain)
-    return series(_phase_on_port(mu - phi, 1), chain)
+    return _selector_loop(2.0 * phi, mu - phi)
 
 
 def build_weighted_selector(phi: float | np.ndarray,

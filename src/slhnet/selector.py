@@ -90,7 +90,7 @@ def mz(theta1: float, theta2: float, phi: float) -> SlhModel:
 
     The scattering matrix is R(theta2) @ diag(e^{i phi}, 1) @ R(theta1).
     """
-    inner = series(concat(phase_shift(phi), identity(1)), beamsplitter(theta1))
+    inner = series(_phase_on_port(phi, 1), beamsplitter(theta1))
     return series(beamsplitter(theta2), inner)
 
 
@@ -140,7 +140,7 @@ class SelectorSpec:
                 f"{len(mem)} memory phases need {len(mem)} control phases, got {len(ctrl)}"
             )
         for x in mem:
-            if not (0.0 <= x < TWO_PI) or not math.isfinite(x):
+            if not (0.0 <= x < TWO_PI):
                 raise DomainError(f"memory phase {x!r} outside [0, 2*pi)")
         _check_binary_phases(ctrl + (self.tail_phase,))
         if sum(self.control_bits) % 2 != int(self.tail_phase == math.pi):

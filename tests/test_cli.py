@@ -136,6 +136,15 @@ _EDGE_INPUTS = [
      "error: components[0].theta: angle must be finite, got -inf\n", None),
     (["netlist", "elaborate", _one_part_doc("kind: drive, amplitudes: [.nan]")], 2,
      "error: components[0].amplitudes[0]: angle must be finite, got nan\n", None),
+    (["compile", "--matrix", ";;"], 2, "error: empty selector matrix ';;'\n", None),
+    (["compile", "--matrix", "10;011"], 2,
+     "error: selector matrix rows have unequal lengths in '10;011'\n", None),
+    (["eval", "--mu-matrix", ";", "--selector-matrix", "10;11"], 2,
+     "error: empty memory matrix ';'\n", None),
+    (["eval", "--mu-matrix", "0.2,0.4/0.6", "--selector-matrix", "10;11"], 2,
+     "error: memory matrix rows have unequal lengths in '0.2,0.4/0.6'\n", None),
+    (["eval", "--mu-matrix", "0.2,x;0.6,0.8", "--selector-matrix", "10;11"], 2,
+     "error: memory: cannot parse angle 'x'\n", None),
 ]
 
 
@@ -143,7 +152,10 @@ _EDGE_INPUTS = [
                          ids=["empty-mu", "empty-selector", "nan-mu", "inf-mu",
                               "neg-inf-mu", "nan-phi", "compile-20000", "eval-5000",
                               "netlist-nan-theta", "netlist-inf-theta",
-                              "netlist-neg-inf-theta", "netlist-nan-amplitude"])
+                              "netlist-neg-inf-theta", "netlist-nan-amplitude",
+                              "empty-selector-matrix", "ragged-selector-matrix",
+                              "empty-memory-matrix", "ragged-memory-matrix",
+                              "bad-memory-matrix-angle"])
 def test_edge_inputs(tmp_path, capsys, argv, code, err, check):
     if argv[0] == "netlist":
         path = tmp_path / "edge.yaml"

@@ -280,11 +280,20 @@ def _close_by_solve(g, outs, ins):
     """All loops at once, outputs K onto inputs L, as the Schur complement
     (Gough & James 2009):
 
-        S_EE + S_EL (I - S_KL)^-1 S_KE,   L_E + S_EL (I - S_KL)^-1 L_K
+        S_EE + S_EL (I - S_KL)^-1 S_KE,   L_E + S_EL (I - S_KL)^-1 L_K,
+        H + Im(L^dag S_{.L} (I - S_KL)^-1 L_K)
 
-    by one np.linalg.solve.  Returns (S, L, cond(I - S_KL)), or None where
-    it refuses: is_singular_loop on a pivot of I - S_KL eliminated in loop
-    order, which for one loop is 1 - S_kl itself."""
+    by one np.linalg.solve.  The H term: with the loops open, the fed-back
+    outputs are b_K = S_KL a_L + S_KE a_E + L_K; closing them (a_L = b_K)
+    gives a_L = (I - S_KL)^-1 (S_KE a_E + L_K), so the internal field
+    carries the coherent part x = (I - S_KL)^-1 L_K.  Series-composing a
+    drive x into inputs L adds Im(L^dag S_{.L} x) to H (the series product
+    of Gough & James), which is the term above; for one loop it is
+    Im(sum_j L_j^* S_jl L_k / (1 - S_kl)), the rule ``feedback`` applies.
+    Returns (S, L, H, cond(I - S_KL), |L| |(I - S_KL)^-1 L_K|), the last
+    the size of the product the H term rounds, or None where it refuses:
+    is_singular_loop on a pivot of I - S_KL eliminated in loop order, which
+    for one loop is 1 - S_kl itself."""
     s, c = g.scattering, g.coupling
     k, l = np.asarray(outs) - 1, np.asarray(ins) - 1
     e_out = np.setdiff1d(np.arange(g.ports), k)
@@ -297,12 +306,14 @@ def _close_by_solve(g, outs, ins):
         u[j + 1:, j:] -= np.outer(u[j + 1:, j] / u[j, j], u[j, j:])
     x = np.linalg.solve(a, np.column_stack([s[np.ix_(k, e_in)], c[k]]))
     gain = s[np.ix_(e_out, l)]
-    return s[np.ix_(e_out, e_in)] + gain @ x[:, :-1], c[e_out] + gain @ x[:, -1], np.linalg.cond(a)
+    h = g.hamiltonian + (c.conj() @ s[:, l] @ x[:, -1]).imag
+    return (s[np.ix_(e_out, e_in)] + gain @ x[:, :-1], c[e_out] + gain @ x[:, -1], h,
+            np.linalg.cond(a), np.linalg.norm(c) * np.linalg.norm(x[:, -1]))
 
 
 def test_feedback_equals_one_schur_complement_solve():
     # driven random circuits, 1-3 loops closed one at a time in either order
-    # and all at once; the H term is not compared
+    # and all at once
     rng = np.random.default_rng(47)
     loops = {1: 0, 2: 0, 3: 0}
     for _ in range(800):
@@ -324,12 +335,23 @@ def test_feedback_equals_one_schur_complement_solve():
         if solved is None:
             assert r > 1
             continue
-        s, c, cond = solved
+        s, c, h, cond, h_size = solved
         # a solve's error grows with the condition number of I - S_KL
         tol = 1e-12 * cond
+        # and H's with the size of the product it rounds, O(|L|^2 / |1 - S_kl|)
+        # for one loop, where cond is 1
+        h_tol = tol * max(1.0, h_size)
+        if r == 1:
+            # the H term of one loop, written out as feedback's rule
+            k, l = outs[0] - 1, ins[0] - 1
+            s_kl, lk = g.scattering[k, l], g.coupling[k]
+            single = g.hamiltonian + (
+                np.vdot(g.coupling, g.scattering[:, l]) * lk / (1.0 - s_kl)).imag
+            assert abs(single - h) <= h_tol
         for closed in routes:
             assert_allclose(closed.scattering, s, rtol=0, atol=tol)
             assert_allclose(closed.coupling, c, rtol=0, atol=tol)
+            assert abs(closed.hamiltonian - h) <= h_tol
         loops[r] += 1
     assert min(loops.values()) >= 50
 

@@ -216,11 +216,11 @@ def test_selector_batch_refuses_non_binary_controls(bad):
 
 @pytest.mark.parametrize("phis, mus, message, s_kl", [
     ([1.0, 0.0], [-0.5, 0.0, 0.25],
-     "sweep grid touches the singular set at phi=np.float64(0.0), mu=np.float64(0.0)",
+     "sweep grid touches the singular set at phi=0.0, mu=0.0",
      1 + 0j),
     ([math.pi], [0.5, math.pi],
-     "sweep grid touches the singular set at phi=np.float64(3.141592653589793), "
-     "mu=np.float64(3.141592653589793)",
+     "sweep grid touches the singular set at phi=3.141592653589793, "
+     "mu=3.141592653589793",
      1 - 1.2246467991473532e-16j),
 ])
 def test_weighted_phase_grid_refuses_singular_points(phis, mus, message, s_kl):
@@ -242,7 +242,8 @@ def _full_scan_error(phis, mus):
     if not bad.size:
         return None
     i, j = bad[0]
-    return (f"sweep grid touches the singular set at phi={phis[i]!r}, mu={mus[j]!r}",
+    return (f"sweep grid touches the singular set at phi={float(phis[i])!r}, "
+            f"mu={float(mus[j])!r}",
             np.exp(1j * mus[j]) * np.cos(phis[i]))
 
 
@@ -267,7 +268,7 @@ def test_weighted_phase_grid_prefilter_skips_non_singular_candidates():
     first = np.flatnonzero(singular)[0]
     assert np.flatnonzero(near & ~singular).tolist() == [0, 3, 5] and first == 6
     want = _full_scan_error(phis, mus)
-    assert want[0].endswith("phi=np.float64(0.0), mu=np.float64(0.0)")
+    assert want[0].endswith("phi=0.0, mu=0.0")
     assert _grid_error(kernels.weighted_phase_grid, phis, mus) == want
     # sweep_transfer sorts the mus first: (0, -1e-5) still comes before (0, 0)
     assert _grid_error(sweep_transfer, phis, mus) == _full_scan_error(phis, np.sort(mus))

@@ -93,6 +93,21 @@ def test_serialize_preserves_symbolic_angles():
     assert "phi: 3pi/4" in text
     assert "theta: -pi/4" in text
     assert "amplitudes: [[1.0, -2.0], [0.5, 0]]" in text
+    # one pinned line per kind; a drive mixes real and [re, im] entries
+    text = serialize_netlist(parse_netlist(
+        "version: 1\ncomponents:\n"
+        "  - {name: ph, kind: phase, phi: 3pi/4}\n"
+        "  - {name: bs, kind: beamsplitter, theta: 0.3}\n"
+        "  - {name: src, kind: drive, amplitudes: [0.5, [1, -2], -pi/2, [0, 1e-300]]}\n"
+        "  - {name: w, kind: identity, ports: 3}\n"
+        "circuit:\n  - {name: all, op: concat, of: [ph, bs, src, w]}\n"
+    ))
+    assert text.splitlines()[2:6] == [
+        "  - {name: ph, kind: phase, phi: 3pi/4}",
+        "  - {name: bs, kind: beamsplitter, theta: 0.3}",
+        "  - {name: src, kind: drive, amplitudes: [[0.5, 0], [1.0, -2.0], [-pi/2, 0], [0, 1e-300]]}",
+        "  - {name: w, kind: identity, ports: 3}",
+    ]
 
 
 def test_parsed_drive_amplitudes_are_complex():
@@ -193,6 +208,30 @@ def test_diagnostics_carry_locations():
     )
     assert e.location == "circuit[0].of"
 
+    # exact text, kind and op lists in their declared order; an unhashable
+    # kind or op is refused like any other unknown one
+    kinds = "('phase', 'beamsplitter', 'drive', 'identity')"
+    ops = "('series', 'concat', 'feedback')"
+    head = "version: 1\ncomponents:\n  - {name: a, kind: identity, ports: 2}\n"
+    for text, location, message in [
+        ("version: 1\ncomponents:\n  - {name: x, kind: mirror, phi: 0}\n",
+         "components[0]", f"unknown kind 'mirror' (expected one of {kinds})"),
+        ("version: 1\ncomponents:\n  - {name: x, kind: [phase], phi: 0}\n",
+         "components[0]", f"unknown kind ['phase'] (expected one of {kinds})"),
+        (head + "circuit:\n  - {name: c, op: loop, of: [a]}\n",
+         "circuit[0]", f"unknown op 'loop' (expected one of {ops})"),
+        (head + "circuit:\n  - {name: c, op: [series], of: [a, a]}\n",
+         "circuit[0]", f"unknown op ['series'] (expected one of {ops})"),
+        (head + "circuit:\n  - {name: c, op: feedback, of: [a, a], output: 1, input: 1}\n",
+         "circuit[0].of", "feedback takes exactly one operand, got 2"),
+        (head + "circuit:\n  - {name: c, op: series, of: [a]}\n",
+         "circuit[0].of", "series needs at least two operands, got 1"),
+        (head + "circuit:\n  - {name: c, op: concat, of: [a]}\n",
+         "circuit[0].of", "concat needs at least two operands, got 1"),
+    ]:
+        e = _err(text)
+        assert (e.location, str(e)) == (location, f"{location}: {message}")
+
 
 def test_document_level_diagnostics():
     assert _err("- 1\n").location == "document"
@@ -221,6 +260,34 @@ def test_component_field_validation():
     assert "[re, im]" in str(e)
     e = _err("version: 1\ncomponents:\n  - {name: a, kind: phase, phi: pi, extra: 1}\n")
     assert "extra" in str(e)
+
+    # exact text: each kind owns one parameter key, whose absence is
+    # refused, and the other kinds' keys are unknown to it
+    for decl, location, message in [
+        ("{name: a, kind: phase}", "components[0]", "missing required key 'phi'"),
+        ("{name: a, kind: beamsplitter}", "components[0]", "missing required key 'theta'"),
+        ("{name: a, kind: drive}", "components[0]", "missing required key 'amplitudes'"),
+        ("{name: a, kind: identity}", "components[0]", "missing required key 'ports'"),
+        ("{name: a, kind: phase, theta: pi}", "components[0]", "unknown keys ['theta']"),
+        ("{name: a, kind: beamsplitter, amplitudes: [1]}", "components[0]",
+         "unknown keys ['amplitudes']"),
+        ("{name: a, kind: drive, ports: 1}", "components[0]", "unknown keys ['ports']"),
+        ("{name: a, kind: identity, phi: 0}", "components[0]", "unknown keys ['phi']"),
+        ("{name: a, kind: identity, ports: 0}", "components[0].ports",
+         "ports must be a positive integer, got 0"),
+        ("{name: a, kind: identity, ports: true}", "components[0].ports",
+         "ports must be a positive integer, got True"),
+        ("{name: a, kind: drive, amplitudes: []}", "components[0].amplitudes",
+         "amplitudes must be a nonempty list"),
+        ("{name: a, kind: drive, amplitudes: 3}", "components[0].amplitudes",
+         "amplitudes must be a nonempty list"),
+        ("{name: a, kind: drive, amplitudes: [[1]]}", "components[0].amplitudes[0]",
+         "complex amplitude needs [re, im]"),
+        ("{name: a, kind: drive, amplitudes: [[1, x]]}", "components[0].amplitudes[0]",
+         "cannot parse angle 'x'"),
+    ]:
+        e = _err(f"version: 1\ncomponents:\n  - {decl}\n")
+        assert (e.location, str(e)) == (location, f"{location}: {message}")
 
 
 def test_elaborate_wraps_circuit_errors():
