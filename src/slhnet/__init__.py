@@ -6,113 +6,14 @@ feedback readout loops; compile selector vectors to control-phase
 schedules and verify every closed form against brute-force composition.
 """
 
-from .core import (
-    ArityError,
-    CircuitError,
-    DomainError,
-    DrivenCircuitError,
-    FEEDBACK_SINGULAR_TOL,
-    SingularLoopError,
-    SlhModel,
-    check_unitary,
-    concat,
-    feedback,
-    identity,
-    series,
-)
-from .components import beamsplitter, coherent_drive, output_amplitudes, phase_shift
-from .selector import (
-    CompilationMatrices,
-    MatrixProductSpec,
-    SelectorSpec,
-    build_selector_chain,
-    canonical_phase,
-    compilation_matrices,
-    compile_selector,
-    compile_selector_matrix,
-    crossing,
-    eval_matrix_product,
-    eval_selector,
-    mz,
-    mz_switch,
-    recover_selector,
-    recover_selector_matrix,
-    selector_scattering,
-    selector_sweep_amplitudes,
-)
-from .readout import (
-    TransferCurve,
-    build_feedback_selector,
-    build_weighted_selector,
-    chain_feedback_selectors,
-    feedback_selector_scattering,
-    principal_phase,
-    sweep_transfer,
-    weighted_output_phase,
-    weighted_selector_scattering,
-    weighted_small_mu_gain,
-)
-from .netlist import (
-    Netlist,
-    NetlistError,
-    elaborate,
-    format_angle,
-    parse_angle,
-    parse_netlist,
-    serialize_netlist,
-)
+from . import core, components, selector, readout, netlist
+from .core import *
+from .components import *
+from .selector import *
+from .readout import *
+from .netlist import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityError",
-    "CircuitError",
-    "CompilationMatrices",
-    "DomainError",
-    "DrivenCircuitError",
-    "FEEDBACK_SINGULAR_TOL",
-    "MatrixProductSpec",
-    "Netlist",
-    "NetlistError",
-    "SelectorSpec",
-    "SingularLoopError",
-    "SlhModel",
-    "TransferCurve",
-    "beamsplitter",
-    "build_feedback_selector",
-    "build_selector_chain",
-    "build_weighted_selector",
-    "canonical_phase",
-    "chain_feedback_selectors",
-    "check_unitary",
-    "coherent_drive",
-    "compilation_matrices",
-    "compile_selector",
-    "compile_selector_matrix",
-    "concat",
-    "crossing",
-    "elaborate",
-    "eval_matrix_product",
-    "eval_selector",
-    "feedback",
-    "feedback_selector_scattering",
-    "format_angle",
-    "identity",
-    "mz",
-    "mz_switch",
-    "output_amplitudes",
-    "parse_angle",
-    "parse_netlist",
-    "phase_shift",
-    "principal_phase",
-    "recover_selector",
-    "recover_selector_matrix",
-    "selector_scattering",
-    "selector_sweep_amplitudes",
-    "serialize_netlist",
-    "series",
-    "sweep_transfer",
-    "weighted_output_phase",
-    "weighted_selector_scattering",
-    "weighted_small_mu_gain",
-]
+__all__ = sorted(core.__all__ + components.__all__ + selector.__all__
+                 + readout.__all__ + netlist.__all__)

@@ -27,9 +27,12 @@ from . import readout
 from . import selector as sel
 from . import verify as ver
 from .core import CircuitError, SingularLoopError
-from .netlist import NetlistError, elaborate, format_angle, parse_angle, parse_netlist, serialize_netlist
+from .netlist import elaborate, format_angle, parse_angle, parse_netlist, serialize_netlist
 
 __all__ = ["main"]
+
+# options whose value is an angle, which may be negative
+_ANGLE_OPTIONS = ("--mu", "--phi", "--tail", "--mu-min", "--mu-max", "--mu-matrix")
 
 
 def fmt12(x) -> str:
@@ -126,21 +129,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_grid(mu_min: float, mu_max: float, points: int) -> np.ndarray:
-    # strictly interior points, so the default (-pi, pi) range can never
-    # touch the singular line mu = +-pi at phi = pi
-    if points < 1:
-        raise ValueError(f"need at least one sweep point, got {points}")
-    if not mu_max > mu_min:
-        raise ValueError(f"empty sweep range [{mu_min}, {mu_max}]")
-    step = (mu_max - mu_min) / (points + 1)
-    return mu_min + (np.arange(points) + 1) * step
-
-
 def _cmd_sweep(args) -> int:
     phis = _parse_angle_list(args.phi, "phi")
-    grid = _sweep_grid(parse_angle(args.mu_min, "mu-min"),
-                       parse_angle(args.mu_max, "mu-max"), args.points)
+    grid = readout._interior_grid(parse_angle(args.mu_min, "mu-min"),
+                                   parse_angle(args.mu_max, "mu-max"), args.points)
     curve = readout.sweep_transfer(phis, grid)
     lines = ["phi,mu,mu_out"]
     for mu, phi, mu_out in curve.samples:
@@ -256,19 +248,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_angles(argv):
+    """Write ``--mu -pi`` as ``--mu=-pi``: argparse takes a token that starts
+    with '-' for an option, unless it reads as a plain negative number."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _ANGLE_OPTIONS and re.match(r"-[\d.p]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_angles(argv))
     try:
         return args.func(args)
-    except SingularLoopError as exc:
+    except (CircuitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NetlistError, CircuitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SingularLoopError) else 2
 
 
 if __name__ == "__main__":

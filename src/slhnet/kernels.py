@@ -82,11 +82,11 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
 
 def _check_binary_phases(values, what: str = "control phase") -> None:
     """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
-    naming the first offending entry as the caller passed it."""
+    naming the first offending entry by its Python value."""
     arr = np.asarray(values, dtype=np.float64)
     bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
     if bad.size:
-        x = values if arr.ndim == 0 else values[bad[0]]
+        x = np.asarray(values if arr.ndim == 0 else values[bad[0]]).item()
         raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
 
 

@@ -99,7 +99,7 @@ def feedback_selector_scattering(phi: float, mu: float,
     The denominator is 2(1 - S_11), S_11 that of the open loop.
     """
     if not (math.isfinite(phi) and math.isfinite(mu)):
-        raise DomainError(f"angles must be finite, got phi={phi!r}, mu={mu!r}")
+        raise DomainError(f"angles must be finite, got phi={float(phi)!r}, mu={float(mu)!r}")
     e_mu = cmath.exp(1j * mu)
     e_pm = cmath.exp(1j * (phi + mu))
     den = 2.0 - e_mu - e_pm
@@ -108,7 +108,7 @@ def feedback_selector_scattering(phi: float, mu: float,
             return 1.0 + 0.0j
         raise SingularLoopError(
             1, 1, 1.0 - den / 2.0,
-            f"feedback selector singular at phi={phi!r}, mu={mu!r}: "
+            f"feedback selector singular at phi={float(phi)!r}, mu={float(mu)!r}: "
             f"|loop denominator| = {abs(den / 2.0):.3e}",
         )
     return (1.0 + cmath.exp(1j * phi) - 2.0 * e_pm) / den
@@ -168,14 +168,14 @@ def weighted_selector_scattering(phi: float, mu: float) -> complex:
 
     |1 - e^{i mu} cos phi| equals |1 - S_11| of the open loop."""
     if not (math.isfinite(phi) and math.isfinite(mu)):
-        raise DomainError(f"angles must be finite, got phi={phi!r}, mu={mu!r}")
+        raise DomainError(f"angles must be finite, got phi={float(phi)!r}, mu={float(mu)!r}")
     e_mu = cmath.exp(1j * mu)
     cos_phi = math.cos(phi)
     den = 1.0 - e_mu * cos_phi
     if is_singular_loop(den):
         raise SingularLoopError(
             1, 1, e_mu * cos_phi,
-            f"weighted selector singular at phi={phi!r}, mu={mu!r}: "
+            f"weighted selector singular at phi={float(phi)!r}, mu={float(mu)!r}: "
             f"|loop denominator| = {abs(den):.3e}",
         )
     return (e_mu - cos_phi) / den
@@ -193,10 +193,10 @@ def weighted_output_phase(phi: float, mu: float) -> float:
 def weighted_small_mu_gain(phi: float) -> float:
     """Small-signal phase gain d(mu_out)/d(mu) at mu = 0: cot^2(phi/2)."""
     if not math.isfinite(phi):
-        raise DomainError(f"phi must be finite, got {phi!r}")
+        raise DomainError(f"phi must be finite, got {float(phi)!r}")
     den = 1.0 - math.cos(phi)
     if den == 0.0:
-        raise DomainError(f"gain diverges at phi = 0 (mod 2*pi), got {phi!r}")
+        raise DomainError(f"gain diverges at phi = 0 (mod 2*pi), got {float(phi)!r}")
     return (1.0 + math.cos(phi)) / den
 
 
@@ -229,8 +229,18 @@ class TransferCurve:
         a phi equal to no swept value raises DomainError."""
         rows = self.samples[self.samples[:, 1] == phi]
         if not rows.size:
-            raise DomainError(f"no sweep column has phi = {phi!r}")
+            raise DomainError(f"no sweep column has phi = {float(phi)!r}")
         return rows[:, [0, 2]]
+
+
+def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    # strictly interior points of a (points + 1)-cell split, so the
+    # (-pi, pi) range can never touch the singular line mu = +-pi at phi = pi
+    if points < 1:
+        raise ValueError(f"need at least one sweep point, got {points}")
+    if not hi > lo:
+        raise ValueError(f"empty sweep range [{lo}, {hi}]")
+    return lo + (np.arange(points) + 1) * ((hi - lo) / (points + 1))
 
 
 def sweep_transfer(phis, mu_grid) -> TransferCurve:

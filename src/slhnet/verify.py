@@ -328,13 +328,8 @@ def _check_unitarity_closure(rng, compositions: int) -> CheckResult:
     )
 
 
-def _fig_grid(points: int = 401) -> np.ndarray:
-    # open interval (-pi, pi): interior points of a (points + 1)-cell split
-    return -math.pi + (np.arange(points) + 1) * (TWO_PI / (points + 1))
-
-
 def _check_sweep_columns() -> CheckResult:
-    grid = _fig_grid()
+    grid = ro._interior_grid(-math.pi, math.pi, 401)
     phis = (math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi)
     curve = ro.sweep_transfer(phis, grid)
     half = curve.column(math.pi / 2)

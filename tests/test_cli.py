@@ -217,6 +217,32 @@ def test_sweep_bad_ranges(capsys):
     capsys.readouterr()
 
 
+def _stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_negative_angle_may_follow_its_option(capsys):
+    # argparse alone takes "-pi" for an option and refuses the call
+    assert _stdout(capsys, ["sweep", "--mu-min", "-pi", "--mu-max", "pi"]) == \
+        _stdout(capsys, ["sweep"])
+    assert _stdout(capsys, ["sweep", "--phi", "-pi/3", "--points", "2"]) == \
+        _stdout(capsys, ["sweep", "--phi=-pi/3", "--points", "2"])
+    for argv in (["eval", "--mu", "-0.3", "--selector", "1"],
+                 ["eval", "--mu", "-0.3,0.7", "--selector", "11"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: memory phase -0.3 outside [0, 2*pi)\n"
+
+
+def test_negative_value_of_other_options_is_left_to_argparse(capsys):
+    # --drive is not an angle: "-2" still reads as argparse's negative number
+    assert main(["eval", "--mu", "0.3", "--selector", "1", "--drive", "-2"]) == 0
+    assert capsys.readouterr().out.startswith("output_phase: 3.44159265359\n")
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--points", "-pi"])
+    assert info.value.code == 2
+
+
 def test_verify_small_battery(capsys):
     argv = ["verify", "--exhaustive", "3", "--compositions", "25", "--grid", "10"]
     assert main(argv) == 0

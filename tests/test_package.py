@@ -1,0 +1,28 @@
+import importlib
+
+import slhnet
+
+MODULES = ("core", "components", "selector", "readout", "netlist")
+
+
+def test_package_exports_each_module_all_once():
+    # a name public in two modules would silently shadow one of them
+    declared = [name for m in MODULES for name in importlib.import_module(f"slhnet.{m}").__all__]
+    assert len(set(declared)) == len(declared)
+    assert slhnet.__all__ == sorted(declared)
+
+
+def test_package_names_are_the_module_objects():
+    for m in MODULES:
+        module = importlib.import_module(f"slhnet.{m}")
+        for name in module.__all__:
+            assert getattr(slhnet, name) is getattr(module, name), f"{m}.{name}"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from slhnet import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == slhnet.__all__
+    assert {"is_singular_loop", "staircase_arrays", "ComponentDecl",
+            "CombinatorDecl"} <= set(namespace)

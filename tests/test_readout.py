@@ -87,6 +87,9 @@ def test_feedback_selector_singular_point():
         build_feedback_selector(0.0, 0.0)
     with pytest.raises(SingularLoopError):
         feedback_selector_scattering(TWO_PI, TWO_PI)  # same point mod 2*pi
+    with pytest.raises(SingularLoopError) as info:
+        feedback_selector_scattering(np.float64(0), np.float64(0))
+    assert str(info.value).startswith("feedback selector singular at phi=0.0, mu=0.0: ")
     # the singularity is removable: the limit is 1 from every direction
     assert feedback_selector_scattering(0.0, 0.0, allow_removable=True) == 1.0
     bypass = build_feedback_selector(0.0, 0.0, allow_removable=True)
@@ -172,10 +175,10 @@ def test_weighted_refusal_band_equals_batched_feedback_mask(box, count):
 def test_weighted_routes_agree_with_batched_generic_route_on_cli_grid():
     # the whole 4 x 401 grid of the CLI sweep and verify's sweep-columns,
     # against one batched generic feedback elimination
-    from slhnet.verify import _fig_grid
+    from slhnet.readout import _interior_grid
 
     phis = np.array([PI / 3, PI / 2, 2 * PI / 3, PI])
-    grid = _fig_grid()
+    grid = _interior_grid(-PI, PI, 401)
     phi, mu = np.meshgrid(phis, grid, indexing="ij")
     generic = build_weighted_selector(phi, mu).scattering[..., 0, 0]
     closed = np.array([weighted_selector_scattering(p, m)
@@ -248,6 +251,10 @@ def test_chain_validation():
         chain_feedback_selectors([0.3], [0.5])
     with pytest.raises(DomainError, match="0.5"):
         chain_feedback_selectors([0.3, 0.4], [[0.0, PI], [0.5, 0.7]])
+    # an array argument is named by its Python value, not numpy's repr
+    with pytest.raises(DomainError) as info:
+        chain_feedback_selectors(np.array([0.1, 0.2]), np.array([0, 0.5]))
+    assert str(info.value) == "control phase must be exactly 0 or pi, got 0.5"
 
 
 def _chain_reference(mu, phi):
@@ -359,6 +366,9 @@ def test_weighted_singular_points():
         assert f"phi={phi!r}" in str(info.value)
         with pytest.raises(SingularLoopError):
             build_weighted_selector(phi, mu)
+    with pytest.raises(SingularLoopError) as info:
+        weighted_selector_scattering(np.float64(PI), np.float64(PI))
+    assert f"at phi={PI!r}, mu={PI!r}: " in str(info.value)
 
 
 def test_small_mu_gain():
@@ -369,6 +379,9 @@ def test_small_mu_gain():
         weighted_small_mu_gain(0.0)
     with pytest.raises(DomainError):
         weighted_small_mu_gain(TWO_PI)
+    with pytest.raises(DomainError) as info:
+        weighted_small_mu_gain(np.float64(0))
+    assert str(info.value) == "gain diverges at phi = 0 (mod 2*pi), got 0.0"
 
 
 def test_small_mu_gain_matches_finite_difference():
@@ -406,6 +419,9 @@ def test_transfer_curve_column_rejects_unswept_phi():
     assert near != PI / 3
     with pytest.raises(DomainError):
         curve.column(near)
+    with pytest.raises(DomainError) as info:
+        curve.column(np.float64(0.5))
+    assert str(info.value) == "no sweep column has phi = 0.5"
 
 
 def test_sweep_transfer_is_deterministic():

@@ -236,6 +236,11 @@ def test_binary_phase_checks_name_the_first_bad_entry():
             call()
         msg = str(info.value)
         assert "must be exactly 0 or pi" in msg and "0.5" in msg and "0.7" not in msg
+    # numpy scalars are named by their Python value
+    for bad, shown in ((1, "1"), (np.int64(1), "1"), (np.float64(0.5), "0.5")):
+        with pytest.raises(DomainError) as info:
+            mz_switch(bad)
+        assert str(info.value) == f"switch control phase must be exactly 0 or pi, got {shown}"
     recover_selector(ok)
     with pytest.raises(DomainError, match="nan"):
         recover_selector([0.0, float("nan")])
