@@ -178,9 +178,9 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     """Output phase of the weighted feedback selector on a product grid.
 
     Entry ``[i, j]`` is ``arg((e^{i mu_j} - cos phi_i) / (1 - e^{i mu_j}
-    cos phi_i))`` in ``(-pi, pi]``.  Evaluated as the argument of
-    numerator times conjugated denominator, which skips the complex
-    division and lands the phi = pi collapse line on exactly 0.
+    cos phi_i))`` in ``[-pi, pi]`` (``sweep_transfer`` maps -pi to pi), as
+    the argument of numerator times conjugated denominator, which skips the
+    complex division; the phi = pi collapse line keeps ~1e-17 of dust.
 
     The denominator is formed once and tested with ``is_singular_loop``:
     the first grid point on the singular set, in C order, raises

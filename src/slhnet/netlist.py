@@ -28,10 +28,11 @@ so binary control phases survive I/O bit-exactly; everything else is
 serialized with ``repr`` which round-trips IEEE doubles.  Serialization is
 deterministic and ``parse -> serialize`` is idempotent after one pass.
 
-The document is read by libyaml's C scanner and parser with PyYAML's safe
-constructor (``CSafeLoader``), so PyYAML must be built with its libyaml
-binding; scalars follow PyYAML's YAML 1.1 rules and no arbitrary Python
-object can be constructed.
+libyaml (``CSafeLoader``) parses the document, so PyYAML must be built with
+its libyaml binding.  A plain document is built straight from libyaml's
+node tree; one with aliases, other tags or merge keys goes through PyYAML's
+safe constructor.  Either way the values and errors are PyYAML's: scalars
+follow its YAML 1.1 rules and no arbitrary Python object can be built.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ _NICE_DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 
 # names must survive the flow-style emitter unquoted
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
+
+_STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{t}" for t in ("str", "seq", "map"))
+# scalar tags whose PyYAML constructors read nothing but the node
+_SCALARS = frozenset(f"tag:yaml.org,2002:{t}" for t in ("int", "float", "bool", "null"))
 
 
 class NetlistError(CircuitError, ValueError):
@@ -209,7 +214,8 @@ def _take(node: dict, key: str, location: str):
 
 
 def _check_keys(node: dict, allowed, location: str):
-    extra = sorted(set(node) - set(allowed))
+    # strings in their own order, then other keys by spelling: mixed types do not compare
+    extra = sorted(set(node) - set(allowed), key=lambda k: (not isinstance(k, str), str(k)))
     if extra:
         raise NetlistError(location, f"unknown keys {extra}")
 
@@ -271,9 +277,43 @@ def _parse_combinator(node, location: str) -> CombinatorDecl:
     return CombinatorDecl(name, op, tuple(operands))
 
 
+def _build(node, loader):
+    tag = node.tag
+    if node.id == "scalar":
+        if tag == _STR:
+            return node.value
+        if tag in _SCALARS:
+            return loader.yaml_constructors[tag](loader, node)
+    elif node.id == "sequence" and tag == _SEQ:
+        return [_build(item, loader) for item in node.value]
+    elif node.id == "mapping" and tag == _MAP:
+        # a collection key builds unhashable and falls back like the rest
+        return {_build(key, loader): _build(value, loader) for key, value in node.value}
+    raise LookupError(f"no direct build for {tag}")
+
+
+def _load(text: str):
+    """``yaml.load(text, Loader=CSafeLoader)``, alias-free documents built directly."""
+    loader = CSafeLoader(text)
+    try:
+        root = loader.get_single_node()
+        if root is None:
+            return None
+        if "*" not in text:  # no alias, so no node appears twice
+            try:
+                return _build(root, loader)
+            except Exception:
+                # PyYAML fills nested mappings breadth-first, so even a bad
+                # value is rebuilt there, for PyYAML to name its first error
+                pass
+        return loader.construct_document(root)
+    finally:
+        loader.dispose()
+
+
 def parse_netlist(text: str) -> Netlist:
     try:
-        doc = yaml.load(text, Loader=CSafeLoader)
+        doc = _load(text)
     except yaml.YAMLError as exc:
         raise NetlistError("document", f"not valid YAML: {exc}") from None
     doc = _require_map(doc, "document")

@@ -136,6 +136,9 @@ _EDGE_INPUTS = [
      "error: components[0].theta: angle must be finite, got -inf\n", None),
     (["netlist", "elaborate", _one_part_doc("kind: drive, amplitudes: [.nan]")], 2,
      "error: components[0].amplitudes[0]: angle must be finite, got nan\n", None),
+    (["netlist", "print", _one_part_doc("kind: identity, ports: 1, 2: x, b: y")], 2,
+     "error: components[0]: unknown keys ['b', 2]\n", None),
+    (["netlist", "print", "1: x\nz: 2\n"], 2, "error: document: unknown keys ['z', 1]\n", None),
     (["compile", "--matrix", ";;"], 2, "error: empty selector matrix ';;'\n", None),
     (["compile", "--matrix", "10;011"], 2,
      "error: selector matrix rows have unequal lengths in '10;011'\n", None),
@@ -153,6 +156,7 @@ _EDGE_INPUTS = [
                               "neg-inf-mu", "nan-phi", "compile-20000", "eval-5000",
                               "netlist-nan-theta", "netlist-inf-theta",
                               "netlist-neg-inf-theta", "netlist-nan-amplitude",
+                              "netlist-mixed-component-keys", "netlist-mixed-document-keys",
                               "empty-selector-matrix", "ragged-selector-matrix",
                               "empty-memory-matrix", "ragged-memory-matrix",
                               "bad-memory-matrix-angle"])

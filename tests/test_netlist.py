@@ -16,7 +16,7 @@ from slhnet import (
     parse_netlist,
     serialize_netlist,
 )
-from slhnet.netlist import CombinatorDecl, ComponentDecl
+from slhnet.netlist import CombinatorDecl, ComponentDecl, _load
 
 PI = math.pi
 
@@ -421,3 +421,86 @@ def test_malformed_yaml_diagnostics(text):
     assert e.location == "document"
     assert str(e).startswith("document: not valid YAML:")
     assert _first_mark(str(e)) == _first_mark(str(ref.value))
+
+
+# -- the direct node-tree build against yaml.load ------------------------------
+
+LOAD_CORPUS = {
+    "ints": "a: 0x1f\nb: 0o17\nc: 1_000\nd: 1:30\ne: -0b101\nf: 017\n",
+    "floats": "a: .inf\nb: -.Inf\nc: .nan\nd: 1e3\ne: 6.8523015e+5\nf: 1:30.5\n",
+    "bools": "a: yes\nb: no\nc: on\nd: Off\ne: TRUE\nf: n\n",
+    "nulls": "a: ~\nb:\nc: null\nd: [~, , null]\n",
+    "timestamps": "a: 2001-12-14\nb: 2001-12-14t21:59:43.10-05:00\nc: 2001-12-14 21:59:43.10\n",
+    "nested": "a: [1, [2, {b: c}], {d: [e, 0.5]}]\nf: {g: {h: []}, i: {}}\n",
+    "alias": "a: &x [1, 2]\nb: *x\nc: &y {d: 1}\ne: *y\n",
+    "recursive-alias": "a: &x [1, *x]\n",
+    "undefined-alias": "a: *nope\n",
+    "merge": "base: &b {k: 1, v: 2}\nx: {<<: *b, v: 3}\n",
+    "inline-merge": "x: {<<: {k: 1}, v: 3}\n",
+    "explicit-tags": "a: !!str 1\nb: !!int '7'\nc: !!float '2'\nd: !!str yes\n",
+    "bad-explicit-int": "a: !!int x\n",
+    "bad-explicit-bool": "a: !!bool x\n",
+    "str-tagged-list": "a: !!str [1]\n",
+    "seq-tagged-scalar": "a: !!seq abc\n",
+    "custom-tag": "a: !custom 1\n",
+    "python-object": "a: !!python/object:os.system ls\n",
+    "binary": "a: !!binary aGVsbG8=\n",
+    "set": "a: !!set {x, y}\n",
+    "omap": "a: !!omap [x: 1, y: 2]\n",
+    "duplicate-keys": "a: 1\nb: 2\na: 3\n",
+    "int-and-bool-keys": "1: a\ntrue: b\n2: c\n1.0: d\n",
+    "sequence-key": "? [a, b]\n: c\n",
+    "mapping-key": "? {a: b}\n: c\n",
+    "value-scalar": "a: =\n",
+    "value-key": "=: a\n",
+    "empty": "",
+    "comment-only": "# nothing\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "scalar-document": "pi/4\n",
+    "error-order": "a: {b: !!int x}\nc: !custom 1\n",
+}
+
+
+def _loaded(load, text):
+    """A comparable outcome: the value's repr (NaN-aware, and finite for a
+    recursive value), or the error's type and message."""
+    try:
+        return ("value", repr(load(text)))
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("text", LOAD_CORPUS.values(), ids=LOAD_CORPUS.keys())
+def test_direct_load_matches_yaml_load(text):
+    expected = _loaded(lambda t: yaml.load(t, Loader=yaml.CSafeLoader), text)
+    assert _loaded(_load, text) == expected
+
+
+ALIAS_DOC = """\
+version: 1
+components:
+  - {name: a, kind: identity, ports: 1}
+  - {name: b, kind: phase, phi: pi}
+circuit:
+  - {name: ab, op: concat, of: &ops [a, b]}
+  - {name: ab2, op: concat, of: *ops}
+"""
+
+MERGE_DOC = """\
+version: 1
+components:
+  - {<<: {kind: beamsplitter, theta: pi/4}, name: a}
+  - {name: b, kind: phase, phi: pi}
+circuit:
+  - {name: ab, op: concat, of: [a, b]}
+"""
+
+
+@pytest.mark.parametrize("text, plain", [
+    (ALIAS_DOC, ALIAS_DOC.replace("&ops ", "").replace("*ops", "[a, b]")),
+    (MERGE_DOC, MERGE_DOC.replace("<<: {kind: beamsplitter, theta: pi/4}, name: a",
+                                  "name: a, kind: beamsplitter, theta: pi/4")),
+], ids=["alias-operands", "merge-key-component"])
+def test_aliases_and_merge_keys_parse_as_spelled_out(text, plain):
+    assert "<<" not in plain and "*" not in plain
+    assert parse_netlist(text) == parse_netlist(plain)
