@@ -17,7 +17,6 @@ success, 1 verification failure, 2 bad input, 3 numerical-domain error
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
@@ -114,8 +113,8 @@ def _cmd_eval(args) -> int:
         if args.tail is not None:
             tail = parse_angle(args.tail, "tail")
         else:
-            tail = math.pi * (sum(x == math.pi for x in control) % 2)
-        spec = sel.SelectorSpec(tuple(mu), tuple(control), tail)
+            tail = sel._tail_phases(control)
+        spec = sel.SelectorSpec(mu, control, tail)
     else:
         raise ValueError("need --selector bits or a --phi schedule")
 

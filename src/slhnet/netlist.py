@@ -306,7 +306,16 @@ def _load(text: str):
                 # PyYAML fills nested mappings breadth-first, so even a bad
                 # value is rebuilt there, for PyYAML to name its first error
                 pass
-        return loader.construct_document(root)
+        try:
+            return loader.construct_document(root)
+        except Exception as exc:
+            if not isinstance(exc, yaml.YAMLError):
+                # yaml.load raises the constructor's plain error as it is; it carries
+                # a YAML one at the failing node, the last left in recursive_objects
+                node = next(reversed(loader.recursive_objects), root)
+                problem = f"bad {node.tag} value ({type(exc).__name__}: {exc})"
+                exc.yaml_error = yaml.MarkedYAMLError(None, None, problem, node.start_mark)
+            raise
     finally:
         loader.dispose()
 
@@ -314,8 +323,11 @@ def _load(text: str):
 def parse_netlist(text: str) -> Netlist:
     try:
         doc = _load(text)
-    except yaml.YAMLError as exc:
-        raise NetlistError("document", f"not valid YAML: {exc}") from None
+    except Exception as exc:
+        error = exc if isinstance(exc, yaml.YAMLError) else getattr(exc, "yaml_error", None)
+        if error is None:
+            raise
+        raise NetlistError("document", f"not valid YAML: {error}") from None
     doc = _require_map(doc, "document")
     _check_keys(doc, ("version", "components", "circuit"), "document")
     version = _take(doc, "version", "document")

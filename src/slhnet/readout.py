@@ -89,8 +89,7 @@ def build_feedback_selector(phi, mu, allow_removable: bool = False) -> SlhModel:
                   np.where(singular, 0.0, model.hamiltonian))
 
 
-def feedback_selector_scattering(phi: float, mu: float,
-                                 allow_removable: bool = False) -> complex:
+def feedback_selector_scattering(phi: float, mu: float) -> complex:
     """Closed-form scattering of the feedback selector.
 
     S = (1 + e^{i phi} - 2 e^{i(phi+mu)}) / (2 - e^{i mu} - e^{i(phi+mu)}).
@@ -104,8 +103,6 @@ def feedback_selector_scattering(phi: float, mu: float,
     e_pm = cmath.exp(1j * (phi + mu))
     den = 2.0 - e_mu - e_pm
     if is_singular_loop(den / 2.0):
-        if allow_removable:
-            return 1.0 + 0.0j
         raise SingularLoopError(
             1, 1, 1.0 - den / 2.0,
             f"feedback selector singular at phi={float(phi)!r}, mu={float(mu)!r}: "

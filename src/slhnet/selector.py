@@ -77,8 +77,23 @@ def _as_bits(s, what: str = "selector") -> np.ndarray:
 
 
 def _check_memory_phases(mem: np.ndarray) -> None:
-    if not np.all((mem >= 0.0) & (mem < TWO_PI)):  # NaN fails too
-        raise DomainError("memory phases must lie in [0, 2*pi)")
+    bad = np.flatnonzero(~((mem >= 0.0) & (mem < TWO_PI)))  # NaN fails too
+    if bad.size:
+        raise DomainError(f"memory phase {mem.flat[bad[0]].item()!r} outside [0, 2*pi)")
+
+
+def _tail_phases(control) -> np.ndarray:
+    """The tails returning the probe to the top rail: pi times each column's parity."""
+    return math.pi * (np.count_nonzero(np.asarray(control) == math.pi, axis=0) % 2)
+
+
+def _check_staircase(mem: np.ndarray, ctrl: np.ndarray, tail: np.ndarray) -> None:
+    """Refuse a staircase bank unless memory (n, m) lies in [0, 2*pi), controls
+    (n, k) and tails (k,) are exactly 0 or pi, and tails are ``_tail_phases``."""
+    _check_memory_phases(mem)
+    _check_binary_phases(np.concatenate([ctrl.ravel(), tail]))
+    if not np.array_equal(_tail_phases(ctrl), tail):
+        raise DomainError("tail phase must equal the mod-2 sum of the control phases")
 
 
 # ---------------------------------------------------------------------------
@@ -130,40 +145,30 @@ class SelectorSpec:
     tail_phase: float
 
     def __post_init__(self):
-        mem = tuple(float(x) for x in self.memory_phases)
-        ctrl = tuple(float(x) for x in self.control_phases)
-        object.__setattr__(self, "memory_phases", mem)
-        object.__setattr__(self, "control_phases", ctrl)
+        mem = np.asarray(self.memory_phases, dtype=np.float64)
+        ctrl = np.asarray(self.control_phases, dtype=np.float64)
+        if mem.ndim != 1 or ctrl.ndim != 1:
+            raise ArityError("memory and control phases must be 1-D")
+        object.__setattr__(self, "memory_phases", tuple(mem.tolist()))
+        object.__setattr__(self, "control_phases", tuple(ctrl.tolist()))
         object.__setattr__(self, "tail_phase", float(self.tail_phase))
         if len(mem) != len(ctrl):
             raise ArityError(
                 f"{len(mem)} memory phases need {len(mem)} control phases, got {len(ctrl)}"
             )
-        for x in mem:
-            if not (0.0 <= x < TWO_PI):
-                raise DomainError(f"memory phase {x!r} outside [0, 2*pi)")
-        _check_binary_phases(ctrl + (self.tail_phase,))
-        if sum(self.control_bits) % 2 != int(self.tail_phase == math.pi):
-            raise DomainError(
-                "tail phase must equal the mod-2 sum of the control phases"
-            )
+        _check_staircase(mem[:, None], ctrl[:, None], np.array([self.tail_phase]))
 
     @property
     def n(self) -> int:
         return len(self.memory_phases)
 
-    @property
-    def control_bits(self) -> tuple:
-        return tuple(int(x == math.pi) for x in self.control_phases)
-
     @classmethod
     def from_selector(cls, s, mu) -> "SelectorSpec":
         """Compile selector bits ``s`` and attach the memory bank ``mu``."""
         control, tail = compile_selector(s)
-        mu = tuple(float(x) for x in np.asarray(mu, dtype=np.float64))
         if len(mu) != len(control):
             raise ArityError(f"selector length {len(control)} != memory length {len(mu)}")
-        return cls(mu, tuple(control), tail)
+        return cls(mu, control, tail)
 
 
 def staircase_arrays(spec: SelectorSpec):
@@ -339,9 +344,10 @@ class MatrixProductSpec:
     tail_phases: np.ndarray
 
     def __post_init__(self):
-        mem = np.asarray(self.memory_matrix, dtype=np.float64)
-        ctrl = np.asarray(self.control_matrix, dtype=np.float64)
-        tail = np.asarray(self.tail_phases, dtype=np.float64)
+        # the spec's own copies, so that freezing them leaves the caller's arrays alone
+        mem = np.array(self.memory_matrix, dtype=np.float64)
+        ctrl = np.array(self.control_matrix, dtype=np.float64)
+        tail = np.array(self.tail_phases, dtype=np.float64)
         if mem.ndim != 2 or ctrl.ndim != 2 or tail.ndim != 1:
             raise ArityError("memory/control must be matrices, tails a vector")
         if mem.shape[0] != ctrl.shape[0]:
@@ -352,13 +358,7 @@ class MatrixProductSpec:
             raise ArityError(
                 f"{ctrl.shape[1]} selector columns need {ctrl.shape[1]} tails"
             )
-        _check_memory_phases(mem)
-        _check_binary_phases(np.concatenate([ctrl.ravel(), tail]))
-        col_bits = (ctrl == math.pi).sum(axis=0) % 2
-        if ctrl.size and not np.array_equal(col_bits * math.pi, tail):
-            raise DomainError(
-                "each tail phase must equal the mod-2 column sum of the schedule"
-            )
+        _check_staircase(mem, ctrl, tail)
         for name, arr in zip(("memory_matrix", "control_matrix", "tail_phases"),
                              (mem, ctrl, tail)):
             arr.setflags(write=False)
@@ -367,7 +367,7 @@ class MatrixProductSpec:
     @classmethod
     def from_selector_matrix(cls, selectors, memories) -> "MatrixProductSpec":
         phi, tail = compile_selector_matrix(selectors)
-        return cls(np.asarray(memories, dtype=np.float64), phi, tail)
+        return cls(memories, phi, tail)
 
 
 def compile_selector_matrix(selectors):

@@ -149,6 +149,17 @@ _EDGE_INPUTS = [
     (["eval", "--mu-matrix", "0.2,x;0.6,0.8", "--selector-matrix", "10;11"], 2,
      "error: memory: cannot parse angle 'x'\n", None),
 ]
+# an explicit tag that the safe constructor cannot apply is refused at the tag
+_EDGE_INPUTS += [
+    (["netlist", "print", _one_part_doc(f"kind: identity, ports: !!{tag} x")], 2,
+     f"error: document: not valid YAML: bad tag:yaml.org,2002:{tag} value ({problem})\n"
+     '  in "<unicode string>", line 3, column 38\n', None)
+    for tag, problem in [
+        ("bool", "KeyError: 'x'"),
+        ("timestamp", "AttributeError: 'NoneType' object has no attribute 'groupdict'"),
+        ("int", "ValueError: invalid literal for int() with base 10: 'x'"),
+    ]
+]
 
 
 @pytest.mark.parametrize("argv, code, err, check", _EDGE_INPUTS,
@@ -159,7 +170,8 @@ _EDGE_INPUTS = [
                               "netlist-mixed-component-keys", "netlist-mixed-document-keys",
                               "empty-selector-matrix", "ragged-selector-matrix",
                               "empty-memory-matrix", "ragged-memory-matrix",
-                              "bad-memory-matrix-angle"])
+                              "bad-memory-matrix-angle", "netlist-bad-bool-tag",
+                              "netlist-bad-timestamp-tag", "netlist-bad-int-tag"])
 def test_edge_inputs(tmp_path, capsys, argv, code, err, check):
     if argv[0] == "netlist":
         path = tmp_path / "edge.yaml"

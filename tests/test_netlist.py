@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from slhnet import (
+    CircuitError,
     Netlist,
     NetlistError,
     elaborate,
@@ -16,6 +18,7 @@ from slhnet import (
     parse_netlist,
     serialize_netlist,
 )
+from slhnet.cli import main
 from slhnet.netlist import CombinatorDecl, ComponentDecl, _load
 
 PI = math.pi
@@ -504,3 +507,65 @@ circuit:
 def test_aliases_and_merge_keys_parse_as_spelled_out(text, plain):
     assert "<<" not in plain and "*" not in plain
     assert parse_netlist(text) == parse_netlist(plain)
+
+
+# -- seeded mutation fuzz ------------------------------------------------------
+
+# two switch cells around a stored phase, closed into a loop
+STAIRCASE_DOC = """\
+version: 1
+components:
+  - {name: ctl, kind: phase, phi: pi}
+  - {name: mem, kind: phase, phi: 0.7}
+  - {name: w, kind: identity, ports: 1}
+  - {name: b1, kind: beamsplitter, theta: pi/4}
+  - {name: b2, kind: beamsplitter, theta: -pi/4}
+  - {name: d, kind: drive, amplitudes: [1, 0]}
+circuit:
+  - {name: arm, op: concat, of: [ctl, w]}
+  - {name: store, op: concat, of: [w, mem]}
+  - {name: cell, op: series, of: [b2, arm, b1]}
+  - {name: stair, op: series, of: [cell, store, cell]}
+  - {name: loop, op: feedback, of: [stair], output: 1, input: 1}
+"""
+
+MUTATION_TOKENS = [
+    "!!int ", "!!bool ", "!!timestamp ", "!!float ", "!!str ", "!!seq ", "!!map ",
+    "!!binary ", "!!set ", "!!omap ", "!!null ", "!custom ", "&a ", "*a", "<<: ",
+    "{", "}", "[", "]", ",", ":", " ", "\n", "-", "?", "'", '"', "#", "~", "pi", "0", "1",
+]
+
+
+def _mutant(rng, text):
+    """One to four edits: insert a token, delete a few characters, or
+    overwrite one with a printable character."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.random()
+        if op < 0.4:
+            text = text[:i] + rng.choice(MUTATION_TOKENS) + text[i:]
+        elif op < 0.7:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        else:
+            text = text[:i] + chr(rng.randrange(32, 127)) + text[i + 1:]
+    return text
+
+
+def test_mutated_netlists_parse_or_refuse(tmp_path, capsys):
+    rng = random.Random(16)
+    path = tmp_path / "mutant.yaml"
+    outcomes = set()
+    for _ in range(300):
+        text = _mutant(rng, STAIRCASE_DOC)
+        try:
+            nl = parse_netlist(text)
+        except CircuitError:
+            outcomes.add("refused")
+        else:
+            outcomes.add("parsed")
+            canonical = serialize_netlist(nl)
+            assert serialize_netlist(parse_netlist(canonical)) == canonical, text
+        path.write_text(text)
+        assert main(["netlist", "print", str(path)]) in (0, 2, 3), text
+    capsys.readouterr()
+    assert outcomes == {"parsed", "refused"}

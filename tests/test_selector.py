@@ -61,9 +61,15 @@ def test_mz_switch_dichotomy():
 
 
 def test_selector_spec_validation():
-    SelectorSpec((0.5, 1.2), (0.0, PI), PI)
+    spec = SelectorSpec((0.5, 1.2), (0.0, PI), PI)
+    mu, control = np.array([0.5, 1.2]), np.array([0.0, PI])
+    twin = SelectorSpec(mu, control, np.float64(PI))
+    assert twin == spec and hash(twin) == hash(spec)  # fields compare by value
+    assert mu.flags.writeable and control.flags.writeable
     with pytest.raises(ArityError):
         SelectorSpec((0.5,), (0.0, PI), PI)
+    with pytest.raises(ArityError):
+        SelectorSpec([[0.5]], [[0.0]], 0.0)
     with pytest.raises(DomainError):
         SelectorSpec((TWO_PI,), (0.0,), 0.0)  # memory must sit in [0, 2*pi)
     with pytest.raises(DomainError):
@@ -327,7 +333,7 @@ def test_selector_sweep_amplitudes_refuses_memory_outside_range():
             bits = [1] * len(mu)
             with pytest.raises(DomainError) as exc:
                 selector_sweep_amplitudes(mu, [bits])
-            assert str(exc.value) == "memory phases must lie in [0, 2*pi)"
+            assert str(exc.value) == f"memory phase {bad!r} outside [0, 2*pi)"
             with pytest.raises(DomainError):  # the per-row route refuses too
                 SelectorSpec.from_selector(bits, mu)
 
@@ -385,12 +391,21 @@ def test_matrix_product_spec_validation():
     with pytest.raises(DomainError):
         MatrixProductSpec([[0.1], [0.2]], phi, [PI])  # tail parity off
     with pytest.raises(DomainError):
+        MatrixProductSpec(np.zeros((0, 2)), np.zeros((0, 1)), [PI])  # a lone swap
+    # the spec freezes its own copies, never the caller's arrays
+    mem, ctrl, tail = np.array([[0.1], [0.2]]), phi.copy(), tails.copy()
+    for spec in (MatrixProductSpec(mem, ctrl, tail),
+                 MatrixProductSpec.from_selector_matrix([[1], [0]], mem)):
+        assert not any(a.flags.writeable for a in
+                       (spec.memory_matrix, spec.control_matrix, spec.tail_phases))
+        assert all(a.flags.writeable for a in (mem, ctrl, tail))
+    with pytest.raises(DomainError):
         MatrixProductSpec([[7.0], [0.2]], phi, tails)  # memory out of range
     for bad in (math.nan, math.inf, -math.inf, TWO_PI):  # NaN compares False
         for memories in ([[bad]], [[0.5, bad]]):
             with pytest.raises(DomainError) as exc:
                 MatrixProductSpec.from_selector_matrix([[1]], memories)
-            assert str(exc.value) == "memory phases must lie in [0, 2*pi)"
+            assert str(exc.value) == f"memory phase {bad!r} outside [0, 2*pi)"
     with pytest.raises(ArityError):
         MatrixProductSpec([[0.1]], phi, tails)
     with pytest.raises(ArityError):
