@@ -24,7 +24,6 @@ import numpy as np
 
 from . import readout
 from . import selector as sel
-from . import verify as ver
 from .core import CircuitError, SingularLoopError
 from .netlist import elaborate, format_angle, parse_angle, parse_netlist, serialize_netlist
 
@@ -32,6 +31,11 @@ __all__ = ["main"]
 
 # options whose value is an angle, which may be negative
 _ANGLE_OPTIONS = ("--mu", "--phi", "--tail", "--mu-min", "--mu-max", "--mu-matrix")
+
+# the range of each size option; past its top a command would run for hours
+# or ask for more memory than a host has
+_SIZES = {"points": (1, 100_000), "exhaustive": (0, 16), "compositions": (0, 100_000),
+          "grid": (0, 1000)}
 
 
 def fmt12(x) -> str:
@@ -146,15 +150,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here so that no other command pays for it at start-up
+    from . import verify as ver
+
     results = ver.run_all(
-        seed=args.seed,
+        seed=ver.DEFAULT_SEED if args.seed is None else args.seed,
         exhaustive_n=args.exhaustive,
         compositions=args.compositions,
         grid=args.grid,
     )
     failures = sum(not r.passed for r in results)
     if args.json:
-        # imported here so that no other command pays for it at start-up
         import json
 
         for r in results:
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the self-check battery")
-    p.add_argument("--seed", type=int, default=ver.DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--exhaustive", type=int, default=8, metavar="N",
                    help="largest selector length swept exhaustively (default 8)")
     p.add_argument("--compositions", type=int, default=1000,
@@ -263,6 +269,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_angles(argv))
     try:
+        for name, (lo, hi) in _SIZES.items():
+            value = getattr(args, name, lo)
+            if not lo <= value <= hi:
+                raise ValueError(f"--{name} must lie in [{lo}, {hi}], got {value}")
         return args.func(args)
     except (CircuitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,9 +29,11 @@ SWITCH_PAIRS = np.repeat(
 # B(+-pi/4) weight
 C45 = np.cos(np.pi / 4)
 
-# rows per block of the selector sweep: a block's four complex rails stay
-# within a core's L2 cache
+# rows per block of the selector sweep, and grid points per block of the
+# transfer sweep (at least one row): a block's complex arrays stay within a
+# core's L2 cache
 ROW_BLOCK = 8192
+GRID_BLOCK = 16384
 
 
 def chain_unitary(thetas, phases, ports) -> np.ndarray:
@@ -174,6 +176,33 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     return out
 
 
+def _phase_blocks(phis, mus):
+    """Yield ``(rows, phase)``: ``weighted_phase_grid`` one block of rows at a time."""
+    e_mu = np.exp(1j * mus)[None, :]
+    cos_phi = np.cos(phis)[:, None]
+    step = max(1, GRID_BLOCK // max(1, mus.size))
+    for lo in range(0, phis.size, step):
+        rows = slice(lo, lo + step)
+        c = cos_phi[rows]
+        # the same operations as (e_mu - c) * conj(1 - e_mu c), done in
+        # place so that two block-sized complex arrays are alive, not five
+        den = e_mu * c
+        np.subtract(1.0, den, out=den)
+        near = np.flatnonzero(np.abs(den.real) <= FEEDBACK_SINGULAR_TOL)
+        bad = near[is_singular_loop(den.reshape(-1)[near])]
+        if bad.size:
+            i, j = divmod(lo * mus.size + int(bad[0]), mus.size)
+            raise SingularLoopError(
+                1, 1, np.exp(1j * mus[j]) * np.cos(phis[i]),
+                f"sweep grid touches the singular set at phi={float(phis[i])!r}, "
+                f"mu={float(mus[j])!r}",
+            )
+        np.conjugate(den, out=den)
+        w = e_mu - c
+        w *= den
+        yield rows, np.angle(w)
+
+
 def weighted_phase_grid(phis, mus) -> np.ndarray:
     """Output phase of the weighted feedback selector on a product grid.
 
@@ -182,31 +211,18 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     the argument of numerator times conjugated denominator, which skips the
     complex division; the phi = pi collapse line keeps ~1e-17 of dust.
 
-    The denominator is formed once and tested with ``is_singular_loop``:
-    the first grid point on the singular set, in C order, raises
-    SingularLoopError naming that (phi, mu).  Only the points with
-    ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are tested, since ``|d| >= |Re d|``
-    and no other point can be singular.
+    The grid is computed in blocks of ``max(1, GRID_BLOCK // len(mus))``
+    rows, in row order, so that a block's complex temporaries stay in a
+    core's L2 cache; every element takes the same six operations in any
+    block.  Each block's denominator is formed once and tested with
+    ``is_singular_loop``: the first grid point on the singular set, in C
+    order, raises SingularLoopError naming that (phi, mu).  Only the points
+    with ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are tested, since ``|d| >=
+    |Re d|`` and no other point can be singular.
     """
     phis = np.asarray(phis, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
-    e_mu = np.exp(1j * mus)[None, :]
-    cos_phi = np.cos(phis)[:, None]
-    # the same operations as (e_mu - cos_phi) * conj(1 - e_mu cos_phi), done
-    # in place so that two grid-sized complex arrays are alive, not five
-    den = e_mu * cos_phi
-    np.subtract(1.0, den, out=den)
-    near = np.flatnonzero(np.abs(den.real) <= FEEDBACK_SINGULAR_TOL)
-    bad = near[is_singular_loop(den.reshape(-1)[near])]
-    if bad.size:
-        i, j = divmod(int(bad[0]), den.shape[1])
-        raise SingularLoopError(
-            1, 1, np.exp(1j * mus[j]) * np.cos(phis[i]),
-            f"sweep grid touches the singular set at phi={float(phis[i])!r}, "
-            f"mu={float(mus[j])!r}",
-        )
-    np.conjugate(den, out=den)
-    w = e_mu - cos_phi
-    w *= den
-    del den
-    return np.angle(w)
+    out = np.empty((phis.size, mus.size))
+    for rows, phase in _phase_blocks(phis, mus):
+        out[rows] = phase
+    return out

@@ -213,13 +213,12 @@ class TransferCurve:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ArityError("samples must be an (N, 3) array")
         if not np.all(np.isfinite(arr)):
             raise DomainError("transfer curve contains non-finite samples")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        _init_curve(self, arr)
 
     def column(self, phi: float) -> np.ndarray:
         """The (mu, mu_out) rows for one swept control value, in sweep order;
@@ -228,6 +227,13 @@ class TransferCurve:
         if not rows.size:
             raise DomainError(f"no sweep column has phi = {float(phi)!r}")
         return rows[:, [0, 2]]
+
+
+def _init_curve(curve: TransferCurve, samples: np.ndarray) -> TransferCurve:
+    # freezes and adopts ``samples`` with no copy and no check
+    samples.setflags(write=False)
+    object.__setattr__(curve, "samples", samples)
+    return curve
 
 
 def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -258,8 +264,11 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
         if bad.size:
             raise DomainError(f"sweep {name} must be finite, got {arr[bad[0]].item()!r}")
     mus = np.sort(mus)
-    out = kernels.weighted_phase_grid(phis_arr, mus)
-    out[out == -math.pi] = math.pi
     samples = np.empty((phis_arr.size, mus.size, 3), dtype=np.float64)
-    samples[..., 0], samples[..., 1], samples[..., 2] = mus, phis_arr[:, None], out
-    return TransferCurve(samples.reshape(-1, 3))
+    for rows, out in kernels._phase_blocks(phis_arr, mus):
+        out[out == -math.pi] = math.pi
+        if not np.all(np.isfinite(out)):
+            raise DomainError("transfer curve contains non-finite samples")
+        block = samples[rows]
+        block[..., 0], block[..., 1], block[..., 2] = mus, phis_arr[rows, None], out
+    return _init_curve(object.__new__(TransferCurve), samples.reshape(-1, 3))

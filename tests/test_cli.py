@@ -1,8 +1,13 @@
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slhnet
 from slhnet.cli import fmt12, main
 from slhnet.netlist import parse_netlist, serialize_netlist
 from slhnet.selector import TWO_PI, eval_selector
@@ -17,6 +22,14 @@ components:
 circuit:
   - {name: arm, op: concat, of: [ph, wire]}
   - {name: switch, op: series, of: [b2, arm, b1]}
+"""
+
+SINGULAR_DOC = """\
+version: 1
+components:
+  - {name: wire, kind: identity, ports: 2}
+circuit:
+  - {name: loop, op: feedback, of: [wire], output: 1, input: 1}
 """
 
 
@@ -162,6 +175,18 @@ _EDGE_INPUTS += [
 ]
 
 
+# a size option outside its range is refused before any work
+_EDGE_INPUTS += [
+    (argv, 2, f"error: {argv[1]} must lie in {bounds}, got {argv[2]}\n", None)
+    for argv, bounds in [
+        (["verify", "--exhaustive", "17"], "[0, 16]"),
+        (["verify", "--compositions", "-1"], "[0, 100000]"),
+        (["verify", "--grid", "1001"], "[0, 1000]"),
+        (["sweep", "--points", "100001"], "[1, 100000]"),
+    ]
+]
+
+
 @pytest.mark.parametrize("argv, code, err, check", _EDGE_INPUTS,
                          ids=["empty-mu", "empty-selector", "nan-mu", "inf-mu",
                               "neg-inf-mu", "nan-phi", "compile-20000", "eval-5000",
@@ -171,7 +196,9 @@ _EDGE_INPUTS += [
                               "empty-selector-matrix", "ragged-selector-matrix",
                               "empty-memory-matrix", "ragged-memory-matrix",
                               "bad-memory-matrix-angle", "netlist-bad-bool-tag",
-                              "netlist-bad-timestamp-tag", "netlist-bad-int-tag"])
+                              "netlist-bad-timestamp-tag", "netlist-bad-int-tag",
+                              "exhaustive-over", "compositions-negative", "grid-over",
+                              "points-over"])
 def test_edge_inputs(tmp_path, capsys, argv, code, err, check):
     if argv[0] == "netlist":
         path = tmp_path / "edge.yaml"
@@ -309,17 +336,82 @@ def test_netlist_elaborate_malformed_yaml_exits_2(tmp_path, capsys):
 
 def test_netlist_elaborate_singular_loop_exits_3(tmp_path, capsys):
     path = tmp_path / "singular.yaml"
-    path.write_text(
-        "version: 1\ncomponents:\n  - {name: wire, kind: identity, ports: 2}\n"
-        "circuit:\n  - {name: loop, op: feedback, of: [wire], output: 1, input: 1}\n"
-    )
+    path.write_text(SINGULAR_DOC)
     assert main(["netlist", "elaborate", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: circuit[0]: singular feedback loop")
 
 
+def test_importing_cli_leaves_the_battery_unloaded():
+    # only the verify command imports slhnet.verify
+    code = "import sys, slhnet.cli; print('slhnet.verify' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slhnet.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as info:
         main(["polish"])
     assert info.value.code == 2
+
+
+# the benchmark's CLI cycle (perfbench/workloads.py), whose tokens the fuzz
+# below recombines and mutates
+_CLI_CYCLE = [
+    ["compile", "0110100111"],
+    ["compile", "--matrix", "101;011;110"],
+    ["eval", "--mu", "0.3,0.7,1.1,2.5", "--selector", "0111"],
+    ["eval", "--mu-matrix", "0.2,0.4;0.6,0.8", "--selector-matrix", "10;11"],
+    ["sweep", "-o", "sweep.csv"],
+    ["netlist", "elaborate", "switch.yaml"],
+    ["netlist", "print", "switch.yaml"],
+    ["verify", "--exhaustive", "4", "--compositions", "100", "--grid", "20"],
+    ["compile", "0120"],
+    ["sweep", "--phi", "0"],
+    ["netlist", "elaborate", "singular.yaml"],
+]
+
+
+def _mutant(rng, tokens, chars):
+    # one to three edits of a cycle argv: insert, replace or drop a cycle
+    # token, or insert, replace or drop one character of a token
+    argv = list(rng.choice(_CLI_CYCLE))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(argv))
+        edit = rng.randrange(6)
+        if edit == 0:
+            argv.insert(i, rng.choice(tokens))
+        elif edit == 1:
+            argv[i] = rng.choice(tokens)
+        elif edit == 2 and len(argv) > 1:
+            del argv[i]
+        else:
+            tok, j = argv[i], rng.randrange(len(argv[i]) + 1)
+            keep = j + (edit != 3)
+            argv[i] = tok[:j] + ("" if edit == 5 else rng.choice(chars)) + tok[keep:]
+    return argv
+
+
+def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, monkeypatch, capsys):
+    # every argv exits 0, 2 or 3 (1 only with a failed check in its report),
+    # never with a traceback; at this seed two mutants ask for verify
+    # --exhaustive 40 and 47, whose 2**n-row sweeps the size ranges refuse
+    monkeypatch.chdir(tmp_path)
+    tokens = sorted({tok for argv in _CLI_CYCLE for tok in argv})
+    chars = sorted(set("".join(tokens)) | set("-=,;/ eh"))
+    rng = random.Random(10)
+    for _ in range(400):
+        (tmp_path / "switch.yaml").write_text(SWITCH_DOC)
+        (tmp_path / "singular.yaml").write_text(SINGULAR_DOC)
+        argv = _mutant(rng, tokens, chars)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # any escape fails the test
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3) or (code == 1 and "FAIL" in out), (argv, code)

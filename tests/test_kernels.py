@@ -286,3 +286,78 @@ def test_weighted_phase_grid_refuses_where_the_full_scan_does(seed):
         phis = near([0.0, math.pi], int(rng.integers(1, 5)))
         mus = near([0.0, math.pi, -math.pi], int(rng.integers(1, 30)))
         assert _grid_error(kernels.weighted_phase_grid, phis, mus) == _full_scan_error(phis, mus)
+
+
+def _whole_grid_reference(phis, mus):
+    # the unblocked kernel: the six operations on the whole grid at once
+    phis, mus = np.asarray(phis, dtype=np.float64), np.asarray(mus, dtype=np.float64)
+    e_mu = np.exp(1j * mus)[None, :]
+    cos_phi = np.cos(phis)[:, None]
+    den = e_mu * cos_phi
+    np.subtract(1.0, den, out=den)
+    np.conjugate(den, out=den)
+    w = e_mu - cos_phi
+    w *= den
+    return np.angle(w)
+
+
+def _sweep_reference(phis, mus):
+    mus = np.sort(np.asarray(mus, dtype=np.float64))
+    phis = np.asarray(phis, dtype=np.float64)
+    out = _whole_grid_reference(phis, mus)
+    out[out == -math.pi] = math.pi
+    samples = np.empty((phis.size, mus.size, 3))
+    samples[..., 0], samples[..., 1], samples[..., 2] = mus, phis[:, None], out
+    return samples.reshape(-1, 3)
+
+
+def _blocked_shapes():
+    g = kernels.GRID_BLOCK
+    # four rows per block: one row below, at and above one and two block edges
+    shapes = [(p, g // 4) for p in (3, 4, 5, 7, 8, 9)]
+    # block edges that split no row evenly, and one row longer than a block
+    shapes += [(p, g // 3 + 1) for p in (1, 2, 3, 4)] + [(3, g + 1)]
+    return shapes + [(1, 1), (0, 5), (4, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("rows, cols", _blocked_shapes())
+def test_blocked_grid_equals_the_whole_grid_bit_for_bit(rows, cols):
+    rng = np.random.default_rng(rows * 100003 + cols)
+    phis = rng.uniform(-4.0, 4.0, rows)
+    mus = rng.uniform(-4.0, 4.0, cols)
+    got = kernels.weighted_phase_grid(phis, mus)
+    want = _whole_grid_reference(phis, mus)
+    assert got.shape == want.shape == (rows, cols) and np.array_equal(got, want)
+    curve = sweep_transfer(phis, mus)
+    assert curve.samples.shape == (rows * cols, 3)
+    assert np.array_equal(curve.samples, _sweep_reference(phis, mus))
+
+
+def test_blocked_grid_equals_the_whole_grid_on_random_shapes():
+    # the quarter turns and pi/2 put exact zeros and -pi on the grid
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        phis = rng.uniform(-4.0, 4.0, int(rng.integers(1, 40)))
+        mus = rng.uniform(-4.0, 4.0, int(rng.integers(1, 3000)))
+        if rng.random() < 0.5:
+            phis[:: 2] = rng.choice([0.5 * math.pi, 1.5, 2.0 * math.pi / 3], phis[:: 2].size)
+            mus[:: 3] = rng.choice([-math.pi, 0.5 * math.pi, 2.0], mus[:: 3].size)
+        assert np.array_equal(kernels.weighted_phase_grid(phis, mus),
+                              _whole_grid_reference(phis, mus))
+        assert np.array_equal(sweep_transfer(phis, mus).samples, _sweep_reference(phis, mus))
+
+
+@pytest.mark.parametrize("phis, first", [
+    ([0.5, 0.3, 0.4, 0.0, math.pi, 0.2], "phi=0.0, mu=0.0"),
+    ([0.5, 0.3, math.pi, 0.4, 0.0, 0.2], "phi=3.141592653589793, mu=3.141592653589793"),
+])
+def test_blocked_grid_names_the_first_singular_point(phis, first):
+    # two rows per block: singular points in the second and the third block;
+    # the refusal names the earlier one in C order
+    cols = kernels.GRID_BLOCK // 2
+    rng = np.random.default_rng(23)
+    mus = np.sort(np.concatenate([rng.uniform(-3.0, 3.0, cols - 2), [0.0, math.pi]]))
+    want = _full_scan_error(phis, mus)
+    assert want[0].endswith(first)
+    assert _grid_error(kernels.weighted_phase_grid, phis, mus) == want
+    assert _grid_error(sweep_transfer, phis, mus) == want
