@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .core import (FEEDBACK_SINGULAR_TOL, DomainError, SingularLoopError,
+from .core import (FEEDBACK_SINGULAR_TOL, ArityError, DomainError, SingularLoopError,
                    is_singular_loop)
 
 __all__ = ["BACKEND", "chain_unitary", "selector_batch_amplitudes",
@@ -41,7 +41,9 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
 
     ``thetas`` are the beamsplitter mixing angles in order; after
     beamsplitter ``i`` the relative phase ``phases[i]`` is applied to path
-    ``ports[i]`` (1 = left, 2 = right).  ``len(phases) == len(thetas) - 1``.
+    ``ports[i]`` (1 = left, 2 = right).  ``len(phases) == len(ports) ==
+    len(thetas) - 1`` (0 for no beamsplitter), else ArityError; a port other
+    than 1 or 2 raises DomainError.
 
     The cells are folded in blocks of ``BLOCK`` = 64 cells, the last one
     padded with identity cells; a chain of at most 64 cells is one block of
@@ -56,6 +58,14 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
+    ports = np.asarray(ports)
+    want = (max(thetas.size - 1, 0),)
+    if thetas.ndim != 1 or not phases.shape == ports.shape == want:
+        raise ArityError(f"need 1-D thetas and one phase and port per cell but the last, "
+                         f"got shapes {thetas.shape}, {phases.shape} and {ports.shape}")
+    bad = np.flatnonzero((ports != 1) & (ports != 2))
+    if bad.size:
+        raise DomainError(f"chain port must be 1 or 2, got {ports[bad[0]].item()!r}")
     cells = max(len(thetas), 1)
     width = min(BLOCK, cells)
     blocks = -(-cells // width)
@@ -68,7 +78,7 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     rot[:, 1, 0] = sn
     rot[:, 1, 1] = c
     factor = np.ones((blocks * width, 2), dtype=np.complex128)
-    rows = np.asarray(ports[: len(phases)], dtype=np.intp) - 1
+    rows = ports.astype(np.intp) - 1
     factor[np.arange(len(phases)), rows] = np.exp(1j * phases)
     rot = rot.reshape(blocks, width, 2, 2)
     factor = factor.reshape(blocks, width, 2, 1)
@@ -128,9 +138,10 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
 
     ``controls`` holds one staircase per row: columns ``0..n-1`` are the
     in-chain control phases, column ``n`` is the tail phase, and all rows
-    share the memory phases ``mu`` (length ``n``).  Returns an ``(m, 2)``
-    complex array.  This walks the full chain product row by row; it never
-    shortcuts through the switch dichotomy.
+    share the memory phases ``mu`` (length ``n``); other shapes raise
+    ArityError.  Returns an ``(m, 2)`` complex array.  This walks the full
+    chain product row by row; it never shortcuts through the switch
+    dichotomy.
 
     Every control must be exactly 0.0 or pi, else DomainError; its factor
     is looked up in ``SWITCH_FACTORS``.  Each block of ``ROW_BLOCK`` rows is
@@ -146,11 +157,14 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     """
     mu = np.asarray(mu, dtype=np.float64)
     controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
+    if mu.ndim != 1 or controls.ndim != 2 or controls.shape[1] != mu.size + 1:
+        raise ArityError(f"need 1-D memory phases and (m, n + 1) controls for n of them, "
+                         f"got shapes {mu.shape} and {controls.shape}")
     ctl = controls.T
     _check_binary_phases(np.ravel(ctl, order="K"))
     on = ctl == math.pi
     n, m = ctl.shape[0] - 1, ctl.shape[1]
-    e = np.exp(1j * mu[:n])
+    e = np.exp(1j * mu)
     # (real, imag) of each memory factor, as a column for _turner
     memory = np.stack([e.real, e.imag], axis=1)[:, :, None]
     out = np.empty((m, 2), dtype=np.complex128)

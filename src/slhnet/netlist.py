@@ -181,6 +181,8 @@ class ComponentDecl:
     name: str
     kind: str
     value: object
+    # a primitive refers to no other entry; not a dataclass field
+    operands = ()
 
     def build(self) -> SlhModel:
         return _KINDS[self.kind].build(self.value)
@@ -335,33 +337,23 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistError(
             "document.version", f"unsupported version {version!r} (expected {NETLIST_VERSION})"
         )
-    raw_components = doc.get("components") or []
-    if not isinstance(raw_components, list):
-        raise NetlistError("document.components", "components must be a list")
-    raw_circuit = doc.get("circuit") or []
-    if not isinstance(raw_circuit, list):
-        raise NetlistError("document.circuit", "circuit must be a list")
-
+    raw = {key: doc.get(key) or [] for key in ("components", "circuit")}
+    for key, entries in raw.items():
+        if not isinstance(entries, list):
+            raise NetlistError(f"document.{key}", f"{key} must be a list")
     seen = set()
-    components = []
-    for i, node in enumerate(raw_components):
-        decl = _parse_component(node, f"components[{i}]")
-        if decl.name in seen:
-            raise NetlistError(f"components[{i}]", f"duplicate name {decl.name!r}")
-        seen.add(decl.name)
-        components.append(decl)
-    circuit = []
-    for i, node in enumerate(raw_circuit):
-        decl = _parse_combinator(node, f"circuit[{i}]")
-        if decl.name in seen:
-            raise NetlistError(f"circuit[{i}]", f"duplicate name {decl.name!r}")
-        for j, ref in enumerate(decl.operands):
-            if ref not in seen:
-                raise NetlistError(
-                    f"circuit[{i}].of[{j}]", f"unresolved reference {ref!r}"
-                )
-        seen.add(decl.name)
-        circuit.append(decl)
+    decls = {key: [] for key in raw}
+    for key, parse in (("components", _parse_component), ("circuit", _parse_combinator)):
+        for i, node in enumerate(raw[key]):
+            decl = parse(node, f"{key}[{i}]")
+            if decl.name in seen:
+                raise NetlistError(f"{key}[{i}]", f"duplicate name {decl.name!r}")
+            for j, ref in enumerate(decl.operands):
+                if ref not in seen:
+                    raise NetlistError(f"{key}[{i}].of[{j}]", f"unresolved reference {ref!r}")
+            seen.add(decl.name)
+            decls[key].append(decl)
+    components, circuit = decls["components"], decls["circuit"]
     if not components:
         raise NetlistError("document.components", "at least one component is required")
     if not circuit and len(components) != 1:

@@ -71,22 +71,16 @@ def _selector_loop(phi, mu) -> SlhModel:
     return series(_phase_on_port(mu, 1), mz(math.pi / 4, -math.pi / 4, phi))
 
 
-def build_feedback_selector(phi, mu, allow_removable: bool = False) -> SlhModel:
+def build_feedback_selector(phi, mu) -> SlhModel:
     """One-port selector: the switch loop closed from output 1 to input 1.
 
     Array angles broadcast to a batch of selectors.  Singular exactly at
     (phi, mu) = (0, 0) mod 2*pi, where the loop gain hits the
-    well-posedness threshold.  There the limit of the scattering is 1 from
-    every direction; ``allow_removable`` substitutes that limit, element by
-    element, instead of raising.
+    well-posedness threshold; a batch raises SingularLoopError for its
+    first singular element.  The limit of the scattering there is 1 from
+    every direction, which ``chain_feedback_selectors`` substitutes.
     """
-    loop = _selector_loop(phi, mu)
-    if not allow_removable:
-        return feedback(loop, 1, 1)
-    model, singular = _feedback_masked(loop, 1, 1)
-    return _model(np.where(singular[..., None, None], 1.0 + 0.0j, model.scattering),
-                  np.where(singular[..., None], 0.0j, model.coupling),
-                  np.where(singular, 0.0, model.hamiltonian))
+    return feedback(_selector_loop(phi, mu), 1, 1)
 
 
 def feedback_selector_scattering(phi: float, mu: float) -> complex:
@@ -127,9 +121,12 @@ def chain_feedback_selectors(mu, phi):
         raise ArityError("memory and control vectors must have equal length")
     _check_binary_phases(phi_arr.ravel())
     # stage axis first, rows after; (0, 0) is the removable bypass: reading
-    # a zero phase is a no-op
-    stages = build_feedback_selector(phi_arr.T, np.broadcast_to(mu_arr, phi_arr.shape).T,
-                                     allow_removable=True)
+    # a zero phase is a no-op, S = 1; the loop is undriven, so L and H are
+    # already 0 there
+    stages, bypass = _feedback_masked(
+        _selector_loop(phi_arr.T, np.broadcast_to(mu_arr, phi_arr.shape).T), 1, 1)
+    stages = _model(np.where(bypass[..., None, None], 1.0 + 0.0j, stages.scattering),
+                    stages.coupling, stages.hamiltonian)
     model = identity(1)
     for i in range(mu_arr.shape[0]):
         model = series(stages.at(i), model)
@@ -267,8 +264,6 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     samples = np.empty((phis_arr.size, mus.size, 3), dtype=np.float64)
     for rows, out in kernels._phase_blocks(phis_arr, mus):
         out[out == -math.pi] = math.pi
-        if not np.all(np.isfinite(out)):
-            raise DomainError("transfer curve contains non-finite samples")
         block = samples[rows]
         block[..., 0], block[..., 1], block[..., 2] = mus, phis_arr[rows, None], out
     return _init_curve(object.__new__(TransferCurve), samples.reshape(-1, 3))

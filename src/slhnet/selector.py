@@ -61,19 +61,16 @@ def canonical_phase(x: float) -> float:
 
 def _as_bits(s, what: str = "selector") -> np.ndarray:
     arr = np.asarray(s)
-    if arr.dtype == np.bool_:
-        return arr.astype(np.int64)
-    if np.issubdtype(arr.dtype, np.integer):
-        # integers are checked as they are, without a float copy
-        if arr.size and (arr.min() < 0 or arr.max() > 1):
-            raise DomainError(f"{what} entries must be 0 or 1")
-        return arr.astype(np.int64, copy=False)
-    if arr.size and not np.issubdtype(arr.dtype, np.number):
+    if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
+        # bool and integer bits are checked as they are, without a float copy
+        ok = not arr.size or (arr.min() >= 0 and arr.max() <= 1)
+    elif np.issubdtype(arr.dtype, np.number):
+        ok = np.all((arr == 0) | (arr == 1))
+    else:
+        ok = not arr.size
+    if not ok:
         raise DomainError(f"{what} entries must be 0 or 1")
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.size and not np.all((arr == 0.0) | (arr == 1.0)):
-        raise DomainError(f"{what} entries must be 0 or 1")
-    return arr.astype(np.int64)
+    return arr.real.astype(np.int64, copy=False)
 
 
 def _check_memory_phases(mem: np.ndarray) -> None:
@@ -166,8 +163,6 @@ class SelectorSpec:
     def from_selector(cls, s, mu) -> "SelectorSpec":
         """Compile selector bits ``s`` and attach the memory bank ``mu``."""
         control, tail = compile_selector(s)
-        if len(mu) != len(control):
-            raise ArityError(f"selector length {len(control)} != memory length {len(mu)}")
         return cls(mu, control, tail)
 
 
@@ -268,7 +263,8 @@ class CompilationMatrices:
 
     def __post_init__(self):
         for name in ("lower", "gamma"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            # its own copies, so that freezing them leaves the caller's arrays alone
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -315,6 +311,8 @@ def eval_selector(mu, s) -> float:
     """
     mu_arr = np.asarray(mu, dtype=np.float64)
     bits = _as_bits(s)
+    if mu_arr.ndim != 1 or bits.ndim != 1:
+        raise ArityError("memory phases and selector must be 1-D vectors")
     if mu_arr.shape != bits.shape:
         raise ArityError(
             f"memory length {mu_arr.shape} != selector length {bits.shape}"

@@ -321,11 +321,8 @@ def _check_unitarity_closure(rng, compositions: int) -> CheckResult:
         s = model.scattering
         resid = np.abs(s.conj().T @ s - np.eye(model.ports)).max()
         worst = max(worst, float(resid))
-    passed = worst <= 1e-10
-    return CheckResult(
-        "unitarity-closure", passed, worst, 1e-10,
-        f"{compositions} random compositions, depth <= 20",
-    )
+    return _result("unitarity-closure", worst, 1e-10,
+                   f"{compositions} random compositions, depth <= 20")
 
 
 def _check_sweep_columns() -> CheckResult:

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slhnet import kernels
-from slhnet.core import FEEDBACK_SINGULAR_TOL, DomainError, SingularLoopError, is_singular_loop
+from slhnet.core import (FEEDBACK_SINGULAR_TOL, ArityError, DomainError, SingularLoopError,
+                         is_singular_loop)
 from slhnet.readout import sweep_transfer
 from slhnet.selector import (TWO_PI, SelectorSpec, canonical_phase, eval_selector,
                              staircase_arrays)
@@ -126,6 +127,22 @@ def test_chain_unitary_across_block_boundaries():
         assert_allclose(got, _chain_reference(thetas, phases, ports), atol=1e-13)
 
 
+@pytest.mark.parametrize("chain, error", [
+    (([0.1, 0.2], [0.3], [0]), DomainError),  # port - 1 = -1 would index from the end
+    (([0.1, 0.2], [0.3], [3]), DomainError),
+    (([0.1, 0.2], [0.3], [1.5]), DomainError),
+    (([0.1, 0.2], [0.3], []), ArityError),  # a phase with no port was dropped
+    (([0.1, 0.2, 0.3], [0.3], [1]), ArityError),  # a cell with no phase was dropped
+    (([0.1, 0.2, 0.3], [0.3], [1, 2]), ArityError),
+    (([0.1], [0.3], [1]), ArityError),
+    (([], [0.3], [1]), ArityError),
+    (([[0.1, 0.2]], [0.3], [1]), ArityError),
+])
+def test_chain_unitary_refuses_malformed_chains(chain, error):
+    with pytest.raises(error):
+        kernels.chain_unitary(*chain)
+
+
 @pytest.mark.parametrize("n", [4096, 100_000])
 def test_chain_unitary_long_staircase_contracts(n):
     rng = np.random.default_rng(n)
@@ -212,6 +229,17 @@ def test_selector_batch_refuses_non_binary_controls(bad):
     controls[1, 2] = bad
     with pytest.raises(DomainError, match="must be exactly 0 or pi"):
         kernels.selector_batch_amplitudes(np.zeros(2), controls)
+
+
+@pytest.mark.parametrize("mu, controls", [
+    ([0.1], [[0, 0, 0, 0]]),
+    ([0.1, 0.2, 0.3], [[math.pi, math.pi]]),  # two memory phases would go unread
+    ([[0.1]], [[0, 0]]),
+    ([0.1], [[[0, 0]]]),
+])
+def test_selector_batch_refuses_controls_of_another_length(mu, controls):
+    with pytest.raises(ArityError):
+        kernels.selector_batch_amplitudes(mu, controls)
 
 
 @pytest.mark.parametrize("phis, mus, message, s_kl", [

@@ -190,6 +190,14 @@ def test_diagnostics_carry_locations():
     )
     assert e.location == "components[1]" and "duplicate" in str(e)
 
+    # a circuit entry may not reuse a component's name, nor another entry's
+    head = "version: 1\ncomponents:\n  - {name: a, kind: identity, ports: 1}\ncircuit:\n"
+    e = _err(head + "  - {name: a, op: series, of: [a, a]}\n")
+    assert (e.location, str(e)) == ("circuit[0]", "circuit[0]: duplicate name 'a'")
+    e = _err(head + "  - {name: c, op: series, of: [a, a]}\n"
+             "  - {name: c, op: concat, of: [c, a]}\n")
+    assert (e.location, str(e)) == ("circuit[1]", "circuit[1]: duplicate name 'c'")
+
     e = _err("version: 7\ncomponents:\n  - {name: a, kind: identity, ports: 1}\n")
     assert e.location == "document.version"
 
@@ -248,6 +256,11 @@ def test_document_level_diagnostics():
     assert e.location == "document.circuit"
     e = _err("version: 1\nwires: []\ncomponents:\n  - {name: a, kind: identity, ports: 1}\n")
     assert "wires" in str(e)
+    # both lists are checked before any entry is parsed, components first
+    e = _err("version: 1\ncomponents: {a: 1}\ncircuit: 5\n")
+    assert str(e) == "document.components: components must be a list"
+    e = _err("version: 1\ncomponents:\n  - {name: a, kind: mirror}\ncircuit: 5\n")
+    assert str(e) == "document.circuit: circuit must be a list"
 
 
 def test_component_field_validation():

@@ -28,6 +28,8 @@ from slhnet import (
     weighted_selector_scattering,
     weighted_small_mu_gain,
 )
+from slhnet.core import _feedback_masked
+from slhnet.readout import _selector_loop
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -90,9 +92,12 @@ def test_feedback_selector_singular_point():
     with pytest.raises(SingularLoopError) as info:
         feedback_selector_scattering(np.float64(0), np.float64(0))
     assert str(info.value).startswith("feedback selector singular at phi=0.0, mu=0.0: ")
-    # the singularity is removable: the limit is 1 from every direction
-    bypass = build_feedback_selector(0.0, 0.0, allow_removable=True)
-    assert_allclose(bypass.scattering, [[1.0]], atol=0)
+    # the singularity is removable: the limit is 1 from every direction, and
+    # the chain substitutes it, also at (0, 7e-10), which the build refuses
+    with pytest.raises(SingularLoopError):
+        build_feedback_selector(0.0, 7e-10)
+    assert chain_feedback_selectors([0.0], [0.0]) == 0.0
+    assert chain_feedback_selectors([0.0, 7e-10], [0.0, 0.0]) == 0.0
 
 
 def _refuses(call):
@@ -257,10 +262,12 @@ def test_chain_validation():
 
 
 def _chain_reference(mu, phi):
-    # one scalar build per stage, series-composed in order
+    # one scalar build per stage, series-composed in order; a singular stage
+    # is the bypass, S = 1
     model = identity(1)
     for m, p in zip(mu, phi):
-        model = series(build_feedback_selector(p, m, allow_removable=True), model)
+        stage, singular = _feedback_masked(_selector_loop(p, m), 1, 1)
+        model = series(identity(1) if singular else stage, model)
     return canonical_phase(principal_phase(model.scattering[0, 0]))
 
 
@@ -286,20 +293,28 @@ def _assert_same_model(got, want):
 
 def test_batched_feedback_selector_equals_per_point_builds():
     # the grid holds the removable point (0, 0) and the refused (0, 7e-10)
+    # and (7e-10, 0); every other point builds alone and in one batch
     pts = np.append(TWO_PI * np.arange(12) / 12, 7e-10)
     phi, mu = np.meshgrid(pts, pts, indexing="ij")
-    batch = build_feedback_selector(phi, mu, allow_removable=True)
-    for i, j in np.ndindex(phi.shape):
-        want = build_feedback_selector(phi[i, j], mu[i, j], allow_removable=True)
-        _assert_same_model(batch.at((i, j)), want)
-    assert batch.at((0, 0)).scattering[0, 0] == 1.0 and batch.at((0, 12)).scattering[0, 0] == 1.0
+    refused = [(i, j) for i, j in np.ndindex(phi.shape)
+               if _refuses(lambda: build_feedback_selector(phi[i, j], mu[i, j]))]
+    assert refused == [(0, 0), (0, 12), (12, 0)]
+    keep = np.ones(phi.shape, dtype=bool)
+    keep[tuple(np.transpose(refused))] = False
+    batch = build_feedback_selector(phi[keep], mu[keep])
+    for n, (p, m) in enumerate(zip(phi[keep], mu[keep])):
+        _assert_same_model(batch.at(n), build_feedback_selector(p, m))
     with pytest.raises(SingularLoopError) as batched:
         build_feedback_selector(phi, mu)
     with pytest.raises(SingularLoopError) as single:
         build_feedback_selector(0.0, 0.0)
     assert (batched.value.k, batched.value.l, batched.value.s_kl, str(batched.value)) == (
         single.value.k, single.value.l, single.value.s_kl, str(single.value))
-    # off the singular set the strict build agrees too
+    # the chain puts S = 1 on both binary singular stages, which then read nothing
+    rows = chain_feedback_selectors([0.0, 7e-10, 0.3], [[0.0, 0.0, PI], [0.0, 0.0, 0.0]])
+    assert rows.tolist() == [chain_feedback_selectors([0.3], [PI]),
+                             chain_feedback_selectors([0.3], [0.0])]
+    # off the singular set the strict build agrees on a full grid too
     phi, mu = np.meshgrid(pts[:12] + PI / 12, pts[:12] + PI / 12, indexing="ij")
     batch = build_feedback_selector(phi, mu)
     for i, j in np.ndindex(phi.shape):
@@ -454,6 +469,28 @@ def test_sweep_transfer_refuses_non_finite_angles_up_front(bad, slot):
         with pytest.raises(DomainError) as info:
             sweep_transfer(phis, mus)
     assert str(info.value) == f"sweep {slot} must be finite, got {bad!r}"
+
+
+EXTREME_ANGLES = (1.7e308, -1.7e308, 5e-324, -5e-324, PI, -PI)
+
+
+def test_sweep_transfer_samples_are_finite_at_extreme_finite_angles():
+    # |e^{i mu} - cos phi| and |1 - e^{i mu} cos phi| are at most 2 for
+    # every finite angle, so no sample can overflow: the sweep has no scan
+    for phi in EXTREME_ANGLES:
+        for mu in EXTREME_ANGLES:
+            if _refuses(lambda: weighted_selector_scattering(phi, mu)):
+                assert _refuses(lambda: sweep_transfer([phi], [mu]))
+                continue
+            out = sweep_transfer([phi], [mu]).samples
+            assert np.all(np.isfinite(out)) and -PI < out[0, 2] <= PI
+    # magnitudes log-uniform; phi at least 1, so that no point nears (0, 0)
+    rng = np.random.default_rng(61)
+    phis, mus = (np.append(rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(lo, 308, n),
+                           [1.7e308, -1.7e308]) for n, lo in ((40, 0), (50, -323)))
+    out = sweep_transfer(phis, mus).samples
+    assert out.shape == (42 * 52, 3)
+    assert np.all(np.isfinite(out)) and np.all(np.abs(out[:, 2]) <= PI)
 
 
 def test_sweep_transfer_rejects_singular_grid():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ def test_selector_spec_validation():
         SelectorSpec((0.5,), (PI,), 0.0)  # tail parity off
     with pytest.raises(DomainError):
         SelectorSpec((0.5, 1.2), (0.0, PI), 0.0)
+    # from_selector leaves the shape checks to the constructor
+    with pytest.raises(ArityError) as info:
+        SelectorSpec.from_selector([1], 0.5)  # a scalar memory bank
+    assert str(info.value) == "memory and control phases must be 1-D"
+    with pytest.raises(ArityError) as info:
+        SelectorSpec.from_selector([0, 1, 1], [0.1, 0.2])
+    assert str(info.value) == "2 memory phases need 2 control phases, got 3"
 
 
 def test_staircase_layout():
@@ -142,6 +150,15 @@ def test_compilation_matrices_entries():
         compilation_matrices(-1)
 
 
+def test_compilation_matrices_freeze_their_own_copies():
+    lower, gamma = np.eye(2), np.eye(2)
+    m = CompilationMatrices(lower, gamma)
+    assert lower.flags.writeable and gamma.flags.writeable
+    assert not m.lower.flags.writeable and not m.gamma.flags.writeable
+    lower[0, 0] = 5.0
+    assert m.lower[0, 0] == 1.0
+
+
 def _scalar_matmul(a, b):
     # one rounding per scalar product; BLAS fuses the multiply-add and
     # never rounds (1/pi)*pi down to 1.0
@@ -179,9 +196,12 @@ def test_compile_examples():
 def test_selector_bits_accept_every_binary_dtype_and_name_the_input():
     want, _ = compile_selector([1, 0, 1])
     for bits in ([True, False, True], np.array([1, 0, 1], dtype=np.uint8),
-                 np.array([1, 0, 1], dtype=np.int8), [1.0, 0.0, 1.0]):
-        assert np.array_equal(compile_selector(bits)[0], want)
-    for bad in ([0, 2], [0, -1], np.array([0, 255], dtype=np.uint8), [0.0, 0.5], ["0", "1"]):
+                 np.array([1, 0, 1], dtype=np.int8), [1.0, 0.0, 1.0], [1 + 0j, 0j, 1 + 0j]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a complex input is tested, not cast
+            assert np.array_equal(compile_selector(bits)[0], want)
+    for bad in ([0, 2], [0, -1], np.array([0, 255], dtype=np.uint8), [0.0, 0.5], ["0", "1"],
+                [1 + 1j, 0]):
         with pytest.raises(DomainError) as info:
             compile_selector(bad)
         assert str(info.value) == "selector entries must be 0 or 1"
@@ -278,6 +298,9 @@ def test_eval_selector_examples():
     assert eval_selector([4.5, 4.5], [1, 1]) == pytest.approx(9.0 - TWO_PI, abs=1e-12)
     with pytest.raises(ArityError):
         eval_selector([0.3], [0, 1])
+    for mu, bits in (([[0.1]], [[1]]), (0.1, 1), ([0.1], [[1]])):
+        with pytest.raises(ArityError):
+            eval_selector(mu, bits)
 
 
 def test_eval_matches_built_chain():
