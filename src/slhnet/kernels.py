@@ -121,16 +121,33 @@ def _turner(rail, w):
     return turn
 
 
-def _mix(plus: bool, top, bot, p, q) -> None:
-    # B(+pi/4): (p - q, p + q); B(-pi/4): (p + q, q - p)
-    np.multiply(C45, top, out=p)
-    np.multiply(C45, bot, out=q)
-    if plus:
+def _stager(rails, n, memory):
+    """A function ``stage(i, on_i)`` that runs stage ``i`` of a staircase
+    with ``n`` memory phases, in place on every column of the ``(4, k)``
+    complex ``rails`` (top, bot and the p/q scratch): B(+pi/4), the switch
+    factor on top (pi where ``on_i``), B(-pi/4), then memory phase ``i`` on
+    bot unless ``i`` is the tail."""
+    top, bot, p, q = rails
+    pair, scratch = rails[:2], rails[2:]
+    # the free p/q pair as (2, 2 * k) float scratch for _turner
+    w = scratch.view(np.float64)
+    switch = w.reshape(2, -1, 2)
+    turn_top, turn_bot = _turner(top, w), _turner(bot, w)
+
+    def stage(i, on_i):
+        # B(+pi/4): (p - q, p + q) from p = c45 * top, q = c45 * bot
+        np.multiply(C45, pair, out=scratch)
         np.subtract(p, q, out=top)
         np.add(p, q, out=bot)
-    else:
+        SWITCH_PAIRS.take(on_i, axis=1, out=switch, mode="clip")
+        turn_top(w)
+        # B(-pi/4): (p + q, q - p)
+        np.multiply(C45, pair, out=scratch)
         np.add(p, q, out=top)
         np.subtract(q, p, out=bot)
+        if i < n:
+            turn_bot(memory[i])
+    return stage
 
 
 def selector_batch_amplitudes(mu, controls) -> np.ndarray:
@@ -139,18 +156,29 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     ``controls`` holds one staircase per row: columns ``0..n-1`` are the
     in-chain control phases, column ``n`` is the tail phase, and all rows
     share the memory phases ``mu`` (length ``n``); other shapes raise
-    ArityError.  Returns an ``(m, 2)`` complex array.  This walks the full
-    chain product row by row; it never shortcuts through the switch
-    dichotomy.
+    ArityError.  Returns an ``(m, 2)`` complex array.  Every row still takes
+    all ``n + 1`` stages of its chain product; the result is never read off
+    the switch dichotomy.
+
+    A row's state after stage ``i`` depends only on its first ``i + 1``
+    switch states, so rows that share a switch prefix share its partial
+    product.  The first ``depth = min(n + 1, floor(log2 m), log2
+    ROW_BLOCK)`` stages run once on a table of all ``2**depth`` prefixes:
+    the rails of one block run them, each column with the switch bits of
+    its column number, so column ``c < 2**depth`` holds prefix ``c``.  Each
+    block of ``ROW_BLOCK`` rows then gathers its starting state from the
+    table, at prefix index ``sum(on[j] << j for j < depth)``, and runs the
+    remaining ``n + 1 - depth`` stages.  Nothing row-sized is allocated
+    beyond the switch states and the output.
 
     Every control must be exactly 0.0 or pi, else DomainError; its factor
-    is looked up in ``SWITCH_FACTORS``.  Each block of ``ROW_BLOCK`` rows is
-    held as two contiguous rails, and B(+-pi/4) writes both from the
-    products ``p = c45 * top`` and ``q = c45 * bot``.  The switch factor
+    is looked up in ``SWITCH_FACTORS``.  A block is held as two contiguous
+    rails, and B(+-pi/4) writes both from the products ``p = c45 * top``
+    and ``q = c45 * bot``.  The switch factor
     and the memory phase turn a rail in place by the unfused complex
-    product, each real product rounded once (``_turner``), never by a fused
-    multiply-add.  B(+-pi/4) needs no such care: c45 is real, so one of
-    the two products in each part of ``c45 * z`` is an exact zero and a
+    product, each real product rounded once (``_turner``), never by a
+    fused multiply-add.  B(+-pi/4) needs no such care: c45 is real, so one
+    of the two products in each part of ``c45 * z`` is an exact zero and a
     fused multiply-add rounds it the same.  So every row of a batch equals
     its one-row call bit for bit, whatever the batch size and the CPU's
     SIMD path.
@@ -167,26 +195,36 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     e = np.exp(1j * mu)
     # (real, imag) of each memory factor, as a column for _turner
     memory = np.stack([e.real, e.imag], axis=1)[:, :, None]
+    depth = min(n + 1, max(m.bit_length() - 1, 0), ROW_BLOCK.bit_length() - 1)
     out = np.empty((m, 2), dtype=np.complex128)
+    # one block's rails and prefix indices, reused by every block
+    width = min(m, ROW_BLOCK)
+    rails = np.empty(4 * width, dtype=np.complex128)
+    prefix = np.empty(width, dtype=np.intp)
+    block = rails.reshape(4, width)
+    stage = _stager(block, n, memory)
+    # the prefix table: column c runs with switch bits c
+    block[0], block[1] = 1.0, 0.0
+    for i in range(depth):
+        np.right_shift(np.arange(width), i, out=prefix)
+        stage(i, np.bitwise_and(prefix, 1, out=prefix))
+    table = block[:2, : 1 << depth].copy()
     for lo in range(0, m, ROW_BLOCK):
         rows = slice(lo, min(lo + ROW_BLOCK, m))
-        rails = np.empty((4, rows.stop - lo), dtype=np.complex128)
-        top, bot, p, q = rails
-        # the free p/q buffer as (2, 2 * rows) float scratch for _turner
-        w = rails[2:].view(np.float64)
-        switch = w.reshape(2, -1, 2)
-        turn_top, turn_bot = _turner(top, w), _turner(bot, w)
-        top.fill(1.0)
-        bot.fill(0.0)
-        for i in range(n + 1):
-            _mix(True, top, bot, p, q)
-            SWITCH_PAIRS.take(on[i, rows], axis=1, out=switch, mode="clip")
-            turn_top(w)
-            _mix(False, top, bot, p, q)
-            if i < n:
-                turn_bot(memory[i])
-        out[rows, 0] = top
-        out[rows, 1] = bot
+        if rows.stop - lo < width:
+            # the last, shorter block
+            block = rails[: 4 * (rows.stop - lo)].reshape(4, -1)
+            stage = _stager(block, n, memory)
+        index = prefix[: rows.stop - lo]
+        index.fill(0)
+        for j in reversed(range(depth)):
+            np.left_shift(index, 1, out=index)
+            np.bitwise_or(index, on[j, rows], out=index)
+        table.take(index, axis=1, out=block[:2], mode="clip")
+        for i in range(depth, n + 1):
+            stage(i, on[i, rows])
+        out[rows, 0] = block[0]
+        out[rows, 1] = block[1]
     return out
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,86 @@ def test_selector_batch_all_16_bit_rows_bit_for_bit():
     for r in rows[:8]:
         one = controls[r:r + 1]
         assert got[r:r + 1].tobytes() == _batch_reference(mu, one).tobytes()
+
+
+def _assert_batch_bit_for_bit(mu, controls, rng, samples=8):
+    # the whole batch equals the unfused strided walk, and a sample of its
+    # rows their one-row calls
+    got = kernels.selector_batch_amplitudes(mu, controls)
+    want = _batch_reference(mu, controls, unfused=True)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if len(controls):
+        rows = rng.choice(len(controls), size=min(samples, len(controls)), replace=False)
+        assert _rows_one_at_a_time(mu, controls, rows).tobytes() == got[rows].tobytes()
+
+
+def _mixed_mu(rng, n):
+    # uniform memory phases, some moved to the quarter turns for signed zeros
+    mu = rng.uniform(0.0, TWO_PI, size=n)
+    mu[rng.random(n) < 0.3] = rng.choice([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+    return mu
+
+
+@pytest.mark.parametrize("m", sorted({0, 1} | {2 ** d + k for d in (1, 3, 8) for k in (-1, 0, 1)}))
+def test_selector_batch_at_the_prefix_table_edges(m):
+    # m around the powers of two where the shared prefix table deepens by one stage
+    rng = np.random.default_rng(1000 + m)
+    for n in (3, 10):
+        controls = rng.integers(0, 2, size=(m, n + 1)) * math.pi
+        _assert_batch_bit_for_bit(_mixed_mu(rng, n), controls, rng)
+
+
+@pytest.mark.parametrize("m", [kernels.ROW_BLOCK - 1, kernels.ROW_BLOCK + 1,
+                               3 * kernels.ROW_BLOCK + 5])
+def test_selector_batch_across_row_blocks_with_repeated_rows(m):
+    # random rows drawn with replacement from a small pool, in no order:
+    # duplicates land in different blocks and read the same table column
+    rng = np.random.default_rng(m)
+    n = 16
+    pool = rng.integers(0, 2, size=(300, n + 1)) * math.pi
+    controls = pool[rng.integers(0, len(pool), size=m)]
+    _assert_batch_bit_for_bit(_mixed_mu(rng, n), controls, rng, samples=12)
+    # and the stage-major layout selector_sweep_amplitudes passes
+    stage_major = np.ascontiguousarray(controls.T).T
+    _assert_batch_bit_for_bit(_mixed_mu(rng, n), stage_major, rng, samples=4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_selector_batch_when_the_table_holds_every_stage(n):
+    # depth = n + 1: every stage runs on the prefix table, none per row
+    rng = np.random.default_rng(50 + n)
+    controls = rng.integers(0, 2, size=(5000, n + 1)) * math.pi
+    _assert_batch_bit_for_bit(_mixed_mu(rng, n), controls, rng)
+
+
+def test_selector_batch_random_16_bit_rows_bit_for_bit():
+    # random rows reach every prefix in no particular order, unlike the
+    # enumerated selectors
+    rng = np.random.default_rng(61)
+    controls = rng.integers(0, 2, size=(2 ** 16, 17)) * math.pi
+    _assert_batch_bit_for_bit(rng.uniform(0.0, TWO_PI, size=16), controls, rng, samples=40)
+
+
+@pytest.mark.parametrize("stage_major", [False, True])
+def test_selector_batch_allocates_nothing_row_sized_but_its_output(stage_major):
+    # beyond the switch states and the output, the traced peak stays within
+    # two blocks of four complex rails and 64 KiB: one block's rails, the
+    # prefix table and block-sized index buffers, no row-sized temporary
+    rng = np.random.default_rng(67)
+    controls = rng.integers(0, 2, size=(2 ** 16, 17)) * math.pi
+    if stage_major:
+        controls = np.ascontiguousarray(controls.T).T
+    mu = rng.uniform(0.0, TWO_PI, size=16)
+    kernels.selector_batch_amplitudes(mu, controls[:3])
+    tracemalloc.start()
+    try:
+        out = kernels.selector_batch_amplitudes(mu, controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    on_bytes = controls.size * np.dtype(bool).itemsize
+    bound = out.nbytes + on_bytes + 2 * (4 * kernels.ROW_BLOCK * 16) + 64 * 1024
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("bad", [0.5, math.nan, np.nextafter(math.pi, 4.0)])
