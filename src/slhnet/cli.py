@@ -24,7 +24,7 @@ import numpy as np
 
 from . import readout
 from . import selector as sel
-from .core import CircuitError, SingularLoopError
+from .core import CircuitError, SingularLoopError, _check_finite
 from .netlist import elaborate, format_angle, parse_angle, parse_netlist, serialize_netlist
 
 __all__ = ["main"]
@@ -109,6 +109,7 @@ def _cmd_eval(args) -> int:
 
     if args.mu is None:
         raise ValueError("scalar evaluation needs --mu")
+    _check_finite(args.drive, "drive")
     mu = _parse_angle_list(args.mu, "memory")
     if args.selector is not None:
         spec = sel.SelectorSpec.from_selector(_parse_bit_vector(args.selector), mu)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import ArityError, DomainError, DrivenCircuitError, SlhModel, _model
+from .core import ArityError, DrivenCircuitError, SlhModel, _check_finite, _model
 
 __all__ = ["phase_shift", "beamsplitter", "coherent_drive", "output_amplitudes"]
 
@@ -20,11 +20,7 @@ def phase_shift(phi) -> SlhModel:
 
     An array of angles gives a batch of shifters of the same shape."""
     arr = np.asarray(phi, dtype=np.float64)
-    finite = np.isfinite(arr)
-    # a single angle is tested by truth value, which skips a reduction
-    if not (finite if arr.ndim == 0 else finite.all()):
-        bad = phi if arr.ndim == 0 else arr[~finite][0]
-        raise DomainError(f"phase must be finite, got {bad}")
+    _check_finite(arr, "phase")
     return _model(np.exp(1j * arr)[..., None, None],
                   np.zeros(arr.shape + (1,), dtype=np.complex128), 0.0)
 
@@ -36,8 +32,7 @@ def beamsplitter(theta: float) -> SlhModel:
     50/50 splitter.  Only real rotation mixing is provided; general complex
     beamsplitters are out of scope.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"mixing angle must be finite, got {theta}")
+    _check_finite(theta, "mixing angle")
     c, s = math.cos(theta), math.sin(theta)
     return _model(np.array([[c, -s], [s, c]], dtype=np.complex128),
                   np.zeros(2, dtype=np.complex128), 0.0)

@@ -18,6 +18,7 @@ functions, so models can be shared freely between threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class ArityError(CircuitError, ValueError):
 
 
 class DomainError(CircuitError, ValueError):
-    """A parameter is outside its admissible domain (non-finite angle,
-    non-binary control phase, non-binary selector bit, ...)."""
+    """A parameter is outside its admissible domain: a non-finite angle, which
+    every public angle input refuses, or a non-binary control phase or selector bit."""
 
 
 class DrivenCircuitError(CircuitError, ValueError):
@@ -79,6 +80,25 @@ def is_singular_loop(d):
     """The one singular-loop rule, elementwise on the loop denominator
     ``d = 1 - S_kl``: refuse when ``|d| <= FEEDBACK_SINGULAR_TOL``."""
     return abs(d) <= FEEDBACK_SINGULAR_TOL
+
+
+def _check_finite(values, what: str) -> None:
+    """The one finite-angle rule: refuse ``values`` unless every entry is finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(arr)
+    # a single angle is tested by truth value, which skips a reduction
+    if not (finite if arr.ndim == 0 else finite.all()):
+        raise DomainError(f"{what} must be finite, got {arr[~finite][0].item()!r}")
+
+
+def _check_binary_phases(values, what: str = "control phase") -> None:
+    """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
+    naming the first offending entry by its Python value."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
+    if bad.size:
+        x = np.asarray(values if arr.ndim == 0 else values[bad[0]]).item()
+        raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
 
 
 @dataclass(frozen=True)

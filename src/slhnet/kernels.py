@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .core import (FEEDBACK_SINGULAR_TOL, ArityError, DomainError, SingularLoopError,
-                   is_singular_loop)
+                   _check_binary_phases, _check_finite, is_singular_loop)
 
 __all__ = ["BACKEND", "chain_unitary", "selector_batch_amplitudes",
            "weighted_phase_grid"]
@@ -43,7 +43,7 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     beamsplitter ``i`` the relative phase ``phases[i]`` is applied to path
     ``ports[i]`` (1 = left, 2 = right).  ``len(phases) == len(ports) ==
     len(thetas) - 1`` (0 for no beamsplitter), else ArityError; a port other
-    than 1 or 2 raises DomainError.
+    than 1 or 2, or a non-finite angle or phase, raises DomainError.
 
     The cells are folded in blocks of ``BLOCK`` = 64 cells, the last one
     padded with identity cells; a chain of at most 64 cells is one block of
@@ -66,6 +66,8 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     bad = np.flatnonzero((ports != 1) & (ports != 2))
     if bad.size:
         raise DomainError(f"chain port must be 1 or 2, got {ports[bad[0]].item()!r}")
+    _check_finite(thetas, "chain mixing angle")
+    _check_finite(phases, "chain phase")
     cells = max(len(thetas), 1)
     width = min(BLOCK, cells)
     blocks = -(-cells // width)
@@ -90,16 +92,6 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     for k in range(1, blocks):
         out = s[k] @ out
     return out
-
-
-def _check_binary_phases(values, what: str = "control phase") -> None:
-    """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
-    naming the first offending entry by its Python value."""
-    arr = np.asarray(values, dtype=np.float64)
-    bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
-    if bad.size:
-        x = np.asarray(values if arr.ndim == 0 else values[bad[0]]).item()
-        raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
 
 
 def _turner(rail, w):
@@ -171,10 +163,10 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     remaining ``n + 1 - depth`` stages.  Nothing row-sized is allocated
     beyond the switch states and the output.
 
-    Every control must be exactly 0.0 or pi, else DomainError; its factor
-    is looked up in ``SWITCH_FACTORS``.  A block is held as two contiguous
-    rails, and B(+-pi/4) writes both from the products ``p = c45 * top``
-    and ``q = c45 * bot``.  The switch factor
+    Every memory phase must be finite and every control exactly 0.0 or pi,
+    else DomainError; a control's factor is looked up in ``SWITCH_FACTORS``.
+    A block is held as two contiguous rails, and B(+-pi/4) writes both from
+    the products ``p = c45 * top`` and ``q = c45 * bot``.  The switch factor
     and the memory phase turn a rail in place by the unfused complex
     product, each real product rounded once (``_turner``), never by a
     fused multiply-add.  B(+-pi/4) needs no such care: c45 is real, so one
@@ -188,6 +180,7 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     if mu.ndim != 1 or controls.ndim != 2 or controls.shape[1] != mu.size + 1:
         raise ArityError(f"need 1-D memory phases and (m, n + 1) controls for n of them, "
                          f"got shapes {mu.shape} and {controls.shape}")
+    _check_finite(mu, "memory phase")
     ctl = controls.T
     _check_binary_phases(np.ravel(ctl, order="K"))
     on = ctl == math.pi
@@ -270,10 +263,13 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     ``is_singular_loop``: the first grid point on the singular set, in C
     order, raises SingularLoopError naming that (phi, mu).  Only the points
     with ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are tested, since ``|d| >=
-    |Re d|`` and no other point can be singular.
+    |Re d|`` and no other point can be singular.  A non-finite angle
+    raises DomainError before any of that, phis before mus.
     """
     phis = np.asarray(phis, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
+    _check_finite(phis, "sweep phi")
+    _check_finite(mus, "sweep mu")
     out = np.empty((phis.size, mus.size))
     for rows, phase in _phase_blocks(phis, mus):
         out[rows] = phase

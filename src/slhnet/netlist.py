@@ -110,7 +110,7 @@ def parse_angle(token, location: str = "angle") -> float:
                 ) from None
     else:
         raise NetlistError(location, f"expected an angle, got {token!r}")
-    if not math.isfinite(value):
+    if not math.isfinite(value):  # NetlistError, not _check_finite: CLI tests pin it
         raise NetlistError(location, f"angle must be finite, got {token!r}")
     return value
 
@@ -137,7 +137,8 @@ def format_angle(x: float) -> str:
 
 def _parse_ports(ports, location: str) -> int:
     if isinstance(ports, bool) or not isinstance(ports, int) or ports < 1:
-        raise NetlistError(location, f"ports must be a positive integer, got {ports!r}")
+        field = location.rsplit(".", 1)[-1]
+        raise NetlistError(location, f"{field} must be a positive integer, got {ports!r}")
     return ports
 
 
@@ -262,15 +263,9 @@ def _parse_combinator(node, location: str) -> CombinatorDecl:
             raise NetlistError(
                 f"{location}.of", f"feedback takes exactly one operand, got {len(operands)}"
             )
-        ports = []
-        for key in ("output", "input"):
-            v = _take(node, key, location)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise NetlistError(
-                    f"{location}.{key}", f"{key} must be a positive port number, got {v!r}"
-                )
-            ports.append(v)
-        return CombinatorDecl(name, op, tuple(operands), ports[0], ports[1])
+        ports = [_parse_ports(_take(node, key, location), f"{location}.{key}")
+                 for key in ("output", "input")]
+        return CombinatorDecl(name, op, tuple(operands), *ports)
     _check_keys(node, ("name", "op", "of"), location)
     if len(operands) < 2:
         raise NetlistError(

@@ -31,6 +31,8 @@ from .core import (
     DomainError,
     SingularLoopError,
     SlhModel,
+    _check_binary_phases,
+    _check_finite,
     _feedback_masked,
     _model,
     feedback,
@@ -39,7 +41,6 @@ from .core import (
     series,
 )
 from .components import phase_shift
-from .kernels import _check_binary_phases
 from .selector import _phase_on_port, canonical_phase, mz
 
 __all__ = [
@@ -91,6 +92,7 @@ def feedback_selector_scattering(phi: float, mu: float) -> complex:
     denominator, which forces |S| = 1 wherever the loop is well posed.
     The denominator is 2(1 - S_11), S_11 that of the open loop.
     """
+    # math.isfinite in both closed forms, not _check_finite: ~16 000 calls per verify
     if not (math.isfinite(phi) and math.isfinite(mu)):
         raise DomainError(f"angles must be finite, got phi={float(phi)!r}, mu={float(mu)!r}")
     e_mu = cmath.exp(1j * mu)
@@ -186,8 +188,7 @@ def weighted_output_phase(phi: float, mu: float) -> float:
 
 def weighted_small_mu_gain(phi: float) -> float:
     """Small-signal phase gain d(mu_out)/d(mu) at mu = 0: cot^2(phi/2)."""
-    if not math.isfinite(phi):
-        raise DomainError(f"phi must be finite, got {float(phi)!r}")
+    _check_finite(phi, "phi")
     den = 1.0 - math.cos(phi)
     if den == 0.0:
         raise DomainError(f"gain diverges at phi = 0 (mod 2*pi), got {float(phi)!r}")
@@ -213,8 +214,7 @@ class TransferCurve:
         arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ArityError("samples must be an (N, 3) array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("transfer curve contains non-finite samples")
+        _check_finite(arr, "transfer curve sample")
         _init_curve(self, arr)
 
     def column(self, phi: float) -> np.ndarray:
@@ -256,10 +256,8 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     mus = np.asarray(mu_grid, dtype=np.float64)
     if phis_arr.ndim != 1 or mus.ndim != 1:
         raise ArityError("phi list and mu grid must be 1-D")
-    for name, arr in (("phi", phis_arr), ("mu", mus)):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise DomainError(f"sweep {name} must be finite, got {arr[bad[0]].item()!r}")
+    _check_finite(phis_arr, "sweep phi")
+    _check_finite(mus, "sweep mu")
     mus = np.sort(mus)
     samples = np.empty((phis_arr.size, mus.size, 3), dtype=np.float64)
     for rows, out in kernels._phase_blocks(phis_arr, mus):

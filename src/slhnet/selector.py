@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import _check_binary_phases
-from .core import ArityError, DomainError, SlhModel, concat, identity, series
+from .core import (ArityError, DomainError, SlhModel, _check_binary_phases, _check_finite,
+                   concat, identity, series)
 from .components import beamsplitter, phase_shift
 
 TWO_PI = 2.0 * math.pi
@@ -317,8 +317,7 @@ def eval_selector(mu, s) -> float:
         raise ArityError(
             f"memory length {mu_arr.shape} != selector length {bits.shape}"
         )
-    if not np.all(np.isfinite(mu_arr)):
-        raise DomainError("memory phases must be finite")
+    _check_finite(mu_arr, "memory phase")
     total = float(bits @ mu_arr) if bits.size else 0.0
     return canonical_phase(total)
 

@@ -101,8 +101,8 @@ def _scalar_matmul(a, b) -> np.ndarray:
     return acc
 
 
-def _check_compilation_algebra(n_max: int = 10) -> CheckResult:
-    for n in range(1, n_max + 1):
+def _check_compilation_algebra() -> CheckResult:
+    for n in range(1, 11):
         mats = sel.compilation_matrices(n)
         eye = np.eye(n)
         if not (np.array_equal(_scalar_matmul(mats.lower, mats.gamma), eye)
@@ -125,13 +125,13 @@ def _check_compilation_algebra(n_max: int = 10) -> CheckResult:
             )
     return CheckResult(
         "compilation-algebra", True, 0.0, 0.0,
-        f"L.Gamma = I and exhaustive round trips exact, n <= {n_max}",
+        "L.Gamma = I and exhaustive round trips exact, n <= 10",
     )
 
 
-def _check_matrix_products(rng, instances: int = 50) -> CheckResult:
+def _check_matrix_products(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(50):
         n, m, k = (int(x) for x in rng.integers(1, 7, size=3))
         mem = rng.uniform(0.0, TWO_PI, size=(n, m))
         bits = rng.integers(0, 2, size=(n, k))
@@ -144,7 +144,7 @@ def _check_matrix_products(rng, instances: int = 50) -> CheckResult:
             brute = np.angle(amps[:, 0]) % TWO_PI
             worst = max(worst, float(_wrapped(got[i], brute).max()))
     return _result(
-        "matrix-products", worst, 1e-9, f"{instances} random (n, m, k <= 6) instances"
+        "matrix-products", worst, 1e-9, "50 random (n, m, k <= 6) instances"
     )
 
 
@@ -169,8 +169,8 @@ def _check_feedback_closed_form(grid: int) -> CheckResult:
     return CheckResult("feedback-closed-form", passed, worst, 1e-12, detail)
 
 
-def _check_feedback_dichotomy(rng, samples: int = 1000) -> CheckResult:
-    mus = rng.uniform(0.0, TWO_PI, size=samples)
+def _check_feedback_dichotomy(rng) -> CheckResult:
+    mus = rng.uniform(0.0, TWO_PI, size=1000)
     worst = 0.0
     for mu in mus:
         if abs(mu) < 1e-6:
@@ -180,29 +180,29 @@ def _check_feedback_dichotomy(rng, samples: int = 1000) -> CheckResult:
         worst = max(worst, abs(bypass - 1.0), abs(through - np.exp(1j * mu)))
     return _result(
         "feedback-binary-dichotomy", worst, 1e-12,
-        f"S(0, mu) = 1 and S(pi, mu) = e^(i mu), {samples} draws",
+        "S(0, mu) = 1 and S(pi, mu) = e^(i mu), 1000 draws",
     )
 
 
-def _check_weighted_lines(rng, samples: int = 1000) -> CheckResult:
-    mus = rng.uniform(-math.pi + 1e-6, math.pi, size=samples)
+def _check_weighted_lines(rng) -> CheckResult:
+    mus = rng.uniform(-math.pi + 1e-6, math.pi, size=1000)
     worst_id = max(
         abs(ro.weighted_output_phase(math.pi / 2, mu) - mu) for mu in mus
     )
     # phi = pi is singular at mu = pi; keep the collapse draws off that point
-    mus_flat = rng.uniform(-math.pi + 0.01, math.pi - 0.01, size=samples)
+    mus_flat = rng.uniform(-math.pi + 0.01, math.pi - 0.01, size=1000)
     worst_zero = max(abs(ro.weighted_output_phase(math.pi, mu)) for mu in mus_flat)
     worst = max(worst_id, worst_zero)
     return _result(
         "weighted-identity-and-collapse", worst, 1e-12,
-        f"mu_out(pi/2, mu) = mu and mu_out(pi, mu) = 0, {samples} draws each",
+        "mu_out(pi/2, mu) = mu and mu_out(pi, mu) = 0, 1000 draws each",
     )
 
 
-def _check_weighted_tangent(rng, samples: int = 2000) -> CheckResult:
+def _check_weighted_tangent(rng) -> CheckResult:
     worst = 0.0
     kept = 0
-    while kept < samples:
+    while kept < 2000:
         phi = rng.uniform(0.05, math.pi - 0.05)
         mu = rng.uniform(-math.pi + 0.05, math.pi - 0.05)
         num = 4.0 * math.sin(phi) ** 2 * math.sin(mu)
@@ -216,14 +216,8 @@ def _check_weighted_tangent(rng, samples: int = 2000) -> CheckResult:
         kept += 1
     return _result(
         "weighted-tangent-form", worst, 1e-9,
-        f"tan(mu_out) vs printed ratio, {samples} kept samples",
+        "tan(mu_out) vs printed ratio, 2000 kept samples",
     )
-
-
-def _fd_gain(phi: float, eps: float = 1e-5) -> float:
-    hi = ro.weighted_output_phase(phi, eps)
-    lo = ro.weighted_output_phase(phi, -eps)
-    return (hi - lo) / (2.0 * eps)
 
 
 def _check_small_mu_gain() -> CheckResult:
@@ -231,7 +225,8 @@ def _check_small_mu_gain() -> CheckResult:
     for k in range(2, 11):
         phi = k * math.pi / 12.0
         analytic = ro.weighted_small_mu_gain(phi)
-        measured = _fd_gain(phi)
+        measured = (ro.weighted_output_phase(phi, 1e-5)
+                    - ro.weighted_output_phase(phi, -1e-5)) / 2e-5
         scale = max(abs(analytic), 1e-30)
         worst = max(worst, abs(measured - analytic) / scale)
     return _result(

@@ -185,6 +185,12 @@ _EDGE_INPUTS += [
         (["sweep", "--points", "100001"], "[1, 100000]"),
     ]
 ]
+# a non-finite drive amplitude is refused like a non-finite angle
+_EDGE_INPUTS += [
+    (["eval", "--mu", "0.3", "--selector", "1", "--drive", bad], 2,
+     f"error: drive must be finite, got {bad}\n", None)
+    for bad in ("nan", "inf")
+]
 
 
 @pytest.mark.parametrize("argv, code, err, check", _EDGE_INPUTS,
@@ -198,7 +204,7 @@ _EDGE_INPUTS += [
                               "bad-memory-matrix-angle", "netlist-bad-bool-tag",
                               "netlist-bad-timestamp-tag", "netlist-bad-int-tag",
                               "exhaustive-over", "compositions-negative", "grid-over",
-                              "points-over"])
+                              "points-over", "nan-drive", "inf-drive"])
 def test_edge_inputs(tmp_path, capsys, argv, code, err, check):
     if argv[0] == "netlist":
         path = tmp_path / "edge.yaml"

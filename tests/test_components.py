@@ -25,6 +25,10 @@ def test_phase_shift():
         phase_shift(math.inf)
     with pytest.raises(DomainError):
         phase_shift(math.nan)
+    # a batch names its first non-finite angle in C order
+    with pytest.raises(DomainError) as info:
+        phase_shift([[0.1, 0.2], [-math.inf, math.nan]])
+    assert str(info.value) == "phase must be finite, got -inf"
 
 
 def test_beamsplitter_is_a_rotation():
@@ -44,6 +48,9 @@ def test_coherent_drive():
     assert_allclose(g.coupling, [1.0 + 2.0j, 3.0], atol=1e-15)
     assert not g.is_passive()
     assert g.is_passive(tol=5.0)
+    for bad in ([], [[1.0], [2.0]]):
+        with pytest.raises(ArityError, match="non-empty vector"):
+            coherent_drive(bad)
 
 
 def test_output_amplitudes():

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from slhnet import (
     FEEDBACK_SINGULAR_TOL,
     ArityError,
+    DomainError,
     SingularLoopError,
     SlhModel,
     beamsplitter,
@@ -18,7 +19,7 @@ from slhnet import (
     phase_shift,
     series,
 )
-from slhnet.core import _feedback_masked, is_singular_loop
+from slhnet.core import _check_finite, _feedback_masked, is_singular_loop
 from slhnet.verify import random_passive_circuit
 
 
@@ -37,6 +38,26 @@ def test_model_shape_validation():
         SlhModel(np.ones((2, 3)), np.zeros(2), 0.0)
     with pytest.raises(ArityError):
         SlhModel(np.eye(2), np.zeros(3), 0.0)
+    with pytest.raises(ArityError, match="at least one port"):
+        SlhModel(np.zeros((0, 0)), np.zeros(0), 0.0)
+
+
+@pytest.mark.parametrize("values, shown", [
+    (math.nan, "nan"),
+    (np.float64(-math.inf), "-inf"),
+    (np.array(math.inf), "inf"),
+    ([0.5, math.inf, math.nan], "inf"),
+    ([[0.1, math.nan], [-math.inf, 0.2]], "nan"),  # the first bad entry in C order
+])
+def test_check_finite_names_the_first_bad_entry_by_its_python_value(values, shown):
+    with pytest.raises(DomainError) as info:
+        _check_finite(values, "angle")
+    assert str(info.value) == f"angle must be finite, got {shown}"
+
+
+def test_check_finite_accepts_every_finite_value():
+    for values in (0.0, 1.7e308, -5e-324, 3, [], np.zeros((2, 3)), np.arange(4)):
+        _check_finite(values, "angle")
 
 
 def test_identity_is_series_unit():

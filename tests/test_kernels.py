@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,36 @@ def test_selector_batch_refuses_non_binary_controls(bad):
 def test_selector_batch_refuses_controls_of_another_length(mu, controls):
     with pytest.raises(ArityError):
         kernels.selector_batch_amplitudes(mu, controls)
+
+
+# (kernel entry, finite arguments, the angle argument made non-finite, its
+# name in the refusal)
+KERNEL_ANGLES = {
+    "chain-thetas": (kernels.chain_unitary, ([0.1, 0.2, 0.3], [0.4, 0.5], [1, 2]), 0,
+                     "chain mixing angle"),
+    "chain-phases": (kernels.chain_unitary, ([0.1, 0.2, 0.3], [0.4, 0.5], [1, 2]), 1,
+                     "chain phase"),
+    "batch-mu": (kernels.selector_batch_amplitudes, ([0.3, 0.7], [[0.0, math.pi, math.pi]]),
+                 0, "memory phase"),
+    "grid-phis": (kernels.weighted_phase_grid, ([0.5, 1.0], [-1.0, 0.0, 1.0]), 0,
+                  "sweep phi"),
+    "grid-mus": (kernels.weighted_phase_grid, ([0.5, 1.0], [-1.0, 0.0, 1.0]), 1, "sweep mu"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(KERNEL_ANGLES))
+def test_kernel_entries_refuse_non_finite_angles_before_computing(name, bad):
+    entry, args, slot, what = KERNEL_ANGLES[name]
+    entry(*args)
+    # the first angle is bad and the last NaN: only the first is named
+    angles = [bad] + args[slot][1:-1] + [math.nan]
+    bad_args = args[:slot] + (angles,) + args[slot + 1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            entry(*bad_args)
+    assert str(info.value) == f"{what} must be finite, got {bad!r}"
 
 
 @pytest.mark.parametrize("phis, mus, message, s_kl", [

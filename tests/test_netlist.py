@@ -239,6 +239,15 @@ def test_diagnostics_carry_locations():
          "circuit[0].of", "series needs at least two operands, got 1"),
         (head + "circuit:\n  - {name: c, op: concat, of: [a]}\n",
          "circuit[0].of", "concat needs at least two operands, got 1"),
+        (head + "circuit:\n  - {name: c, op: series, of: x}\n",
+         "circuit[0].of", "operands must be a list of names"),
+        # feedback ports follow the one positive-integer rule of ``ports``
+        (head + "circuit:\n  - {name: c, op: feedback, of: [a], output: 0, input: 1}\n",
+         "circuit[0].output", "output must be a positive integer, got 0"),
+        (head + "circuit:\n  - {name: c, op: feedback, of: [a], output: 1, input: true}\n",
+         "circuit[0].input", "input must be a positive integer, got True"),
+        (head + "circuit:\n  - {name: c, op: feedback, of: [a], output: x, input: 1}\n",
+         "circuit[0].output", "output must be a positive integer, got 'x'"),
     ]:
         e = _err(text)
         assert (e.location, str(e)) == (location, f"{location}: {message}")
@@ -316,6 +325,12 @@ def test_elaborate_wraps_circuit_errors():
     with pytest.raises(NetlistError) as info:
         elaborate(parse_netlist(text))
     assert info.value.location == "circuit[0]"
+    # a hand-built netlist skips parse_netlist's check, and elaborate repeats it
+    parts = (ComponentDecl("a", "identity", 1), ComponentDecl("b", "identity", 1))
+    with pytest.raises(NetlistError) as info:
+        elaborate(Netlist(parts, ()))
+    assert str(info.value) == ("document.circuit: an empty circuit needs exactly one "
+                               "component to denote the model")
 
 
 def test_serialize_is_deterministic():

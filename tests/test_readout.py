@@ -493,6 +493,12 @@ def test_sweep_transfer_samples_are_finite_at_extreme_finite_angles():
     assert np.all(np.isfinite(out)) and np.all(np.abs(out[:, 2]) <= PI)
 
 
+def test_sweep_transfer_refuses_other_shapes():
+    for phis, mus in (([[0.5, 1.0]], [0.0]), ([0.5], [[0.0]])):
+        with pytest.raises(ArityError, match="must be 1-D"):
+            sweep_transfer(phis, mus)
+
+
 def test_sweep_transfer_rejects_singular_grid():
     with pytest.raises(SingularLoopError) as info:
         sweep_transfer([PI], [0.0, PI])
@@ -503,8 +509,9 @@ def test_sweep_transfer_rejects_singular_grid():
 def test_transfer_curve_validation():
     with pytest.raises(ArityError):
         TransferCurve(np.zeros((4, 2)))
-    with pytest.raises(DomainError):
-        TransferCurve(np.array([[0.0, 1.0, math.nan]]))
+    with pytest.raises(DomainError) as info:
+        TransferCurve(np.array([[0.0, 1.0, math.inf], [0.0, 1.0, math.nan]]))
+    assert str(info.value) == "transfer curve sample must be finite, got inf"
     curve = TransferCurve(np.array([[0.1, 0.5, 0.2]]))
     with pytest.raises(ValueError):
         curve.samples[0, 0] = 9.0

@@ -287,6 +287,8 @@ def test_recover_selector_rejects_inexact_phases():
         recover_selector([0.0, PI + 1e-9])
     with pytest.raises(ArityError):
         recover_selector(np.zeros((2, 2)))
+    with pytest.raises(ArityError, match="control matrix must be 2-D"):
+        recover_selector_matrix([0.0, PI])
 
 
 def test_eval_selector_examples():
@@ -301,6 +303,9 @@ def test_eval_selector_examples():
     for mu, bits in (([[0.1]], [[1]]), (0.1, 1), ([0.1], [[1]])):
         with pytest.raises(ArityError):
             eval_selector(mu, bits)
+    with pytest.raises(DomainError) as info:
+        eval_selector([0.3, math.nan, math.inf], [1, 0, 1])
+    assert str(info.value) == "memory phase must be finite, got nan"
 
 
 def test_eval_matches_built_chain():
@@ -366,6 +371,8 @@ def test_compile_selector_matrix_example():
     assert np.array_equal(phi, [[0.0, PI], [PI, 0.0], [0.0, PI]])
     assert np.array_equal(tails, [PI, 0.0])
     assert np.array_equal(recover_selector_matrix(phi), [[0, 1], [1, 1], [1, 0]])
+    with pytest.raises(ArityError, match="selector matrix must be 2-D"):
+        compile_selector_matrix([0, 1, 1])
 
 
 def test_compile_selector_matrix_columns_match_vector_compile():
@@ -433,3 +440,5 @@ def test_matrix_product_spec_validation():
         MatrixProductSpec([[0.1]], phi, tails)
     with pytest.raises(ArityError):
         MatrixProductSpec([[0.1], [0.2]], phi, [[PI]])
+    with pytest.raises(ArityError, match="1 selector columns need 1 tails"):
+        MatrixProductSpec([[0.1], [0.2]], phi, [0.0, 0.0])
