@@ -125,7 +125,7 @@ def _cmd_eval(args) -> int:
 
     scattering = sel.selector_scattering(spec)
     amps = scattering @ np.array([args.drive, 0.0], dtype=np.complex128)
-    phase = sel.canonical_phase(float(np.angle(amps[0])))
+    phase = sel.canonical_phase(np.angle(amps[0]))
     print(f"output_phase: {fmt12(phase)}")
     print(f"amplitude[1]: {_fmtc(amps[0])}")
     print(f"amplitude[2]: {_fmtc(amps[1])}")

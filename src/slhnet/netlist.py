@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import yaml
 from yaml import CSafeLoader
 
-from .core import CircuitError, SingularLoopError, SlhModel, concat, feedback, identity, series
+from .core import (CircuitError, SingularLoopError, SlhModel, _check_finite, concat, feedback,
+                   identity, series)
 from .components import beamsplitter, coherent_drive, phase_shift
 
 __all__ = [
@@ -121,6 +122,7 @@ def format_angle(x: float) -> str:
     Tries ``k*pi/d`` for small d, accepting a spelling only when re-parsing
     it reproduces the exact same float; falls back to ``repr``.
     """
+    _check_finite(x, "angle")
     x = float(x)
     if x == 0.0:
         return "0"
@@ -336,27 +338,30 @@ def parse_netlist(text: str) -> Netlist:
     for key, entries in raw.items():
         if not isinstance(entries, list):
             raise NetlistError(f"document.{key}", f"{key} must be a list")
+    nl = Netlist(*(tuple(parse(node, f"{key}[{i}]") for i, node in enumerate(raw[key]))
+                   for key, parse in (("components", _parse_component),
+                                      ("circuit", _parse_combinator))))
+    _check_structure(nl)
+    return nl
+
+
+def _check_structure(nl: Netlist) -> None:
+    """The netlist structure rule: names are unique, operands name earlier
+    entries, and the document denotes a model."""
     seen = set()
-    decls = {key: [] for key in raw}
-    for key, parse in (("components", _parse_component), ("circuit", _parse_combinator)):
-        for i, node in enumerate(raw[key]):
-            decl = parse(node, f"{key}[{i}]")
+    for key in ("components", "circuit"):
+        for i, decl in enumerate(getattr(nl, key)):
             if decl.name in seen:
                 raise NetlistError(f"{key}[{i}]", f"duplicate name {decl.name!r}")
             for j, ref in enumerate(decl.operands):
                 if ref not in seen:
                     raise NetlistError(f"{key}[{i}].of[{j}]", f"unresolved reference {ref!r}")
             seen.add(decl.name)
-            decls[key].append(decl)
-    components, circuit = decls["components"], decls["circuit"]
-    if not components:
+    if not nl.components:
         raise NetlistError("document.components", "at least one component is required")
-    if not circuit and len(components) != 1:
-        raise NetlistError(
-            "document.circuit",
-            "an empty circuit needs exactly one component to denote the model",
-        )
-    return Netlist(tuple(components), tuple(circuit))
+    if not nl.circuit and len(nl.components) != 1:
+        raise NetlistError("document.circuit", "an empty circuit needs exactly one component "
+                           "to denote the model")
 
 
 def serialize_netlist(nl: Netlist) -> str:
@@ -378,11 +383,10 @@ def serialize_netlist(nl: Netlist) -> str:
 
 
 def elaborate(nl: Netlist) -> SlhModel:
-    """Build the model a netlist denotes, resolving references in order."""
-    built = {}
-    for c in nl.components:
-        built[c.name] = c.build()
-    result = built[nl.components[0].name] if len(nl.components) == 1 else None
+    """Build the model a netlist denotes, resolving references in order; a
+    hand-built netlist breaking the parser's structure rule raises its NetlistError."""
+    _check_structure(nl)
+    built = {c.name: c.build() for c in nl.components}
     for i, d in enumerate(nl.circuit):
         location = f"circuit[{i}]"
         parts = [built[ref] for ref in d.operands]
@@ -397,10 +401,4 @@ def elaborate(nl: Netlist) -> SlhModel:
         except CircuitError as exc:
             raise NetlistError(location, str(exc)) from exc
         built[d.name] = model
-        result = model
-    if result is None:
-        raise NetlistError(
-            "document.circuit",
-            "an empty circuit needs exactly one component to denote the model",
-        )
-    return result
+    return built[(nl.circuit or nl.components)[-1].name]

@@ -115,7 +115,8 @@ def chain_feedback_selectors(mu, phi):
     needed, unlike the staircase layout.  All stages are built in one
     batched generic feedback elimination and series-composed in order.
     ``phi`` may also be an (m, n) matrix of control rows sharing the
-    memory bank ``mu``; the result is then the m output phases.
+    memory bank ``mu``; the result is then an array of the m output
+    phases, each ``canonical_phase`` of ``principal_phase`` of its row.
     """
     mu_arr = np.asarray(mu, dtype=np.float64)
     phi_arr = np.asarray(phi, dtype=np.float64)
@@ -133,8 +134,8 @@ def chain_feedback_selectors(mu, phi):
     for i in range(mu_arr.shape[0]):
         model = series(stages.at(i), model)
     out = np.broadcast_to(model.scattering[..., 0, 0], phi_arr.shape[:-1])
-    phases = [canonical_phase(principal_phase(z)) for z in out.ravel()]
-    return phases[0] if phi_arr.ndim == 1 else np.array(phases)
+    # principal_phase per row: np.angle can differ from cmath in the last bit
+    return canonical_phase(np.reshape([principal_phase(z) for z in out.ravel()], out.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +236,8 @@ def _init_curve(curve: TransferCurve, samples: np.ndarray) -> TransferCurve:
 
 def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
     # strictly interior points of a (points + 1)-cell split, so the
-    # (-pi, pi) range can never touch the singular line mu = +-pi at phi = pi
-    if points < 1:
-        raise ValueError(f"need at least one sweep point, got {points}")
+    # (-pi, pi) range can never touch the singular line mu = +-pi at phi = pi;
+    # points >= 1 is the callers' rule (cli's --points range)
     if not hi > lo:
         raise ValueError(f"empty sweep range [{lo}, {hi}]")
     return lo + (np.arange(points) + 1) * ((hi - lo) / (points + 1))

@@ -50,13 +50,14 @@ __all__ = [
 ]
 
 
-def canonical_phase(x: float) -> float:
-    """Reduce a phase to the canonical range [0, 2*pi)."""
-    r = float(np.mod(x, TWO_PI))
+def canonical_phase(x):
+    """Reduce a phase to the canonical range [0, 2*pi): a float for a scalar,
+    an array of its shape for an array; a NaN or infinite phase raises DomainError."""
+    _check_finite(x, "phase")
+    r = np.mod(x, TWO_PI)
     # mod of a tiny negative number can round up to exactly 2*pi
-    if r >= TWO_PI:
-        r = 0.0
-    return r
+    r = np.where(r >= TWO_PI, 0.0, r)
+    return r if r.ndim else float(r)
 
 
 def _as_bits(s, what: str = "selector") -> np.ndarray:
@@ -304,7 +305,7 @@ def recover_selector(control) -> np.ndarray:
 
 
 def eval_selector(mu, s) -> float:
-    """Output phase of the staircase: s . mu reduced into [0, 2*pi).
+    """Output phase of the staircase: ``canonical_phase`` of s . mu, 0.0 if empty.
 
     This is the closed-form route; it must match the argument of the top
     output amplitude of the built chain.
@@ -318,8 +319,7 @@ def eval_selector(mu, s) -> float:
             f"memory length {mu_arr.shape} != selector length {bits.shape}"
         )
     _check_finite(mu_arr, "memory phase")
-    total = float(bits @ mu_arr) if bits.size else 0.0
-    return canonical_phase(total)
+    return canonical_phase(bits @ mu_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,4 @@ def eval_matrix_product(spec: MatrixProductSpec) -> np.ndarray:
     thinks they compiled.
     """
     bits = recover_selector_matrix(spec.control_matrix)
-    m_out = spec.memory_matrix.T @ bits.astype(np.float64)
-    out = np.mod(m_out, TWO_PI)
-    out[out >= TWO_PI] = 0.0
-    return out
+    return canonical_phase(spec.memory_matrix.T @ bits.astype(np.float64))

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from slhnet import (
     CircuitError,
+    DomainError,
     Netlist,
     NetlistError,
     elaborate,
@@ -331,6 +332,41 @@ def test_elaborate_wraps_circuit_errors():
         elaborate(Netlist(parts, ()))
     assert str(info.value) == ("document.circuit: an empty circuit needs exactly one "
                                "component to denote the model")
+
+
+def test_elaborate_holds_hand_built_netlists_to_the_structure_rule():
+    a, b = ComponentDecl("a", "identity", 1), ComponentDecl("b", "identity", 1)
+    for nl, message in [
+        (Netlist((a, b), (CombinatorDecl("c", "series", ("a", "ghost")),)),
+         "circuit[0].of[1]: unresolved reference 'ghost'"),
+        (Netlist((a, a), (CombinatorDecl("c", "series", ("a", "a")),)),
+         "components[1]: duplicate name 'a'"),
+        (Netlist((), ()), "document.components: at least one component is required"),
+    ]:
+        with pytest.raises(NetlistError) as info:
+            elaborate(nl)
+        assert str(info.value) == message
+    # the document denotes its last circuit entry, or its sole component
+    assert elaborate(Netlist((b,), ())).ports == 1
+    assert elaborate(Netlist((a, b), (CombinatorDecl("c", "concat", ("a", "b")),))).ports == 2
+
+
+def test_malformed_entry_is_reported_before_structure_errors():
+    # every entry parses before the structure rule runs over the document
+    text = ("version: 1\ncomponents:\n"
+            "  - {name: a, kind: identity, ports: 1}\n"
+            "  - {name: a, kind: identity, ports: 1}\n"
+            "circuit:\n  - {name: c, op: loop, of: [a, a]}\n")
+    assert str(_err(text)).startswith("circuit[0]: unknown op 'loop'")
+
+
+def test_format_angle_refuses_non_finite_angles():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError) as info:
+            format_angle(bad)
+        assert str(info.value) == f"angle must be finite, got {bad!r}"
+    with pytest.raises(DomainError, match="angle must be finite, got nan"):
+        serialize_netlist(Netlist((ComponentDecl("p", "phase", float("nan")),)))
 
 
 def test_serialize_is_deterministic():

@@ -283,6 +283,10 @@ def test_chain_equals_per_stage_fold_bit_for_bit():
             want = _chain_reference(mu, row * PI)
             assert got == want
             assert chain_feedback_selectors(mu, row * PI) == want
+    # a row phase just below 0 reduces to 0.0 in a batch as it does alone
+    assert chain_feedback_selectors([-1e-300], [[PI], [0.0]]).tolist() == [0.0, 0.0]
+    assert type(chain_feedback_selectors([-1e-300], [PI])) is float
+    assert _chain_reference([-1e-300], [PI]) == 0.0
 
 
 def _assert_same_model(got, want):

@@ -44,6 +44,25 @@ def test_canonical_phase():
     assert canonical_phase(6.0) == 6.0
     assert canonical_phase(-0.5) == pytest.approx(TWO_PI - 0.5, abs=1e-15)
     assert canonical_phase(9.0) == pytest.approx(9.0 - TWO_PI, abs=1e-15)
+    assert canonical_phase(-1e-300) == 0.0  # mod rounds up to 2*pi here
+    assert type(canonical_phase(np.float64(3.0))) is float
+    # an array keeps its shape, each entry reduced as on its own
+    x = np.array([[-1e-300, TWO_PI, 0.5], [-0.5, 9.0, 7.0]])
+    got = canonical_phase(x)
+    assert got.shape == x.shape
+    assert got.tolist() == [[canonical_phase(v) for v in row] for row in x]
+    assert got[0, 0] == got[0, 1] == 0.0
+    assert canonical_phase(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_canonical_phase_refuses_non_finite_phases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before np.mod can warn
+        for bad in (math.nan, math.inf, -math.inf):
+            for x in (bad, np.array([[0.5, bad], [bad, 1.0]])):
+                with pytest.raises(DomainError) as info:
+                    canonical_phase(x)
+                assert str(info.value) == f"phase must be finite, got {bad!r}"
 
 
 def test_mz_quarter_phase():
@@ -411,6 +430,21 @@ def test_matrix_product_single_column_reduces_to_eval_selector():
         assert got[0, 0] == pytest.approx(
             eval_selector(mu[:, 0], bits[:, 0]), abs=1e-12
         )
+
+
+def test_matrix_product_equals_inline_mod_bit_for_bit():
+    rng = np.random.default_rng(67)
+    for _ in range(30):
+        n, m, k = (int(v) for v in rng.integers(0, 9, size=3))
+        mem = rng.uniform(0.0, TWO_PI, size=(n, m))
+        mem[rng.random((n, m)) < 0.2] = 0.0
+        spec = MatrixProductSpec.from_selector_matrix(rng.integers(0, 2, size=(n, k)), mem)
+        bits = recover_selector_matrix(spec.control_matrix)
+        want = np.mod(spec.memory_matrix.T @ bits.astype(np.float64), TWO_PI)
+        want[want >= TWO_PI] = 0.0
+        got = eval_matrix_product(spec)
+        assert got.shape == (m, k) and got.dtype == np.float64
+        assert np.array_equal(got, want)
 
 
 def test_matrix_product_spec_validation():
