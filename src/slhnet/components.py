@@ -44,9 +44,10 @@ def coherent_drive(alpha) -> SlhModel:
     ``(S, L, H) = (I_n, alpha, 0)``.  Compose with a passive circuit via
     ``series(circuit, coherent_drive(alpha))`` to drive it.
     """
-    l = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
+    l = np.ascontiguousarray(alpha, dtype=np.complex128)  # at least 1-D, viewable as floats
     if l.ndim != 1 or l.size == 0:
         raise ArityError("drive amplitudes must be a non-empty vector")
+    _check_finite(l.view(np.float64), "drive amplitude")
     return SlhModel(np.eye(l.size, dtype=np.complex128), l)
 
 

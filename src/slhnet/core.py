@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,9 @@ class ArityError(CircuitError, ValueError):
 
 
 class DomainError(CircuitError, ValueError):
-    """A parameter is outside its admissible domain: a non-finite angle, which
-    every public angle input refuses, or a non-binary control phase or selector bit."""
+    """A parameter is outside its admissible domain: a non-finite angle or drive
+    amplitude, which every public input taking one refuses, or a non-binary
+    control phase or selector bit."""
 
 
 class DrivenCircuitError(CircuitError, ValueError):
@@ -255,6 +257,10 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     n = g.ports
     if n < 2:
         raise ArityError("feedback needs at least two ports")
+    try:
+        k, l = operator.index(k), operator.index(l)
+    except TypeError:
+        raise ArityError(f"feedback ports must be integers, got ({k!r}, {l!r})") from None
     if not (1 <= k <= n and 1 <= l <= n):
         raise ArityError(f"feedback ports ({k}, {l}) out of range for {n}-port model")
     ki, li = k - 1, l - 1

@@ -20,7 +20,9 @@ key and the functions that parse, format and build it.  Combinator ops are
 operand owns the first ports) and ``feedback`` (one operand plus
 ``output``/``input`` port numbers).  The model denoted by the document is
 the last ``circuit`` entry, or the sole declared component when
-``circuit`` is empty or absent.
+``circuit`` is empty or absent.  A ``Netlist`` is valid by construction: it
+checks the one netlist rule itself, so the parser only reads YAML, and
+reports YAML-shape faults first, then rule faults in document order.
 
 Angles are radians.  Rational multiples of pi keep the exact symbolic
 spelling ``pi``, ``-pi/4``, ``3pi/4`` through parse/serialize round trips,
@@ -187,9 +189,6 @@ class ComponentDecl:
     # a primitive refers to no other entry; not a dataclass field
     operands = ()
 
-    def build(self) -> SlhModel:
-        return _KINDS[self.kind].build(self.value)
-
 
 @dataclass(frozen=True)
 class CombinatorDecl:
@@ -202,8 +201,65 @@ class CombinatorDecl:
 
 @dataclass(frozen=True)
 class Netlist:
+    """Component and combinator declarations, valid by construction:
+    building one runs the netlist rule and raises the parser's NetlistError
+    at the first fault."""
+
     components: tuple = ()
     circuit: tuple = ()
+
+    def __post_init__(self):
+        for key in ("components", "circuit"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        _check_netlist(self)
+
+
+def _check_netlist(nl: Netlist) -> None:
+    """The netlist rule, entry by entry in document order: a declaration of the
+    list's type, with a unique name matching ``_NAME_RE``, a known kind or op,
+    operands and ports that fit the op, and operands naming earlier entries.
+    Then a component, and only one when ``circuit`` is empty."""
+    seen = set()
+    for key, cls in (("components", ComponentDecl), ("circuit", CombinatorDecl)):
+        for i, decl in enumerate(getattr(nl, key)):
+            location = f"{key}[{i}]"
+            if not isinstance(decl, cls):
+                raise NetlistError(location,
+                                   f"expected a {cls.__name__}, got {type(decl).__name__}")
+            name = decl.name
+            if not isinstance(name, str) or not _NAME_RE.match(name):
+                raise NetlistError(location, f"name must match {_NAME_RE.pattern!r}, got {name!r}")
+            if cls is ComponentDecl:
+                _row(_KINDS, decl.kind, "kind", location)
+            else:
+                _check_operands(decl, location)
+            if name in seen:
+                raise NetlistError(location, f"duplicate name {name!r}")
+            for j, ref in enumerate(decl.operands):
+                if ref not in seen:
+                    raise NetlistError(f"{location}.of[{j}]", f"unresolved reference {ref!r}")
+            seen.add(name)
+    if not nl.components:
+        raise NetlistError("document.components", "at least one component is required")
+    if not nl.circuit and len(nl.components) != 1:
+        raise NetlistError("document.circuit", "an empty circuit needs exactly one component "
+                           "to denote the model")
+
+
+def _check_operands(d: CombinatorDecl, location: str) -> None:
+    _row(_OPS, d.op, "op", location)
+    refs, where = d.operands, f"{location}.of"
+    if not isinstance(refs, tuple) or not all(isinstance(x, str) and x for x in refs):
+        raise NetlistError(where, "operands must be a list of names")
+    if d.op == "feedback":
+        if len(refs) != 1:
+            raise NetlistError(where, f"feedback takes exactly one operand, got {len(refs)}")
+        for key in ("output", "input"):
+            _parse_ports(getattr(d, key), f"{location}.{key}")
+    elif len(refs) < 2:
+        raise NetlistError(where, f"{d.op} needs at least two operands, got {len(refs)}")
+    elif (d.output, d.input) != (0, 0):
+        raise NetlistError(location, f"{d.op} takes no ports, got ({d.output!r}, {d.input!r})")
 
 
 def _require_map(node, location: str) -> dict:
@@ -219,30 +275,24 @@ def _take(node: dict, key: str, location: str):
 
 
 def _check_keys(node: dict, allowed, location: str):
-    # strings in their own order, then other keys by spelling: mixed types do not compare
-    extra = sorted(set(node) - set(allowed), key=lambda k: (not isinstance(k, str), str(k)))
+    extra = set(node).difference(allowed)
     if extra:
+        # strings in their own order, then other keys by spelling: mixed types do not compare
+        extra = sorted(extra, key=lambda k: (not isinstance(k, str), str(k)))
         raise NetlistError(location, f"unknown keys {extra}")
 
 
-def _parse_name(node: dict, location: str) -> str:
-    name = _take(node, "name", location)
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise NetlistError(
-            location,
-            f"name must match {_NAME_RE.pattern!r}, got {name!r}",
-        )
-    return name
+def _row(table: dict, key, what: str, location: str):
+    # a YAML list or mapping is unhashable, so test the type before the table
+    if not isinstance(key, str) or key not in table:
+        raise NetlistError(location, f"unknown {what} {key!r} (expected one of {tuple(table)})")
+    return table[key]
 
 
 def _parse_component(node, location: str) -> ComponentDecl:
     node = _require_map(node, location)
-    name = _parse_name(node, location)
-    kind = _take(node, "kind", location)
-    # a YAML list or mapping is unhashable, so test the type before the table
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise NetlistError(location, f"unknown kind {kind!r} (expected one of {tuple(_KINDS)})")
-    row = _KINDS[kind]
+    name, kind = _take(node, "name", location), _take(node, "kind", location)
+    row = _row(_KINDS, kind, "kind", location)
     _check_keys(node, ("name", "kind", row.key), location)
     value = row.parse(_take(node, row.key, location), f"{location}.{row.key}")
     return ComponentDecl(name, kind, value)
@@ -250,30 +300,14 @@ def _parse_component(node, location: str) -> ComponentDecl:
 
 def _parse_combinator(node, location: str) -> CombinatorDecl:
     node = _require_map(node, location)
-    name = _parse_name(node, location)
-    op = _take(node, "op", location)
-    if not isinstance(op, str) or op not in _OPS:
-        raise NetlistError(location, f"unknown op {op!r} (expected one of {tuple(_OPS)})")
+    name, op = _take(node, "name", location), _take(node, "op", location)
+    _row(_OPS, op, "op", location)
     operands = _take(node, "of", location)
-    if not isinstance(operands, list) or not all(
-        isinstance(x, str) and x for x in operands
-    ):
-        raise NetlistError(f"{location}.of", "operands must be a list of names")
-    if op == "feedback":
-        _check_keys(node, ("name", "op", "of", "output", "input"), location)
-        if len(operands) != 1:
-            raise NetlistError(
-                f"{location}.of", f"feedback takes exactly one operand, got {len(operands)}"
-            )
-        ports = [_parse_ports(_take(node, key, location), f"{location}.{key}")
-                 for key in ("output", "input")]
-        return CombinatorDecl(name, op, tuple(operands), *ports)
-    _check_keys(node, ("name", "op", "of"), location)
-    if len(operands) < 2:
-        raise NetlistError(
-            f"{location}.of", f"{op} needs at least two operands, got {len(operands)}"
-        )
-    return CombinatorDecl(name, op, tuple(operands))
+    ports = ("output", "input") if op == "feedback" else ()
+    _check_keys(node, ("name", "op", "of", *ports), location)
+    # a non-list stays as it is, for the netlist rule to refuse
+    operands = tuple(operands) if isinstance(operands, list) else operands
+    return CombinatorDecl(name, op, operands, *(_take(node, key, location) for key in ports))
 
 
 def _build(node, loader):
@@ -338,30 +372,9 @@ def parse_netlist(text: str) -> Netlist:
     for key, entries in raw.items():
         if not isinstance(entries, list):
             raise NetlistError(f"document.{key}", f"{key} must be a list")
-    nl = Netlist(*(tuple(parse(node, f"{key}[{i}]") for i, node in enumerate(raw[key]))
-                   for key, parse in (("components", _parse_component),
-                                      ("circuit", _parse_combinator))))
-    _check_structure(nl)
-    return nl
-
-
-def _check_structure(nl: Netlist) -> None:
-    """The netlist structure rule: names are unique, operands name earlier
-    entries, and the document denotes a model."""
-    seen = set()
-    for key in ("components", "circuit"):
-        for i, decl in enumerate(getattr(nl, key)):
-            if decl.name in seen:
-                raise NetlistError(f"{key}[{i}]", f"duplicate name {decl.name!r}")
-            for j, ref in enumerate(decl.operands):
-                if ref not in seen:
-                    raise NetlistError(f"{key}[{i}].of[{j}]", f"unresolved reference {ref!r}")
-            seen.add(decl.name)
-    if not nl.components:
-        raise NetlistError("document.components", "at least one component is required")
-    if not nl.circuit and len(nl.components) != 1:
-        raise NetlistError("document.circuit", "an empty circuit needs exactly one component "
-                           "to denote the model")
+    return Netlist(*(tuple(parse(node, f"{key}[{i}]") for i, node in enumerate(raw[key]))
+                     for key, parse in (("components", _parse_component),
+                                        ("circuit", _parse_combinator))))
 
 
 def serialize_netlist(nl: Netlist) -> str:
@@ -384,9 +397,8 @@ def serialize_netlist(nl: Netlist) -> str:
 
 def elaborate(nl: Netlist) -> SlhModel:
     """Build the model a netlist denotes, resolving references in order; a
-    hand-built netlist breaking the parser's structure rule raises its NetlistError."""
-    _check_structure(nl)
-    built = {c.name: c.build() for c in nl.components}
+    combinator's CircuitError is raised as a NetlistError at its entry."""
+    built = {c.name: _KINDS[c.kind].build(c.value) for c in nl.components}
     for i, d in enumerate(nl.circuit):
         location = f"circuit[{i}]"
         parts = [built[ref] for ref in d.operands]

@@ -1,8 +1,10 @@
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,3 +423,31 @@ def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, monkeypatch, capsys)
             pytest.fail(f"{argv!r} raised {exc!r}")
         out = capsys.readouterr().out
         assert code in (0, 2, 3) or (code == 1 and "FAIL" in out), (argv, code)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_examples():
+    """(argv, shown lines) for each command in README's CLI block that shows
+    output; ``...`` lines and ``#`` comments are not output to compare."""
+    block = README.read_text().split("## CLI\n", 1)[1].split("```text\n", 1)[1]
+    examples = []
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("slhnet "):
+            examples.append((shlex.split(line, comments=True)[1:], []))
+        elif (shown := line.split("#", 1)[0].rstrip()) and "..." not in shown:
+            examples[-1][1].append(shown)
+    return [(argv, shown) for argv, shown in examples if shown]
+
+
+def test_readme_cli_block_shows_what_the_commands_print(capsys):
+    examples = _readme_cli_examples()
+    assert [line for _, shown in examples for line in shown] == [
+        "control: [0, pi, 0]", "tail: pi", "output_phase: 1.8",
+        "m_out[1]: 0.8 0.6", "m_out[2]: 1.2 0.8"]
+    for argv, shown in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        # the shown lines, in their order, among the printed ones
+        assert [line for line in out if line in shown] == shown, (argv, out)

@@ -51,6 +51,13 @@ def test_coherent_drive():
     for bad in ([], [[1.0], [2.0]]):
         with pytest.raises(ArityError, match="non-empty vector"):
             coherent_drive(bad)
+    # a non-finite real or imaginary part is refused, as a netlist drive refuses it
+    for bad, shown in (([math.nan], "nan"), ([1.0, complex(2.0, -math.inf)], "-inf")):
+        with pytest.raises(DomainError) as info:
+            coherent_drive(bad)
+        assert str(info.value) == f"drive amplitude must be finite, got {shown}"
+    # a strided view is read as its values
+    assert_allclose(coherent_drive(np.arange(6.0, dtype=complex)[::2]).coupling, [0, 2, 4])
 
 
 def test_output_amplitudes():

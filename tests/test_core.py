@@ -154,6 +154,17 @@ def test_feedback_singular_loop_payload():
         feedback(identity(1), 1, 1)
 
 
+def test_feedback_refuses_non_integer_ports():
+    g = beamsplitter(0.3)
+    for model, k, l in ((identity(2), 1.5, 1), (g, 1.0, 1), (g, 1, "2"), (g, None, 1)):
+        with pytest.raises(ArityError) as info:
+            feedback(model, k, l)
+        assert str(info.value) == f"feedback ports must be integers, got ({k!r}, {l!r})"
+    # any integer type keeps working, and gives the same model as Python ints
+    same = feedback(g, np.int64(1), np.int64(2))
+    assert np.array_equal(same.scattering, feedback(g, 1, 2).scattering)
+
+
 def test_feedback_threshold_is_inclusive():
     tol = FEEDBACK_SINGULAR_TOL
     assert is_singular_loop(tol) and is_singular_loop(-1j * tol)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,19 +337,44 @@ def test_elaborate_wraps_circuit_errors():
 
 def test_elaborate_holds_hand_built_netlists_to_the_structure_rule():
     a, b = ComponentDecl("a", "identity", 1), ComponentDecl("b", "identity", 1)
-    for nl, message in [
-        (Netlist((a, b), (CombinatorDecl("c", "series", ("a", "ghost")),)),
+    for components, circuit, message in [
+        ((a, b), (CombinatorDecl("c", "series", ("a", "ghost")),),
          "circuit[0].of[1]: unresolved reference 'ghost'"),
-        (Netlist((a, a), (CombinatorDecl("c", "series", ("a", "a")),)),
-         "components[1]: duplicate name 'a'"),
-        (Netlist((), ()), "document.components: at least one component is required"),
+        ((a, a), (CombinatorDecl("c", "series", ("a", "a")),), "components[1]: duplicate name 'a'"),
+        ((), (), "document.components: at least one component is required"),
     ]:
         with pytest.raises(NetlistError) as info:
-            elaborate(nl)
+            elaborate(Netlist(components, circuit))
         assert str(info.value) == message
     # the document denotes its last circuit entry, or its sole component
     assert elaborate(Netlist((b,), ())).ports == 1
     assert elaborate(Netlist((a, b), (CombinatorDecl("c", "concat", ("a", "b")),))).ports == 2
+
+
+def test_a_netlist_breaking_the_rule_cannot_be_built():
+    # unknown kinds and ops are refused with the parser's text, before elaborate
+    # or serialize_netlist could index their tables
+    kinds = "('phase', 'beamsplitter', 'drive', 'identity')"
+    ops = "('series', 'concat', 'feedback')"
+    a, b = ComponentDecl("a", "identity", 1), ComponentDecl("b", "identity", 1)
+    for components, circuit, message in [
+        ((ComponentDecl("a", "loop", 1),), (),
+         f"components[0]: unknown kind 'loop' (expected one of {kinds})"),
+        ((a, b), (CombinatorDecl("c", "loop", ("a", "b")),),
+         f"circuit[0]: unknown op 'loop' (expected one of {ops})"),
+        ((a, b), (CombinatorDecl("c", "series", ("a", "b"), 1, 1),),
+         "circuit[0]: series takes no ports, got (1, 1)"),
+        ((a, b), (CombinatorDecl("c", "concat", ["a", "b"]),),
+         "circuit[0].of: operands must be a list of names"),
+        ((CombinatorDecl("c", "concat", ("a", "b")),), (),
+         "components[0]: expected a ComponentDecl, got CombinatorDecl"),
+        ((a,), (b,), "circuit[0]: expected a CombinatorDecl, got ComponentDecl"),
+    ]:
+        with pytest.raises(NetlistError) as info:
+            Netlist(components, circuit)
+        assert str(info.value) == message
+    # the fields are frozen as tuples
+    assert Netlist([a], []) == Netlist((a,), ())
 
 
 def test_malformed_entry_is_reported_before_structure_errors():
@@ -371,8 +397,8 @@ def test_format_angle_refuses_non_finite_angles():
 
 def test_serialize_is_deterministic():
     nl = parse_netlist(FULL_DOC)
-    assert serialize_netlist(nl) == serialize_netlist(nl)
-    assert serialize_netlist(Netlist(nl.components, ())).endswith("\n")
+    text = serialize_netlist(nl)
+    assert text == serialize_netlist(nl) and text.endswith("\n")
 
 
 # -- the libyaml loader against PyYAML's pure-Python reference ----------------
@@ -633,3 +659,72 @@ def test_mutated_netlists_parse_or_refuse(tmp_path, capsys):
         assert main(["netlist", "print", str(path)]) in (0, 2, 3), text
     capsys.readouterr()
     assert outcomes == {"parsed", "refused"}
+
+
+FAULTS = ("name", "duplicate", "kind", "op", "count", "series-ports", "port", "dangling",
+          "no-components", "no-model")
+
+
+def _with_one_fault(rng, nl, fault):
+    """The two entry lists of the valid ``nl`` with one ``fault``, and the
+    location the netlist rule must report it at."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    components, circuit = list(nl.components), list(nl.circuit)
+    i = int(rng.integers(len(circuit)))
+    d, at = circuit[i], f"circuit[{i}]"
+    if fault == "name":
+        key, entries = pick([("components", components), ("circuit", circuit)])
+        j = int(rng.integers(len(entries)))
+        entries[j] = replace(entries[j], name=pick(["2bad", "a b", "", 5, None, ["c0"], {}]))
+        return components, circuit, f"{key}[{j}]"
+    if fault == "duplicate":
+        # the last entry: no other entry refers to it by its own name
+        earlier = [e.name for e in components + circuit[:-1]]
+        circuit[-1] = replace(circuit[-1], name=pick(earlier))
+        return components, circuit, f"circuit[{len(circuit) - 1}]"
+    if fault == "kind":
+        j = int(rng.integers(len(components)))
+        components[j] = replace(components[j], kind=pick(["loop", "Phase", None, ["phase"]]))
+        return components, circuit, f"components[{j}]"
+    if fault == "op":
+        circuit[i] = replace(d, op=pick(["loop", "Series", None, ["series"]]))
+        return components, circuit, at
+    ref = d.operands[0]
+    if fault == "count":
+        wrong = pick([(), (ref, ref)] if d.op == "feedback" else [(), (ref,)])
+        circuit[i] = replace(d, operands=wrong)
+        return components, circuit, f"{at}.of"
+    if fault == "series-ports":
+        ports = pick([(1, 0), (0, 2), (1, 1)])
+        circuit[i] = CombinatorDecl(d.name, pick(["series", "concat"]), (ref, ref), *ports)
+        return components, circuit, at
+    if fault == "port":
+        key = pick(["output", "input"])
+        circuit[i] = replace(CombinatorDecl(d.name, "feedback", (ref,), 1, 1),
+                             **{key: pick([0, -1, True, False, 1.0, "1", None])})
+        return components, circuit, f"{at}.{key}"
+    if fault == "dangling":
+        later = [e.name for e in circuit[i:]]
+        j = int(rng.integers(len(d.operands)))
+        refs = list(d.operands)
+        refs[j] = pick(["ghost"] + later)
+        circuit[i] = replace(d, operands=tuple(refs))
+        return components, circuit, f"{at}.of[{j}]"
+    if fault == "no-components":
+        return [], [], "document.components"
+    assert fault == "no-model"
+    return components + [ComponentDecl("spare", "identity", 1)], [], "document.circuit"
+
+
+def test_hand_built_netlists_hold_to_the_netlist_rule():
+    rng = np.random.default_rng(25)
+    for n in range(300):
+        nl = _random_netlist(rng)
+        # a netlist without faults is a fixed point of the text format
+        assert parse_netlist(serialize_netlist(nl)) == nl
+        components, circuit, location = _with_one_fault(rng, nl, FAULTS[n % len(FAULTS)])
+        with pytest.raises(NetlistError) as info:
+            Netlist(components, circuit)
+        assert info.value.location == location, (FAULTS[n % len(FAULTS)], components, circuit)
