@@ -93,6 +93,21 @@ def _check_finite(values, what: str) -> None:
         raise DomainError(f"{what} must be finite, got {arr[~finite][0].item()!r}")
 
 
+def _check_integers(what: str, *values) -> tuple[int, ...]:
+    """The one integer rule for port counts and port numbers: each value is
+    taken through ``operator.index``, so any integer type passes and floats
+    and strings do not, and a Python or numpy ``bool`` is refused, so
+    ``True`` is never port 1.  Raises ArityError naming ``what``."""
+    try:
+        # bool is an int subclass; operator.index refuses numpy's bool itself
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    shown, noun = (values[0], "an integer") if len(values) == 1 else (values, "integers")
+    raise ArityError(f"{what} must be {noun}, got {shown!r}")
+
+
 def _check_binary_phases(values, what: str = "control phase") -> None:
     """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
     naming the first offending entry by its Python value."""
@@ -168,11 +183,18 @@ class SlhModel:
 
 
 def _init(m: SlhModel, s: np.ndarray, l: np.ndarray, h) -> SlhModel:
-    for a in (s, l) if s.ndim == 2 else (s, l, h):
-        a.setflags(write=False)
-    object.__setattr__(m, "scattering", s)
-    object.__setattr__(m, "coupling", l)
-    object.__setattr__(m, "hamiltonian", float(h) if s.ndim == 2 else h)
+    s.setflags(write=False)
+    l.setflags(write=False)
+    if s.ndim == 2:
+        h = float(h)
+    else:
+        h.setflags(write=False)
+    # the frozen fields are written straight into the instance dict, which is
+    # what object.__setattr__ does for a dataclass without slots
+    fields = m.__dict__
+    fields["scattering"] = s
+    fields["coupling"] = l
+    fields["hamiltonian"] = h
     return m
 
 
@@ -190,6 +212,7 @@ def identity(n: int) -> SlhModel:
 
     It is the unit of the series product.
     """
+    (n,) = _check_integers("identity port count", n)
     if n < 1:
         raise ArityError(f"identity needs at least one port, got n={n}")
     return _model(np.eye(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128), 0.0)
@@ -237,46 +260,61 @@ def concat(g1: SlhModel, g2: SlhModel) -> SlhModel:
 
 @functools.lru_cache(maxsize=1024)
 def _feedback_indices(n: int, ki: int, li: int):
-    """Read-only index arrays for closing output ``ki`` onto input ``li``
-    (0-indexed) of an n-port: kept rows, kept columns, and the kept rows as
-    a column for 2-D fancy indexing."""
-    keep_r = np.array([i for i in range(n) if i != ki])
-    keep_c = np.array([i for i in range(n) if i != li])
-    rows = keep_r[:, None]
-    for a in (keep_r, keep_c, rows):
+    """Read-only flat index arrays for closing output ``ki`` onto input
+    ``li`` (0-indexed) of an n-port.  The first indexes the last two axes of
+    the scattering flattened to ``n * n``: the kept ``(n-1) x (n-1)`` block
+    in C order, then column ``li`` with row ``ki`` removed, then row ``ki``
+    with column ``li`` removed, then ``S_kl``.  The second indexes the
+    coupling: the kept entries in order, then ``L_k``."""
+    keep_r = [i for i in range(n) if i != ki]
+    keep_c = [j for j in range(n) if j != li]
+    flat = ([i * n + j for i in keep_r for j in keep_c]
+            + [i * n + li for i in keep_r]
+            + [ki * n + j for j in keep_c]
+            + [ki * n + li])
+    arrays = np.array(flat), np.array(keep_r + [ki])
+    for a in arrays:
         a.setflags(write=False)
-    return keep_r, keep_c, rows
+    return arrays
 
 
 def _feedback_masked(g: SlhModel, k: int, l: int):
     """Feedback elimination of every batch element, and the boolean mask of
     the elements whose loop is singular.  Masked elements are divided by a
     unit denominator instead, so their values are meaningless but finite.
-    The index arrays come from ``_feedback_indices``, cached per
-    ``(n, k, l)``."""
-    n = g.ports
+
+    One ``take`` with the flat indices of ``_feedback_indices``, cached per
+    ``(n, k, l)``, gathers the kept block, column l, row k and ``S_kl``; a
+    second gathers the kept coupling and ``L_k``.  An unbatched model's
+    ``S_kl`` and ``L_k`` come out as numpy scalars, as single-element
+    indexing gives them, so its divisions stay numpy's scalar ones."""
+    s, c = g.scattering, g.coupling
+    n = s.shape[-1]
     if n < 2:
         raise ArityError("feedback needs at least two ports")
-    try:
-        k, l = operator.index(k), operator.index(l)
-    except TypeError:
-        raise ArityError(f"feedback ports must be integers, got ({k!r}, {l!r})") from None
+    k, l = _check_integers("feedback ports", k, l)
     if not (1 <= k <= n and 1 <= l <= n):
         raise ArityError(f"feedback ports ({k}, {l}) out of range for {n}-port model")
     ki, li = k - 1, l - 1
-    s, c = g.scattering, g.coupling
-    d = 1.0 - s[..., ki, li]
+    m = n - 1
+    batch = s.shape[:-2]
+    flat, cflat = _feedback_indices(n, ki, li)
+    gathered = s.reshape(batch + (n * n,)).take(flat, axis=-1)
+    block = gathered[..., :m * m].reshape(batch + (m, m))
+    col = gathered[..., m * m:m * m + m]      # column l with row k removed
+    row = gathered[..., m * m + m:-1]         # row k with column l removed
+    d = 1.0 - gathered[..., -1]
     singular = is_singular_loop(d)
-    if singular.any():
+    if np.count_nonzero(singular):
         d = np.where(singular, 1.0, d)
-    keep_r, keep_c, rows = _feedback_indices(n, ki, li)
-    col = s[..., keep_r, li]      # column l with row k removed
-    row = s[..., ki, keep_c]      # row k with column l removed
-    s_fb = (s[..., rows, keep_c]
-            + col[..., :, None] * row[..., None, :] / d[..., None, None])
-    l_fb = c[..., keep_r] + col * (c[..., ki] / d)[..., None]
+    coupling = c.take(cflat, axis=-1)
+    lk = coupling[..., m]
+    s_fb = block + col[..., :, None] * row[..., None, :] / d[..., None, None]
+    l_fb = coupling[..., :m] + col * (lk / d)[..., None]
+    # free the gather before the H term's temporaries, so a large batch
+    # does not hold both at its peak
+    del gathered, block, col, row
     v = (c.conj()[..., None, :] @ s[..., :, li, None])[..., 0, 0]
-    lk = c[..., ki]
     # (sum_j L_j^* S_jl) L_k as Re(v) L_k + Im(v) (i L_k): each real product
     # is rounded once, as in numpy's scalar complex product, where its
     # vectorized complex multiply may fuse a product into the sum
@@ -298,7 +336,7 @@ def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
     for the first such element of a batch in C order.
     """
     model, singular = _feedback_masked(g, k, l)
-    if singular.any():
+    if np.count_nonzero(singular):
         first = np.unravel_index(np.argmax(singular), singular.shape)
         raise SingularLoopError(k, l, g.scattering[first + (k - 1, l - 1)])
     return model

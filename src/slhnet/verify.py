@@ -156,10 +156,13 @@ def _check_feedback_closed_form(grid: int) -> CheckResult:
     built = ro.build_feedback_selector(pts[:, None], pts[None, :]).scattering[..., 0, 0]
     worst = 0.0
     worst_mod = 0.0
-    for i, phi in enumerate(pts):
-        for j, mu in enumerate(pts):
+    # Python floats and complexes, not numpy scalars: the same IEEE
+    # arithmetic at a fraction of the per-call cost
+    mus = pts.tolist()
+    for phi, built_row in zip(mus, built):
+        for mu, generic in zip(mus, built_row.tolist()):
             closed = ro.feedback_selector_scattering(phi, mu)
-            worst = max(worst, abs(closed - built[i, j]))
+            worst = max(worst, abs(closed - generic))
             worst_mod = max(worst_mod, abs(abs(closed) - 1.0))
     detail = (
         f"{grid}x{grid} grid; closed vs generic {worst:.3e} (tol 1e-12), "
@@ -172,7 +175,7 @@ def _check_feedback_closed_form(grid: int) -> CheckResult:
 def _check_feedback_dichotomy(rng) -> CheckResult:
     mus = rng.uniform(0.0, TWO_PI, size=1000)
     worst = 0.0
-    for mu in mus:
+    for mu in mus.tolist():
         if abs(mu) < 1e-6:
             continue
         bypass = ro.feedback_selector_scattering(0.0, mu)
@@ -187,11 +190,11 @@ def _check_feedback_dichotomy(rng) -> CheckResult:
 def _check_weighted_lines(rng) -> CheckResult:
     mus = rng.uniform(-math.pi + 1e-6, math.pi, size=1000)
     worst_id = max(
-        abs(ro.weighted_output_phase(math.pi / 2, mu) - mu) for mu in mus
+        abs(ro.weighted_output_phase(math.pi / 2, mu) - mu) for mu in mus.tolist()
     )
     # phi = pi is singular at mu = pi; keep the collapse draws off that point
     mus_flat = rng.uniform(-math.pi + 0.01, math.pi - 0.01, size=1000)
-    worst_zero = max(abs(ro.weighted_output_phase(math.pi, mu)) for mu in mus_flat)
+    worst_zero = max(abs(ro.weighted_output_phase(math.pi, mu)) for mu in mus_flat.tolist())
     worst = max(worst_id, worst_zero)
     return _result(
         "weighted-identity-and-collapse", worst, 1e-12,
@@ -270,16 +273,23 @@ def _random_stage(rng, ports: int) -> SlhModel:
     # (when two ports are left), then the angle.  Each angle is rng.random()
     # scaled as rng.uniform scales it, low + (high - low) * next_double, so
     # the values and the generator state match that chain bit for bit.
+    # Entries are written one scalar at a time: a rotation's four as
+    # beamsplitter builds them, a phase entry as phase_shift's
+    # np.exp(1j * phi), where 1j * phi is exactly (0, phi) in Python's
+    # complex product as in numpy's.
     s = np.zeros((ports, ports), dtype=np.complex128)
     i = 0
     while i < ports:
         if ports - i >= 2 and rng.random() < 0.5:
             theta = -math.pi + TWO_PI * rng.random()
             c, sn = math.cos(theta), math.sin(theta)
-            s[i:i + 2, i:i + 2] = [[c, -sn], [sn, c]]
+            s[i, i] = c
+            s[i, i + 1] = -sn
+            s[i + 1, i] = sn
+            s[i + 1, i + 1] = c
             i += 2
         else:
-            s[i, i] = np.exp(1j * np.float64(TWO_PI * rng.random()))
+            s[i, i] = np.exp(1j * (TWO_PI * rng.random()))
             i += 1
     return _model(s, np.zeros(ports, dtype=np.complex128), 0.0)
 

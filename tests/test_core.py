@@ -67,6 +67,16 @@ def test_identity_is_series_unit():
         assert_allclose(composed.coupling, g.coupling, atol=1e-15)
     with pytest.raises(ArityError):
         identity(0)
+    # any integer type gives the same model as a Python int
+    assert np.array_equal(identity(np.int64(3)).scattering, identity(3).scattering)
+
+
+@pytest.mark.parametrize("n", [1.5, True, "2", np.True_, None],
+                         ids=["float", "bool", "str", "numpy-bool", "none"])
+def test_identity_refuses_a_non_integer_port_count(n):
+    with pytest.raises(ArityError) as info:
+        identity(n)
+    assert str(info.value) == f"identity port count must be an integer, got {n!r}"
 
 
 def test_series_multiplies_scattering():
@@ -163,6 +173,15 @@ def test_feedback_refuses_non_integer_ports():
     # any integer type keeps working, and gives the same model as Python ints
     same = feedback(g, np.int64(1), np.int64(2))
     assert np.array_equal(same.scattering, feedback(g, 1, 2).scattering)
+
+
+@pytest.mark.parametrize("k, l", [(True, True), (np.True_, 1), (1, np.False_)],
+                         ids=["bool-pair", "numpy-bool-k", "numpy-bool-l"])
+def test_feedback_refuses_bool_ports(k, l):
+    # True is not port 1, for Python and numpy bools alike
+    with pytest.raises(ArityError) as info:
+        feedback(beamsplitter(0.3), k, l)
+    assert str(info.value) == f"feedback ports must be integers, got ({k!r}, {l!r})"
 
 
 def test_feedback_threshold_is_inclusive():
@@ -266,6 +285,69 @@ def test_batched_singular_mask_agrees_with_scalar_raise():
     assert info.value.s_kl == models[first].scattering[0, 0]
     with np.errstate(all="raise"):
         _feedback_masked(batch, 1, 1)
+
+
+def _fancy_index_feedback(g, k, l):
+    """Feedback elimination by per-part fancy indexing, kept here as an
+    independent route to _feedback_masked's flat gather: the same
+    arithmetic, in the same order, on parts indexed one at a time."""
+    n, ki, li = g.ports, k - 1, l - 1
+    s, c = g.scattering, g.coupling
+    d = 1.0 - s[..., ki, li]
+    singular = is_singular_loop(d)
+    if singular.any():
+        d = np.where(singular, 1.0, d)
+    keep_r = np.array([i for i in range(n) if i != ki])
+    keep_c = np.array([j for j in range(n) if j != li])
+    col = s[..., keep_r, li]
+    row = s[..., ki, keep_c]
+    s_fb = (s[..., keep_r[:, None], keep_c]
+            + col[..., :, None] * row[..., None, :] / d[..., None, None])
+    l_fb = c[..., keep_r] + col * (c[..., ki] / d)[..., None]
+    v = (c.conj()[..., None, :] @ s[..., :, li, None])[..., 0, 0]
+    lk = c[..., ki]
+    vlk = v.real * lk + v.imag * (1j * lk)
+    h_fb = g.hamiltonian + (vlk / d).imag
+    return s_fb, l_fb, h_fb, singular
+
+
+def _assert_same_as_fancy_index(g, k, l):
+    got, singular = _feedback_masked(g, k, l)
+    s_fb, l_fb, h_fb, want_singular = _fancy_index_feedback(g, k, l)
+    assert np.array_equal(singular, want_singular)
+    assert np.array_equal(got.scattering, s_fb)
+    assert np.array_equal(got.coupling, l_fb)
+    assert np.array_equal(got.hamiltonian, h_fb)
+    return singular
+
+
+def test_feedback_gather_equals_fancy_indexing_bit_for_bit():
+    groups = _circuits_by_ports(404, count=300)
+    for n in range(2, 7):
+        # the driven half of each group: L != 0 and H != 0
+        driven = [g for g in groups[n] if not g.is_passive()][:6]
+        assert len(driven) >= 2 and all(g.hamiltonian != 0.0 for g in driven)
+        batch = _stack(driven)
+        # axis 1 pairs each model with another, so at((slice(None), 0)) is a
+        # strided view of the batch, not a contiguous array
+        pairs = SlhModel(np.stack([batch.scattering, batch.scattering[::-1]], axis=1),
+                         np.stack([batch.coupling, batch.coupling[::-1]], axis=1),
+                         np.stack([batch.hamiltonian, batch.hamiltonian[::-1]], axis=1))
+        view = pairs.at((slice(None), 0))
+        assert not view.scattering.flags.c_contiguous
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                for g in driven:
+                    _assert_same_as_fancy_index(g, k, l)
+                for model in (batch, view):
+                    assert not _assert_same_as_fancy_index(model, k, l).any()
+                # every other element put inside the singular threshold
+                s = batch.scattering.copy()
+                turns = np.exp(1j * np.arange(0, len(s), 2))
+                s[::2, k - 1, l - 1] = 1.0 - 0.5 * FEEDBACK_SINGULAR_TOL * turns
+                masked = SlhModel(s, batch.coupling, batch.hamiltonian)
+                singular = _assert_same_as_fancy_index(masked, k, l)
+                assert np.array_equal(singular, np.arange(len(s)) % 2 == 0)
 
 
 def test_algebra_results_are_readonly_complex128():
