@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import ArityError, DrivenCircuitError, SlhModel, _check_finite, _model
+from .core import ArityError, DomainError, DrivenCircuitError, SlhModel, _check_finite, _model
 
 __all__ = ["phase_shift", "beamsplitter", "coherent_drive", "output_amplitudes"]
 
@@ -19,8 +19,7 @@ def phase_shift(phi) -> SlhModel:
     """One-port phase shifter: ``S = [e^{i phi}]``.
 
     An array of angles gives a batch of shifters of the same shape."""
-    arr = np.asarray(phi, dtype=np.float64)
-    _check_finite(arr, "phase")
+    arr = _check_finite(phi, "phase")
     return _model(np.exp(1j * arr)[..., None, None],
                   np.zeros(arr.shape + (1,), dtype=np.complex128), 0.0)
 
@@ -32,7 +31,9 @@ def beamsplitter(theta: float) -> SlhModel:
     50/50 splitter.  Only real rotation mixing is provided; general complex
     beamsplitters are out of scope.
     """
-    _check_finite(theta, "mixing angle")
+    theta = _check_finite(theta, "mixing angle")
+    if theta.ndim:
+        raise DomainError(f"mixing angle must be a single angle, got shape {theta.shape}")
     c, s = math.cos(theta), math.sin(theta)
     return _model(np.array([[c, -s], [s, c]], dtype=np.complex128),
                   np.zeros(2, dtype=np.complex128), 0.0)
@@ -44,10 +45,9 @@ def coherent_drive(alpha) -> SlhModel:
     ``(S, L, H) = (I_n, alpha, 0)``.  Compose with a passive circuit via
     ``series(circuit, coherent_drive(alpha))`` to drive it.
     """
-    l = np.ascontiguousarray(alpha, dtype=np.complex128)  # at least 1-D, viewable as floats
+    l = np.ascontiguousarray(_check_finite(alpha, "drive amplitude", np.complex128))
     if l.ndim != 1 or l.size == 0:
         raise ArityError("drive amplitudes must be a non-empty vector")
-    _check_finite(l.view(np.float64), "drive amplitude")
     return SlhModel(np.eye(l.size, dtype=np.complex128), l)
 
 

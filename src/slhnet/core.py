@@ -84,13 +84,21 @@ def is_singular_loop(d):
     return abs(d) <= FEEDBACK_SINGULAR_TOL
 
 
-def _check_finite(values, what: str) -> None:
-    """The one finite-angle rule: refuse ``values`` unless every entry is finite."""
-    arr = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(arr)
+def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
+    """The one finite-value rule: ``values`` as a float64 (or complex128) array, refused
+    with DomainError unless numpy casts them within their kind (no strings, objects or
+    complex angles) and every real and imaginary part is finite."""
+    try:
+        arr = np.asarray(values).astype(dtype, casting="same_kind", copy=False)
+    except (TypeError, ValueError):
+        kind = "real" if dtype is np.float64 else "real or complex"
+        raise DomainError(f"{what} must be {kind}, got {values!r}") from None
+    parts = arr if arr.dtype.kind == "f" else np.stack((arr.real, arr.imag), axis=-1)
+    finite = np.isfinite(parts)
     # a single angle is tested by truth value, which skips a reduction
-    if not (finite if arr.ndim == 0 else finite.all()):
-        raise DomainError(f"{what} must be finite, got {arr[~finite][0].item()!r}")
+    if not (finite if parts.ndim == 0 else finite.all()):
+        raise DomainError(f"{what} must be finite, got {parts[~finite][0].item()!r}")
+    return arr
 
 
 def _check_integers(what: str, *values) -> tuple[int, ...]:

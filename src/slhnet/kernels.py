@@ -266,10 +266,8 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     |Re d|`` and no other point can be singular.  A non-finite angle
     raises DomainError before any of that, phis before mus.
     """
-    phis = np.asarray(phis, dtype=np.float64)
-    mus = np.asarray(mus, dtype=np.float64)
-    _check_finite(phis, "sweep phi")
-    _check_finite(mus, "sweep mu")
+    phis = _check_finite(phis, "sweep phi")
+    mus = _check_finite(mus, "sweep mu")
     out = np.empty((phis.size, mus.size))
     for rows, phase in _phase_blocks(phis, mus):
         out[rows] = phase

@@ -30,15 +30,17 @@ so binary control phases survive I/O bit-exactly; everything else is
 serialized with ``repr`` which round-trips IEEE doubles.  Serialization is
 deterministic and ``parse -> serialize`` is idempotent after one pass.
 
-libyaml (``CSafeLoader``) parses the document, so PyYAML must be built with
-its libyaml binding.  A plain document is built straight from libyaml's
-node tree; one with aliases, other tags or merge keys goes through PyYAML's
-safe constructor.  Either way the values and errors are PyYAML's: scalars
-follow its YAML 1.1 rules and no arbitrary Python object can be built.
+A document in the canonical form that ``serialize_netlist`` writes is read
+line by line, each plain token through PyYAML's own resolver and scalar
+constructors; anything else goes through libyaml (``CSafeLoader``), so
+PyYAML must be built with its libyaml binding.  Either way the values and
+errors are those of ``yaml.load(text, Loader=CSafeLoader)``: scalars follow
+PyYAML's YAML 1.1 rules and no arbitrary Python object can be built.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import re
@@ -46,7 +48,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import yaml
-from yaml import CSafeLoader
+from yaml import CSafeLoader, ScalarNode
 
 from .core import (CircuitError, SingularLoopError, SlhModel, _check_finite, concat, feedback,
                    identity, series)
@@ -75,11 +77,6 @@ _NICE_DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 
 # names must survive the flow-style emitter unquoted
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-
-_STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{t}" for t in ("str", "seq", "map"))
-# scalar tags whose PyYAML constructors read nothing but the node
-_SCALARS = frozenset(f"tag:yaml.org,2002:{t}" for t in ("int", "float", "bool", "null"))
-
 
 class NetlistError(CircuitError, ValueError):
     """Malformed or unresolvable netlist; ``location`` points at the node."""
@@ -124,8 +121,7 @@ def format_angle(x: float) -> str:
     Tries ``k*pi/d`` for small d, accepting a spelling only when re-parsing
     it reproduces the exact same float; falls back to ``repr``.
     """
-    _check_finite(x, "angle")
-    x = float(x)
+    x = float(_check_finite(x, "angle"))
     if x == 0.0:
         return "0"
     for den in _NICE_DENOMINATORS:
@@ -310,35 +306,49 @@ def _parse_combinator(node, location: str) -> CombinatorDecl:
     return CombinatorDecl(name, op, operands, *(_take(node, key, location) for key in ports))
 
 
-def _build(node, loader):
-    tag = node.tag
-    if node.id == "scalar":
-        if tag == _STR:
-            return node.value
-        if tag in _SCALARS:
-            return loader.yaml_constructors[tag](loader, node)
-    elif node.id == "sequence" and tag == _SEQ:
-        return [_build(item, loader) for item in node.value]
-    elif node.id == "mapping" and tag == _MAP:
-        # a collection key builds unhashable and falls back like the rest
-        return {_build(key, loader): _build(value, loader) for key, value in node.value}
-    raise LookupError(f"no direct build for {tag}")
+def _read_canonical(text: str, loader) -> dict:
+    """``yaml.load`` of the canonical form: ``key: token`` and ``key:`` lines, the latter
+    followed by ``  - {key: value, ...}`` entries; a value is a token or a list of tokens and
+    flat lists, and a token is plain (no indicator, quote, space or line break) and short
+    enough for a YAML key, resolved and built by ``loader``.  Else LookupError or ValueError."""
+    t = r"[A-Za-z0-9_.+~/-]{1,1024}"
+    item = rf"\[(?:{t}(?:, {t})*)?\]|{t}"
+    pair = rf"({t}): ({t}|\[(?:(?:{item})(?:, (?:{item}))*)?\])"
+
+    @functools.cache  # equal tokens build equal values; PyYAML has one NaN object, too
+    def scalar(tok):
+        tag = loader.resolve(ScalarNode, tok, (True, False))
+        kind = tag.removeprefix("tag:yaml.org,2002:")
+        if kind not in ("str", "int", "float", "bool", "null"):
+            raise LookupError(f"no canonical read of {tok!r}")
+        return tok if kind == "str" else loader.yaml_constructors[tag](loader, ScalarNode(tag, tok))
+
+    def build(v):
+        return scalar(v) if v[0] != "[" else [build(x) for x in re.findall(item, v[1:-1])]
+
+    doc, key, entries = {}, None, None
+    for line in text.removesuffix("\n").split("\n"):
+        pairs = re.findall(pair, line[5:-1])
+        if entries is not None and line == "  - {" + ", ".join(map(": ".join, pairs)) + "}":
+            entries.append({scalar(k): build(v) for k, v in pairs})
+            doc[key] = entries
+            continue
+        m = re.fullmatch(rf"({t}):(?: ((?!-$){t}))?", line)
+        if m is None or (key := scalar(m[1])) in doc:
+            raise LookupError(f"no canonical read of {line!r}")
+        doc[key], entries = (scalar(m[2]), None) if m[2] else (None, [])
+    return doc
 
 
 def _load(text: str):
-    """``yaml.load(text, Loader=CSafeLoader)``, alias-free documents built directly."""
+    """``yaml.load(text, Loader=CSafeLoader)``, a canonical document read line by line."""
     loader = CSafeLoader(text)
     try:
+        with contextlib.suppress(LookupError, ValueError):  # PyYAML reads the rest, or refuses it
+            return _read_canonical(text, loader)
         root = loader.get_single_node()
         if root is None:
             return None
-        if "*" not in text:  # no alias, so no node appears twice
-            try:
-                return _build(root, loader)
-            except Exception:
-                # PyYAML fills nested mappings breadth-first, so even a bad
-                # value is rebuilt there, for PyYAML to name its first error
-                pass
         try:
             return loader.construct_document(root)
         except Exception as exc:

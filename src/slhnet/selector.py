@@ -53,8 +53,7 @@ __all__ = [
 def canonical_phase(x):
     """Reduce a phase to the canonical range [0, 2*pi): a float for a scalar,
     an array of its shape for an array; a NaN or infinite phase raises DomainError."""
-    _check_finite(x, "phase")
-    r = np.mod(x, TWO_PI)
+    r = np.mod(_check_finite(x, "phase"), TWO_PI)
     # mod of a tiny negative number can round up to exactly 2*pi
     r = np.where(r >= TWO_PI, 0.0, r)
     return r if r.ndim else float(r)

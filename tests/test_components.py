@@ -60,6 +60,21 @@ def test_coherent_drive():
     assert_allclose(coherent_drive(np.arange(6.0, dtype=complex)[::2]).coupling, [0, 2, 4])
 
 
+@pytest.mark.parametrize("build, value, message", [
+    (beamsplitter, np.array([1.0, 2.0]), "mixing angle must be a single angle, got shape (2,)"),
+    (beamsplitter, "x", "mixing angle must be real, got 'x'"),
+    (beamsplitter, 1j, "mixing angle must be real, got 1j"),
+    (beamsplitter, np.complex128(0.5), "mixing angle must be real, got np.complex128(0.5+0j)"),
+    (phase_shift, "x", "phase must be real, got 'x'"),
+    (coherent_drive, (1, "x"), "drive amplitude must be real or complex, got (1, 'x')"),
+], ids=["beamsplitter-array", "beamsplitter-str", "beamsplitter-complex",
+        "beamsplitter-numpy-complex", "phase-str", "drive-str"])
+def test_builders_refuse_values_numpy_cannot_read_as_numbers(build, value, message):
+    with pytest.raises(DomainError) as info:
+        build(value)
+    assert str(info.value) == message
+
+
 def test_output_amplitudes():
     g = beamsplitter(math.pi / 4)
     out = output_amplitudes(g, [1.0, 0.0])

@@ -55,6 +55,31 @@ def test_check_finite_names_the_first_bad_entry_by_its_python_value(values, show
     assert str(info.value) == f"angle must be finite, got {shown}"
 
 
+@pytest.mark.parametrize("values, dtype, message", [
+    ("x", np.float64, "angle must be real, got 'x'"),
+    ("1.5", np.float64, "angle must be real, got '1.5'"),
+    (1j, np.float64, "angle must be real, got 1j"),
+    (np.array([1.0, 2j]), np.float64, "angle must be real, got array([1.+0.j, 0.+2.j])"),
+    (None, np.float64, "angle must be real, got None"),
+    ([[1.0], [1.0, 2.0]], np.float64, "angle must be real, got [[1.0], [1.0, 2.0]]"),
+    ((1, "x"), np.complex128, "angle must be real or complex, got (1, 'x')"),
+])
+def test_check_finite_refuses_what_numpy_cannot_read_as_numbers(values, dtype, message):
+    with pytest.raises(DomainError) as info:
+        _check_finite(values, "angle", dtype)
+    assert str(info.value) == message
+
+
+def test_check_finite_returns_the_array_it_checked():
+    assert _check_finite(3, "angle").dtype == np.float64
+    assert _check_finite([True, 2], "angle").tolist() == [1.0, 2.0]
+    z = _check_finite([1, 2 - 1j], "amplitude", np.complex128)
+    assert z.dtype == np.complex128 and z.tolist() == [1, 2 - 1j]
+    # a non-finite imaginary part is named by its own value
+    with pytest.raises(DomainError, match=r"amplitude must be finite, got -inf$"):
+        _check_finite([1, complex(0, -math.inf)], "amplitude", np.complex128)
+
+
 def test_check_finite_accepts_every_finite_value():
     for values in (0.0, 1.7e308, -5e-324, 3, [], np.zeros((2, 3)), np.arange(4)):
         _check_finite(values, "angle")

@@ -9,6 +9,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from slhnet import (
+    ArityError,
     CircuitError,
     DomainError,
     Netlist,
@@ -21,7 +22,7 @@ from slhnet import (
     serialize_netlist,
 )
 from slhnet.cli import main
-from slhnet.netlist import CombinatorDecl, ComponentDecl, _load
+from slhnet.netlist import CombinatorDecl, ComponentDecl, _load, _read_canonical
 
 PI = math.pi
 
@@ -351,6 +352,23 @@ def test_elaborate_holds_hand_built_netlists_to_the_structure_rule():
     assert elaborate(Netlist((a, b), (CombinatorDecl("c", "concat", ("a", "b")),))).ports == 2
 
 
+def test_elaborate_refuses_hand_built_values_with_typed_errors():
+    # the netlist rule checks structure; a value is refused by its builder
+    for decl, error, message in [
+        (ComponentDecl("a", "identity", "x"), ArityError,
+         "identity port count must be an integer, got 'x'"),
+        (ComponentDecl("b", "beamsplitter", [1, 2]), DomainError,
+         "mixing angle must be a single angle, got shape (2,)"),
+        (ComponentDecl("b", "beamsplitter", "pi"), DomainError, "mixing angle must be real, got 'pi'"),
+        (ComponentDecl("p", "phase", "x"), DomainError, "phase must be real, got 'x'"),
+        (ComponentDecl("d", "drive", (1, "x")), DomainError,
+         "drive amplitude must be real or complex, got (1, 'x')"),
+    ]:
+        with pytest.raises(error) as info:
+            elaborate(Netlist((decl,)))
+        assert str(info.value) == message
+
+
 def test_a_netlist_breaking_the_rule_cannot_be_built():
     # unknown kinds and ops are refused with the parser's text, before elaborate
     # or serialize_netlist could index their tables
@@ -481,7 +499,9 @@ def test_libyaml_loader_matches_pure_python_loader(monkeypatch):
     valid += [serialize_netlist(_random_netlist(rng)) for _ in range(20)]
     corpus = valid + list(_yaml11_docs())
     fast = [_outcome(text) for text in corpus]
-    monkeypatch.setattr("slhnet.netlist.CSafeLoader", yaml.SafeLoader)
+    # the reference loads every document with PyYAML's pure-Python loader itself,
+    # not through _load, whose canonical reader would read both sides
+    monkeypatch.setattr("slhnet.netlist._load", lambda t: yaml.load(t, Loader=yaml.SafeLoader))
     reference = [_outcome(text) for text in corpus]
     assert fast == reference
     # the valid corpus really parses, and the YAML 1.1 spellings resolve
@@ -567,6 +587,125 @@ def _loaded(load, text):
 def test_direct_load_matches_yaml_load(text):
     expected = _loaded(lambda t: yaml.load(t, Loader=yaml.CSafeLoader), text)
     assert _loaded(_load, text) == expected
+
+
+# -- the canonical reader against yaml.load ------------------------------------
+
+# YAML 1.1 spellings PyYAML's resolver treats specially, or that sit near the
+# canonical reader's token grammar
+READER_TOKENS = ["yes", "On", "null", "~", "0x1f", "0o17", "1_000", "1:30", ".inf", "-.Inf",
+                 ".nan", "1e3", "6.8523015e+5", "2001-12-14", "--", "...", "+1", "-pi/4", "<<",
+                 "=", "-", "---", ".", "0b_", "0x_", "._", "+.5", "1e",
+                 "2001-12-14t21:59:43.10-05:00"]
+
+
+def _reader_corpus():
+    for token in READER_TOKENS:
+        yield f"version: {token}\ncomponents:\n  - {{name: a, kind: phase, phi: {token}}}\n"
+        yield f"version: 1\ncomponents:\n  - {{{token}: a, of: [{token}, [{token}, x]]}}\n"
+        yield f"{token}: 1\n"
+    long_key, long_value = "k" * 1024, "v" * 2000
+    yield from [
+        "version: 1\ncomponents:\n  - {1: a, true: b, ~: c, 1.5: d, .nan: e, .nan: f, -0.0: g}\n",
+        "version: 1\ncomponents:\n  - {0: a, 0.0: b, false: c, null: d, ~: e}\n",
+        "version: 1\ncomponents:\n  - {name: a, name: b, kind: phase, kind: drive}\n",
+        "version: 1\nversion: 2\n",
+        "null: 1\n~: 2\n",
+        "true: 1\nyes: 2\n",
+        "version: 1\ncomponents:\n  - {name: a}\ncomponents:\n  - {name: b}\n",
+        "version: 1\ncomponents:\n  - {a: [], b: [[]], c: [[], 1], d: [1, []]}\n",
+        "version: 1\ncomponents:\n  - {m: [[1, 0], [0, 1]]}\n",
+        "version: 1\ncomponents:\n  - {m: [[[1]]]}\n",
+        f"version: 1\ncomponents:\n  - {{{long_key}: a, b: {long_value}}}\n",
+        f"version: 1\ncomponents:\n  - {{{long_key}k: a}}\n",
+        f"version: 1\ncomponents:\n  - {{a: [{long_value}, [{long_key}k, x]]}}\n",
+        f"{long_key}: 1\n",
+        f"{long_key}k: 1\n",
+        f"version: {long_value}\n",
+        FULL_DOC,
+        FULL_DOC.replace("\n", "\r\n"),
+        FULL_DOC.replace("\n", "\r"),
+        FULL_DOC.replace("version: 1", "version:\t1"),
+        FULL_DOC.replace("name: ph,", "name:\tph,"),
+        FULL_DOC.replace("\n", " \n"),
+        FULL_DOC.replace("}\n", "}  \n"),
+        FULL_DOC.replace("\n", " # note\n"),
+        "# head\n" + FULL_DOC,
+        "\ufeff" + FULL_DOC,
+        *(FULL_DOC.replace(sep, brk) for brk in ("\x85", "\u2028", "\u2029") for sep in ("\n", "ph,")),
+        FULL_DOC[:-1],
+        FULL_DOC + "\n",
+        "\n" + FULL_DOC,
+        "version:\ncomponents:\n",
+        "components:\n",
+        "components: -\n",
+        "version: 1\ncomponents:\n- {name: a}\n",
+        "version: 1\ncomponents:\n    - {name: a}\n",
+        "version: 1\ncomponents:\n  - {}\n",
+        "version: 1\ncomponents:\n  - {a: -, b: [-], c: [[-]]}\n",
+        "version: 1\ncomponents:\n  - {a: b}\n  - {a: [b, c]\n",
+        "version: 1\ncomponents: x\n  - {name: a}\n",
+        "  - {name: a}\n",
+        "",
+        "\n",
+        "version: 1\n---\n",
+        "version: 1\n...\n",
+    ]
+
+
+def _spy_reader(monkeypatch):
+    """The texts the canonical reader reads, recorded as it reads them."""
+    read = []
+
+    def spy(text, loader):
+        doc = _read_canonical(text, loader)
+        read.append(text)
+        return doc
+
+    monkeypatch.setattr("slhnet.netlist._read_canonical", spy)
+    return read
+
+
+def _check_routes(texts, read):
+    differ = [text for text in texts if _loaded(_load, text)
+              != _loaded(lambda t: yaml.load(t, Loader=yaml.CSafeLoader), text)]
+    assert differ == []
+    # both routes ran: some documents were read line by line, some by PyYAML
+    assert 0 < len(set(read)) < len(set(texts))
+
+
+def test_canonical_reader_matches_yaml_load(monkeypatch):
+    corpus = list(_reader_corpus())
+    read = _spy_reader(monkeypatch)
+    _check_routes(corpus, read)
+    # a document without its final line break reads as yaml.load reads it; a
+    # key of 1025 characters, too long for a YAML simple key, goes to PyYAML
+    assert FULL_DOC in read and FULL_DOC[:-1] in read
+    assert "k" * 1024 + ": 1\n" in read and "k" * 1025 + ": 1\n" not in read
+    assert FULL_DOC.replace("\n", " # note\n") not in read
+
+
+def test_canonical_reader_matches_yaml_load_on_mutants(monkeypatch):
+    rng, draws = random.Random(27), np.random.default_rng(27)
+    canonical = [FULL_DOC, SWITCH_DOC] + [serialize_netlist(_random_netlist(draws))
+                                          for _ in range(6)]
+    mutants = [_mutant(rng, canonical[n % len(canonical)]) for n in range(20_000)]
+    read = _spy_reader(monkeypatch)
+    _check_routes(mutants, read)
+
+
+def test_every_serialized_netlist_takes_the_canonical_reader():
+    rng, drives = np.random.default_rng(27), 0
+    for _ in range(200):
+        text = serialize_netlist(_random_netlist(rng))
+        drives += "amplitudes: [[" in text
+        loader = yaml.CSafeLoader(text)
+        try:
+            doc = _read_canonical(text, loader)
+        finally:
+            loader.dispose()
+        assert repr(doc) == repr(yaml.load(text, Loader=yaml.CSafeLoader)), text
+    assert drives > 50
 
 
 ALIAS_DOC = """\
