@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import ArityError, DomainError, DrivenCircuitError, SlhModel, _check_finite, _model
+from .core import ArityError, DrivenCircuitError, SlhModel, _check_angle, _check_finite, _model
 
 __all__ = ["phase_shift", "beamsplitter", "coherent_drive", "output_amplitudes"]
 
@@ -31,9 +31,7 @@ def beamsplitter(theta: float) -> SlhModel:
     50/50 splitter.  Only real rotation mixing is provided; general complex
     beamsplitters are out of scope.
     """
-    theta = _check_finite(theta, "mixing angle")
-    if theta.ndim:
-        raise DomainError(f"mixing angle must be a single angle, got shape {theta.shape}")
+    theta = _check_angle(theta, "mixing angle")
     c, s = math.cos(theta), math.sin(theta)
     return _model(np.array([[c, -s], [s, c]], dtype=np.complex128),
                   np.zeros(2, dtype=np.complex128), 0.0)

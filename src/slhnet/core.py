@@ -86,10 +86,13 @@ def is_singular_loop(d):
 
 def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
     """The one finite-value rule: ``values`` as a float64 (or complex128) array, refused
-    with DomainError unless numpy casts them within their kind (no strings, objects or
-    complex angles) and every real and imaginary part is finite."""
+    with DomainError unless numpy casts them within their kind (no booleans, strings,
+    objects or complex angles) and every real and imaginary part is finite."""
     try:
-        arr = np.asarray(values).astype(dtype, casting="same_kind", copy=False)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "b":  # a bool is no number, as in parse_angle and _check_integers
+            raise TypeError
+        arr = arr.astype(dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError):
         kind = "real" if dtype is np.float64 else "real or complex"
         raise DomainError(f"{what} must be {kind}, got {values!r}") from None
@@ -99,6 +102,14 @@ def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
     if not (finite if parts.ndim == 0 else finite.all()):
         raise DomainError(f"{what} must be finite, got {parts[~finite][0].item()!r}")
     return arr
+
+
+def _check_angle(value, what: str) -> float:
+    """One angle under the finite-value rule, as a Python float, else DomainError."""
+    arr = _check_finite(value, what)
+    if arr.ndim:
+        raise DomainError(f"{what} must be a single angle, got shape {arr.shape}")
+    return float(arr)
 
 
 def _check_integers(what: str, *values) -> tuple[int, ...]:

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import yaml
 from yaml import CSafeLoader, ScalarNode
 
-from .core import (CircuitError, SingularLoopError, SlhModel, _check_finite, concat, feedback,
-                   identity, series)
+from .core import (ArityError, CircuitError, SingularLoopError, SlhModel, _check_angle,
+                   _check_integers, concat, feedback, identity, series)
 from .components import beamsplitter, coherent_drive, phase_shift
 
 __all__ = [
@@ -121,7 +121,7 @@ def format_angle(x: float) -> str:
     Tries ``k*pi/d`` for small d, accepting a spelling only when re-parsing
     it reproduces the exact same float; falls back to ``repr``.
     """
-    x = float(_check_finite(x, "angle"))
+    x = _check_angle(x, "angle")
     if x == 0.0:
         return "0"
     for den in _NICE_DENOMINATORS:
@@ -136,10 +136,11 @@ def format_angle(x: float) -> str:
 
 
 def _parse_ports(ports, location: str) -> int:
-    if isinstance(ports, bool) or not isinstance(ports, int) or ports < 1:
-        field = location.rsplit(".", 1)[-1]
-        raise NetlistError(location, f"{field} must be a positive integer, got {ports!r}")
-    return ports
+    with contextlib.suppress(ArityError):  # core.feedback's integer rule, then >= 1
+        if (n := _check_integers(location, ports)[0]) >= 1:
+            return n
+    field = location.rsplit(".", 1)[-1]
+    raise NetlistError(location, f"{field} must be a positive integer, got {ports!r}")
 
 
 def _parse_amplitudes(raw, location: str) -> tuple:

@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     SingularLoopError,
     SlhModel,
+    _check_angle,
     _check_binary_phases,
     _check_finite,
     _feedback_masked,
@@ -189,10 +190,10 @@ def weighted_output_phase(phi: float, mu: float) -> float:
 
 def weighted_small_mu_gain(phi: float) -> float:
     """Small-signal phase gain d(mu_out)/d(mu) at mu = 0: cot^2(phi/2)."""
-    _check_finite(phi, "phi")
+    phi = _check_angle(phi, "phi")
     den = 1.0 - math.cos(phi)
     if den == 0.0:
-        raise DomainError(f"gain diverges at phi = 0 (mod 2*pi), got {float(phi)!r}")
+        raise DomainError(f"gain diverges at phi = 0 (mod 2*pi), got {phi!r}")
     return (1.0 + math.cos(phi)) / den
 
 

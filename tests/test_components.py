@@ -67,8 +67,13 @@ def test_coherent_drive():
     (beamsplitter, np.complex128(0.5), "mixing angle must be real, got np.complex128(0.5+0j)"),
     (phase_shift, "x", "phase must be real, got 'x'"),
     (coherent_drive, (1, "x"), "drive amplitude must be real or complex, got (1, 'x')"),
+    # a boolean is no number here, as parse_angle refuses ``phi: true``
+    (phase_shift, True, "phase must be real, got True"),
+    (beamsplitter, np.True_, "mixing angle must be real, got np.True_"),
+    (coherent_drive, [True], "drive amplitude must be real or complex, got [True]"),
 ], ids=["beamsplitter-array", "beamsplitter-str", "beamsplitter-complex",
-        "beamsplitter-numpy-complex", "phase-str", "drive-str"])
+        "beamsplitter-numpy-complex", "phase-str", "drive-str", "phase-bool",
+        "beamsplitter-numpy-bool", "drive-bool"])
 def test_builders_refuse_values_numpy_cannot_read_as_numbers(build, value, message):
     with pytest.raises(DomainError) as info:
         build(value)

@@ -361,6 +361,7 @@ def test_elaborate_refuses_hand_built_values_with_typed_errors():
          "mixing angle must be a single angle, got shape (2,)"),
         (ComponentDecl("b", "beamsplitter", "pi"), DomainError, "mixing angle must be real, got 'pi'"),
         (ComponentDecl("p", "phase", "x"), DomainError, "phase must be real, got 'x'"),
+        (ComponentDecl("p", "phase", True), DomainError, "phase must be real, got True"),
         (ComponentDecl("d", "drive", (1, "x")), DomainError,
          "drive amplitude must be real or complex, got (1, 'x')"),
     ]:
@@ -411,6 +412,36 @@ def test_format_angle_refuses_non_finite_angles():
         assert str(info.value) == f"angle must be finite, got {bad!r}"
     with pytest.raises(DomainError, match="angle must be finite, got nan"):
         serialize_netlist(Netlist((ComponentDecl("p", "phase", float("nan")),)))
+
+
+def test_format_angle_refuses_an_array_of_angles():
+    message = "angle must be a single angle, got shape (2,)"
+    with pytest.raises(DomainError) as info:
+        format_angle(np.array([1.0, 2.0]))
+    assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        serialize_netlist(Netlist((ComponentDecl("p", "phase", np.array([1.0, 2.0])),)))
+    assert str(info.value) == message
+
+
+def test_numpy_integer_ports_build_and_reprint_as_python_ints():
+    def netlist(port):
+        return Netlist((ComponentDecl("b", "beamsplitter", PI / 3),
+                        ComponentDecl("w", "identity", port(1))),
+                       (CombinatorDecl("c", "concat", ("b", "w")),
+                        CombinatorDecl("f", "feedback", ("c",), port(1), port(2))))
+
+    want, got = elaborate(netlist(int)), elaborate(netlist(np.int64))
+    assert np.array_equal(got.scattering, want.scattering)
+    assert np.array_equal(got.coupling, want.coupling)
+    assert got.hamiltonian == want.hamiltonian
+    assert serialize_netlist(netlist(np.int64)) == serialize_netlist(netlist(int))
+    # the same rule still refuses a port below 1, naming it as given
+    with pytest.raises(NetlistError) as info:
+        Netlist((ComponentDecl("w", "identity", 2),),
+                (CombinatorDecl("f", "feedback", ("w",), np.int64(0), 1),))
+    assert str(info.value) == ("circuit[0].output: output must be a positive integer, "
+                               "got np.int64(0)")
 
 
 def test_serialize_is_deterministic():

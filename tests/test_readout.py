@@ -400,6 +400,9 @@ def test_small_mu_gain():
     with pytest.raises(DomainError) as info:
         weighted_small_mu_gain(np.float64(0))
     assert str(info.value) == "gain diverges at phi = 0 (mod 2*pi), got 0.0"
+    with pytest.raises(DomainError) as info:
+        weighted_small_mu_gain(np.array([1.0, 2.0]))
+    assert str(info.value) == "phi must be a single angle, got shape (2,)"
 
 
 def test_small_mu_gain_matches_finite_difference():

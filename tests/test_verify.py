@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from slhnet import readout as ro
+from slhnet import selector as sel
 from slhnet.cli import main
 from slhnet.components import beamsplitter, phase_shift
 from slhnet.core import SingularLoopError, concat, feedback, series
 from slhnet.selector import TWO_PI
-from slhnet.verify import random_passive_circuit
+from slhnet.verify import CheckResult, _result, random_passive_circuit
 
 
 def _reference_stage(rng, ports):
@@ -87,3 +91,80 @@ def test_verify_json_matches_text(capsys, argv):
     assert summary["failed"] == failed
     assert summary["passed"] == 14 - failed
     assert text[-1] == f"14 checks, {14 - failed} passed, {failed} failed"
+
+
+def test_passed_is_the_reported_error_against_the_reported_tolerance():
+    assert "passed" not in {f.name for f in dataclasses.fields(CheckResult)}
+    assert CheckResult("c", 1e-12, 1e-12).passed is True
+    assert CheckResult("c", 2e-12, 1e-12).passed is False
+
+
+def test_result_reports_the_binding_criterion():
+    # a tie in error/tolerance ratio reports the first criterion
+    r = _result("c", "d", (0.5, 1.0), (0.25, 0.5))
+    assert (r.error, r.tolerance, r.passed) == (0.5, 1.0, True)
+    # a passing boolean criterion (0 against 0) never binds, in either place
+    for criteria in (((0.0, 0.0), (1e-15, 1e-12)), ((1e-15, 1e-12), (0.0, 0.0))):
+        r = _result("c", "d", *criteria)
+        assert (r.error, r.tolerance, r.passed) == (1e-15, 1e-12, True)
+    # a failing one binds over any finite ratio
+    r = _result("c", "d", (2.0, 1.0), (1.0, 0.0))
+    assert (r.error, r.tolerance, r.passed) == (1.0, 0.0, False)
+    # a NaN error binds and fails
+    r = _result("c", "d", (1e-15, 1e-12), (math.nan, 1e-10))
+    assert math.isnan(r.error) and r.tolerance == 1e-10 and r.passed is False
+    assert (r.name, r.detail, r.seconds) == ("c", "d", 0.0)
+
+
+def _leak(monkeypatch):
+    # every staircase leaks 5e-10 into its bottom port; its phases stay exact
+    sweep = sel.selector_sweep_amplitudes
+    monkeypatch.setattr(sel, "selector_sweep_amplitudes",
+                        lambda mu, bits: sweep(mu, bits) + [0.0, 5e-10])
+
+
+def _modulus(monkeypatch):
+    # both routes of the closed form scaled alike: they agree, and |S| - 1 is 2e-10
+    closed, built = ro.feedback_selector_scattering, ro.build_feedback_selector
+    monkeypatch.setattr(ro, "feedback_selector_scattering",
+                        lambda phi, mu: closed(phi, mu) * (1.0 + 2e-10))
+    monkeypatch.setattr(ro, "build_feedback_selector", lambda phi, mu: SimpleNamespace(
+        scattering=built(phi, mu).scattering * (1.0 + 2e-10)))
+
+
+def _rerun(monkeypatch):
+    # every second sweep moves one sample of the pi/3 column, which no other
+    # criterion reads
+    sweep, calls = ro.sweep_transfer, []
+
+    def flaky(phis, grid):
+        curve = sweep(phis, grid)
+        calls.append(None)
+        if len(calls) % 2:
+            return curve
+        samples = curve.samples.copy()
+        samples[0, 2] += 1e-3
+        return ro.TransferCurve(samples)
+    monkeypatch.setattr(ro, "sweep_transfer", flaky)
+
+
+def _round_trip(monkeypatch):
+    # the recovered selectors come back with every bit flipped
+    recover = sel.recover_selector_matrix
+    monkeypatch.setattr(sel, "recover_selector_matrix", lambda control: 1 - recover(control))
+
+
+@pytest.mark.parametrize("check, fault, tol", [
+    ("selector-exhaustive", _leak, 1e-10),
+    ("feedback-closed-form", _modulus, 1e-10),
+    ("sweep-columns", _rerun, 0.0),
+    ("compilation-algebra", _round_trip, 0.0),
+], ids=["leak", "modulus", "rerun", "round-trip"])
+def test_a_failing_second_criterion_binds(monkeypatch, capsys, check, fault, tol):
+    fault(monkeypatch)
+    assert main(_QUICK + ["--compositions", "100", "--json"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    (r,) = [r for r in records if r["name"] == check]
+    assert r["passed"] is False
+    assert r["error"] > r["tol"] == tol
+    assert r["margin"] < 1
