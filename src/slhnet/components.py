@@ -58,7 +58,7 @@ def output_amplitudes(circuit: SlhModel, alpha) -> np.ndarray:
         raise DrivenCircuitError(
             "output_amplitudes expects an undriven circuit (coupling must be zero)"
         )
-    a = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
+    a = np.atleast_1d(_check_finite(alpha, "drive amplitude", np.complex128))
     if a.shape[0] != circuit.ports:
         raise ArityError(
             f"drive vector length {a.shape[0]} does not match {circuit.ports} ports"

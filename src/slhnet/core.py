@@ -54,8 +54,8 @@ class ArityError(CircuitError, ValueError):
 
 class DomainError(CircuitError, ValueError):
     """A parameter is outside its admissible domain: a non-finite angle or drive
-    amplitude, which every public input taking one refuses, or a non-binary
-    control phase or selector bit."""
+    amplitude; a string, bool or complex angle or a string or bool amplitude, except
+    in readout's scalar closed forms; or a non-binary control phase or selector bit."""
 
 
 class DrivenCircuitError(CircuitError, ValueError):
@@ -84,18 +84,23 @@ def is_singular_loop(d):
     return abs(d) <= FEEDBACK_SINGULAR_TOL
 
 
-def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
-    """The one finite-value rule: ``values`` as a float64 (or complex128) array, refused
-    with DomainError unless numpy casts them within their kind (no booleans, strings,
-    objects or complex angles) and every real and imaginary part is finite."""
+def _as_real(values, what: str, dtype=np.float64) -> np.ndarray:
+    """The one conversion rule for caller numbers: ``values`` as a float64 (or
+    complex128) array, refused with DomainError unless numpy casts them within their
+    kind (no booleans, strings, objects or complex angles)."""
     try:
         arr = np.asarray(values)
         if arr.dtype.kind == "b":  # a bool is no number, as in parse_angle and _check_integers
             raise TypeError
-        arr = arr.astype(dtype, casting="same_kind", copy=False)
+        return arr.astype(dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError):
         kind = "real" if dtype is np.float64 else "real or complex"
         raise DomainError(f"{what} must be {kind}, got {values!r}") from None
+
+
+def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
+    """The one finite-value rule: ``_as_real``, then DomainError unless all parts are finite."""
+    arr = _as_real(values, what, dtype)
     parts = arr if arr.dtype.kind == "f" else np.stack((arr.real, arr.imag), axis=-1)
     finite = np.isfinite(parts)
     # a single angle is tested by truth value, which skips a reduction
@@ -130,7 +135,7 @@ def _check_integers(what: str, *values) -> tuple[int, ...]:
 def _check_binary_phases(values, what: str = "control phase") -> None:
     """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
     naming the first offending entry by its Python value."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_real(values, what)
     bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
     if bad.size:
         x = np.asarray(values if arr.ndim == 0 else values[bad[0]]).item()
@@ -161,8 +166,8 @@ class SlhModel:
     hamiltonian: float = 0.0
 
     def __post_init__(self):
-        s = np.array(self.scattering, dtype=np.complex128)
-        l = np.array(self.coupling, dtype=np.complex128)
+        s = np.array(_as_real(self.scattering, "scattering", np.complex128))
+        l = np.array(_as_real(self.coupling, "coupling", np.complex128))
         if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
             raise ArityError(f"scattering must be square, got shape {s.shape}")
         if s.shape[-1] == 0:

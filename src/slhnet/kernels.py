@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .core import (FEEDBACK_SINGULAR_TOL, ArityError, DomainError, SingularLoopError,
-                   _check_binary_phases, _check_finite, is_singular_loop)
+                   _as_real, _check_binary_phases, _check_finite, is_singular_loop)
 
 __all__ = ["BACKEND", "chain_unitary", "selector_batch_amplitudes",
            "weighted_phase_grid"]
@@ -56,8 +56,8 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     instead of N, and the rounding error bound of a product grows with that
     count (Higham 2002, ch. 3).
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    phases = np.asarray(phases, dtype=np.float64)
+    thetas = _check_finite(thetas, "chain mixing angle")
+    phases = _check_finite(phases, "chain phase")
     ports = np.asarray(ports)
     want = (max(thetas.size - 1, 0),)
     if thetas.ndim != 1 or not phases.shape == ports.shape == want:
@@ -66,8 +66,6 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     bad = np.flatnonzero((ports != 1) & (ports != 2))
     if bad.size:
         raise DomainError(f"chain port must be 1 or 2, got {ports[bad[0]].item()!r}")
-    _check_finite(thetas, "chain mixing angle")
-    _check_finite(phases, "chain phase")
     cells = max(len(thetas), 1)
     width = min(BLOCK, cells)
     blocks = -(-cells // width)
@@ -175,12 +173,11 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     its one-row call bit for bit, whatever the batch size and the CPU's
     SIMD path.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
+    mu = _check_finite(mu, "memory phase")
+    controls = np.atleast_2d(_as_real(controls, "control phase"))
     if mu.ndim != 1 or controls.ndim != 2 or controls.shape[1] != mu.size + 1:
         raise ArityError(f"need 1-D memory phases and (m, n + 1) controls for n of them, "
                          f"got shapes {mu.shape} and {controls.shape}")
-    _check_finite(mu, "memory phase")
     ctl = controls.T
     _check_binary_phases(np.ravel(ctl, order="K"))
     on = ctl == math.pi

@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     SingularLoopError,
     SlhModel,
+    _as_real,
     _check_angle,
     _check_binary_phases,
     _check_finite,
@@ -119,8 +120,8 @@ def chain_feedback_selectors(mu, phi):
     memory bank ``mu``; the result is then an array of the m output
     phases, each ``canonical_phase`` of ``principal_phase`` of its row.
     """
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    phi_arr = np.asarray(phi, dtype=np.float64)
+    mu_arr = _check_finite(mu, "memory phase")
+    phi_arr = _as_real(phi, "control phase")
     if mu_arr.ndim != 1 or phi_arr.ndim not in (1, 2) or phi_arr.shape[-1:] != mu_arr.shape:
         raise ArityError("memory and control vectors must have equal length")
     _check_binary_phases(phi_arr.ravel())
@@ -157,6 +158,7 @@ def build_weighted_selector(phi: float | np.ndarray,
     1 - e^{i mu} cos phi vanishes, i.e. at (0, 0) and (pi, pi) mod 2*pi;
     a batch raises SingularLoopError for its first singular element.
     """
+    phi, mu = _check_finite(phi, "phi"), _check_finite(mu, "mu")
     closed = feedback(_weighted_loop(phi, mu), 1, 1)
     return series(phase_shift(math.pi - phi), closed)
 
@@ -213,16 +215,15 @@ class TransferCurve:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64)
+        arr = np.array(_check_finite(self.samples, "transfer curve sample"))
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ArityError("samples must be an (N, 3) array")
-        _check_finite(arr, "transfer curve sample")
         _init_curve(self, arr)
 
     def column(self, phi: float) -> np.ndarray:
         """The (mu, mu_out) rows for one swept control value, in sweep order;
         a phi equal to no swept value raises DomainError."""
-        rows = self.samples[self.samples[:, 1] == phi]
+        rows = self.samples[self.samples[:, 1] == _as_real(phi, "phi")]
         if not rows.size:
             raise DomainError(f"no sweep column has phi = {float(phi)!r}")
         return rows[:, [0, 2]]
@@ -253,12 +254,10 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     order given.  Any grid point on the singular set aborts the sweep with
     an error naming the point.
     """
-    phis_arr = np.asarray(phis, dtype=np.float64)
-    mus = np.asarray(mu_grid, dtype=np.float64)
+    phis_arr = _check_finite(phis, "sweep phi")
+    mus = _check_finite(mu_grid, "sweep mu")
     if phis_arr.ndim != 1 or mus.ndim != 1:
         raise ArityError("phi list and mu grid must be 1-D")
-    _check_finite(phis_arr, "sweep phi")
-    _check_finite(mus, "sweep mu")
     mus = np.sort(mus)
     samples = np.empty((phis_arr.size, mus.size, 3), dtype=np.float64)
     for rows, out in kernels._phase_blocks(phis_arr, mus):

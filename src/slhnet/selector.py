@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (ArityError, DomainError, SlhModel, _check_binary_phases, _check_finite,
-                   concat, identity, series)
+from .core import (ArityError, DomainError, SlhModel, _as_real, _check_binary_phases,
+                   _check_finite, concat, identity, series)
 from .components import beamsplitter, phase_shift
 
 TWO_PI = 2.0 * math.pi
@@ -142,13 +142,13 @@ class SelectorSpec:
     tail_phase: float
 
     def __post_init__(self):
-        mem = np.asarray(self.memory_phases, dtype=np.float64)
-        ctrl = np.asarray(self.control_phases, dtype=np.float64)
+        mem = _as_real(self.memory_phases, "memory phase")
+        ctrl = _as_real(self.control_phases, "control phase")
         if mem.ndim != 1 or ctrl.ndim != 1:
             raise ArityError("memory and control phases must be 1-D")
         object.__setattr__(self, "memory_phases", tuple(mem.tolist()))
         object.__setattr__(self, "control_phases", tuple(ctrl.tolist()))
-        object.__setattr__(self, "tail_phase", float(self.tail_phase))
+        object.__setattr__(self, "tail_phase", float(_as_real(self.tail_phase, "tail phase")))
         if len(mem) != len(ctrl):
             raise ArityError(
                 f"{len(mem)} memory phases need {len(mem)} control phases, got {len(ctrl)}"
@@ -227,7 +227,7 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
     an (m, 2) complex array of (top, bottom) output amplitudes.
     """
     bits = np.atleast_2d(_as_bits(selectors))
-    mu_arr = np.asarray(mu, dtype=np.float64)
+    mu_arr = _as_real(mu, "memory phase")
     if bits.ndim != 2 or mu_arr.ndim != 1:
         raise ArityError(
             f"need 1-D memory phases and 1-D or 2-D selectors, got {mu_arr.ndim}-D "
@@ -264,7 +264,7 @@ class CompilationMatrices:
     def __post_init__(self):
         for name in ("lower", "gamma"):
             # its own copies, so that freezing them leaves the caller's arrays alone
-            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr = np.array(_as_real(getattr(self, name), name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -297,7 +297,7 @@ def recover_selector(control) -> np.ndarray:
     The single-column case of ``recover_selector_matrix``: L then mod 2,
     i.e. prefix sums of the schedule over pi, in integer space.
     """
-    phi = np.asarray(control, dtype=np.float64)
+    phi = _as_real(control, "control phase")
     if phi.ndim != 1:
         raise ArityError("control schedule must be a 1-D vector")
     return recover_selector_matrix(phi[:, None])[:, 0]
@@ -309,7 +309,7 @@ def eval_selector(mu, s) -> float:
     This is the closed-form route; it must match the argument of the top
     output amplitude of the built chain.
     """
-    mu_arr = np.asarray(mu, dtype=np.float64)
+    mu_arr = _check_finite(mu, "memory phase")
     bits = _as_bits(s)
     if mu_arr.ndim != 1 or bits.ndim != 1:
         raise ArityError("memory phases and selector must be 1-D vectors")
@@ -317,7 +317,6 @@ def eval_selector(mu, s) -> float:
         raise ArityError(
             f"memory length {mu_arr.shape} != selector length {bits.shape}"
         )
-    _check_finite(mu_arr, "memory phase")
     return canonical_phase(bits @ mu_arr)
 
 
@@ -341,9 +340,9 @@ class MatrixProductSpec:
 
     def __post_init__(self):
         # the spec's own copies, so that freezing them leaves the caller's arrays alone
-        mem = np.array(self.memory_matrix, dtype=np.float64)
-        ctrl = np.array(self.control_matrix, dtype=np.float64)
-        tail = np.array(self.tail_phases, dtype=np.float64)
+        mem = np.array(_as_real(self.memory_matrix, "memory phase"))
+        ctrl = np.array(_as_real(self.control_matrix, "control phase"))
+        tail = np.array(_as_real(self.tail_phases, "tail phase"))
         if mem.ndim != 2 or ctrl.ndim != 2 or tail.ndim != 1:
             raise ArityError("memory/control must be matrices, tails a vector")
         if mem.shape[0] != ctrl.shape[0]:
@@ -397,7 +396,7 @@ def _compile_bits(bits: np.ndarray) -> np.ndarray:
 
 def recover_selector_matrix(control_matrix) -> np.ndarray:
     """Columnwise schedule inversion; see ``recover_selector``."""
-    phi = np.asarray(control_matrix, dtype=np.float64)
+    phi = _as_real(control_matrix, "control phase")
     if phi.ndim != 2:
         raise ArityError("control matrix must be 2-D")
     _check_binary_phases(phi.ravel())

@@ -7,17 +7,31 @@ from numpy.testing import assert_allclose
 from slhnet import (
     FEEDBACK_SINGULAR_TOL,
     ArityError,
+    CompilationMatrices,
     DomainError,
+    MatrixProductSpec,
+    SelectorSpec,
     SingularLoopError,
     SlhModel,
+    TransferCurve,
     beamsplitter,
+    build_weighted_selector,
+    chain_feedback_selectors,
     check_unitary,
     coherent_drive,
     concat,
+    eval_selector,
     feedback,
     identity,
+    kernels,
+    mz_switch,
+    output_amplitudes,
     phase_shift,
+    recover_selector,
+    recover_selector_matrix,
+    selector_sweep_amplitudes,
     series,
+    sweep_transfer,
 )
 from slhnet.core import _check_finite, _feedback_masked, is_singular_loop
 from slhnet.verify import random_passive_circuit
@@ -83,6 +97,89 @@ def test_check_finite_returns_the_array_it_checked():
 def test_check_finite_accepts_every_finite_value():
     for values in (0.0, 1.7e308, -5e-324, 3, [], np.zeros((2, 3)), np.arange(4)):
         _check_finite(values, "angle")
+
+
+# every entry that reads caller numbers, each with the bad value in one argument;
+# a whole list of it, since numpy reads [True, 2] as the integers [1, 2]
+READERS = {
+    "chain_unitary.thetas": lambda x: kernels.chain_unitary([x], [], []),
+    "chain_unitary.phases": lambda x: kernels.chain_unitary([0.1, 0.2], [x], [1]),
+    "selector_batch_amplitudes.mu": lambda x: kernels.selector_batch_amplitudes([x], [[0, 0]]),
+    "selector_batch_amplitudes.controls":
+        lambda x: kernels.selector_batch_amplitudes([0.1], [[x, x]]),
+    "chain_feedback_selectors.mu": lambda x: chain_feedback_selectors([x], [0.0]),
+    "chain_feedback_selectors.phi": lambda x: chain_feedback_selectors([0.1], [x]),
+    "build_weighted_selector.phi": lambda x: build_weighted_selector(x, 0.1),
+    "build_weighted_selector.mu": lambda x: build_weighted_selector(0.1, x),
+    "TransferCurve": lambda x: TransferCurve([[x, x, x]]),
+    "TransferCurve.column": lambda x: sweep_transfer([0.5], [0.1]).column(x),
+    "sweep_transfer.phis": lambda x: sweep_transfer([x], [0.1]),
+    "sweep_transfer.mu_grid": lambda x: sweep_transfer([0.5], [x]),
+    "SelectorSpec.memory": lambda x: SelectorSpec([x], [0.0], 0.0),
+    "SelectorSpec.control": lambda x: SelectorSpec([0.1], [x], 0.0),
+    "SelectorSpec.tail": lambda x: SelectorSpec([0.1], [0.0], x),
+    "selector_sweep_amplitudes": lambda x: selector_sweep_amplitudes([x], [[1]]),
+    "recover_selector": lambda x: recover_selector([x]),
+    "recover_selector_matrix": lambda x: recover_selector_matrix([[x]]),
+    "eval_selector": lambda x: eval_selector([x], [1]),
+    "MatrixProductSpec.memory": lambda x: MatrixProductSpec([[x]], [[0.0]], [0.0]),
+    "MatrixProductSpec.control": lambda x: MatrixProductSpec([[0.1]], [[x]], [0.0]),
+    "MatrixProductSpec.tails": lambda x: MatrixProductSpec([[0.1]], [[0.0]], [x]),
+    "CompilationMatrices": lambda x: CompilationMatrices([[x]], [[1.0]]),
+    "mz_switch": mz_switch,
+    "output_amplitudes": lambda x: output_amplitudes(identity(1), [x]),
+    "SlhModel.scattering": lambda x: SlhModel([[x]], [0]),
+    "SlhModel.coupling": lambda x: SlhModel([[1]], [x]),
+}
+
+
+@pytest.mark.parametrize("value", ["x", True], ids=["str", "bool"])
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+def test_every_entry_refuses_a_string_or_bool_number(read, value):
+    with pytest.raises(DomainError, match="must be real") as info:
+        read(value)
+    # a typed refusal, not numpy's or float()'s own ValueError or TypeError
+    assert type(info.value) is DomainError
+
+
+# inputs with two faults whose first reported fault is now the non-finite value
+@pytest.mark.parametrize("call, message", [
+    (lambda: kernels.chain_unitary([math.nan], [0.1], [1]),
+     "chain mixing angle must be finite, got nan"),
+    (lambda: kernels.chain_unitary([0.1, 0.2], [math.nan], [3]),
+     "chain phase must be finite, got nan"),
+    (lambda: kernels.selector_batch_amplitudes([math.nan], [[0, 0, 0]]),
+     "memory phase must be finite, got nan"),
+    (lambda: chain_feedback_selectors([math.nan], [0.0, 0.0]),
+     "memory phase must be finite, got nan"),
+    (lambda: chain_feedback_selectors([math.nan], [0.5]),
+     "memory phase must be finite, got nan"),
+    (lambda: TransferCurve([[math.nan, 0.0]]),
+     "transfer curve sample must be finite, got nan"),
+    (lambda: sweep_transfer([[math.nan]], [0.1]), "sweep phi must be finite, got nan"),
+    (lambda: eval_selector([math.nan], [1, 0]), "memory phase must be finite, got nan"),
+    (lambda: eval_selector([math.nan], [2]), "memory phase must be finite, got nan"),
+    (lambda: output_amplitudes(identity(2), [math.nan]),
+     "drive amplitude must be finite, got nan"),
+], ids=["chain-arity", "chain-port", "batch-arity", "feedback-arity", "feedback-control",
+        "curve-shape", "sweep-ndim", "eval-length", "eval-bits", "drive-length"])
+def test_a_non_finite_angle_is_reported_before_a_second_fault(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_output_amplitudes_refuses_a_non_finite_drive():
+    with pytest.raises(DomainError, match="drive amplitude must be finite, got nan"):
+        output_amplitudes(identity(2), [math.nan, 0])
+    with pytest.raises(DomainError, match="drive amplitude must be finite, got inf"):
+        output_amplitudes(identity(2), [0, complex(1, math.inf)])
+
+
+def test_transfer_curve_column_keeps_its_unswept_message_for_nan():
+    with pytest.raises(DomainError) as info:
+        sweep_transfer([0.5], [0.1]).column(math.nan)
+    assert str(info.value) == "no sweep column has phi = nan"
 
 
 def test_identity_is_series_unit():
