@@ -54,8 +54,8 @@ class ArityError(CircuitError, ValueError):
 
 class DomainError(CircuitError, ValueError):
     """A parameter is outside its admissible domain: a non-finite angle or drive
-    amplitude; a string, bool or complex angle or a string or bool amplitude, except
-    in readout's scalar closed forms; or a non-binary control phase or selector bit."""
+    amplitude; a string, bool or complex angle or a string or bool amplitude; or a
+    non-binary control phase or selector bit."""
 
 
 class DrivenCircuitError(CircuitError, ValueError):
@@ -110,7 +110,9 @@ def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
 
 
 def _check_angle(value, what: str) -> float:
-    """One angle under the finite-value rule, as a Python float, else DomainError."""
+    """One finite angle as a Python float, else DomainError; a finite float skips the arrays."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float(value)
     arr = _check_finite(value, what)
     if arr.ndim:
         raise DomainError(f"{what} must be a single angle, got shape {arr.shape}")
@@ -142,7 +144,7 @@ def _check_binary_phases(values, what: str = "control phase") -> None:
         raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlhModel:
     """A passive-circuit SLH triplet, or a batch of them.
 
@@ -180,19 +182,24 @@ class SlhModel:
                 if s.ndim == 2 else
                 f"coupling shape {l.shape} does not match scattering shape {s.shape}"
             )
-        h = self.hamiltonian
-        if s.ndim > 2:
-            h = np.array(np.broadcast_to(np.asarray(h, dtype=np.float64), s.shape[:-2]))
-        _init(self, s, l, h)
+        h = _as_real(self.hamiltonian, "hamiltonian")
+        try:
+            h = h if h.shape == s.shape[:-2] else np.broadcast_to(h, s.shape[:-2])
+        except ValueError:
+            raise ArityError(f"hamiltonian shape {h.shape} does not broadcast to batch shape "
+                             f"{s.shape[:-2]}") from None
+        _init(self, s, l, h if s.ndim == 2 else np.array(h))
 
     @property
     def ports(self) -> int:
         return self.scattering.shape[-1]
 
     def at(self, index) -> "SlhModel":
-        """The model at ``index`` of the batch axes."""
+        """The model at ``index`` of the batch axes; a bool (numpy's mask) is refused."""
         if not isinstance(index, tuple):
             index = (index,)
+        if any(isinstance(i, (bool, np.bool_)) for i in index):
+            raise ArityError(f"batch index must not be a bool, got {index}")
         if len(index) > self.scattering.ndim - 2:
             raise ArityError(
                 f"index {index} has more axes than batch shape {self.scattering.shape[:-2]}"
@@ -368,7 +375,7 @@ def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
 
 def check_unitary(s: np.ndarray, tol: float) -> bool:
     """True iff ``max |S^dag S - I| <= tol``."""
-    s = np.asarray(s, dtype=np.complex128)
+    s = _as_real(s, "matrix", np.complex128)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ArityError(f"expected a square matrix, got shape {s.shape}")
     resid = s.conj().T @ s - np.eye(s.shape[0])

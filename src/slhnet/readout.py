@@ -94,18 +94,14 @@ def feedback_selector_scattering(phi: float, mu: float) -> complex:
     denominator, which forces |S| = 1 wherever the loop is well posed.
     The denominator is 2(1 - S_11), S_11 that of the open loop.
     """
-    # math.isfinite in both closed forms, not _check_finite: ~16 000 calls per verify
-    if not (math.isfinite(phi) and math.isfinite(mu)):
-        raise DomainError(f"angles must be finite, got phi={float(phi)!r}, mu={float(mu)!r}")
+    phi, mu = _check_angle(phi, "phi"), _check_angle(mu, "mu")
     e_mu = cmath.exp(1j * mu)
     e_pm = cmath.exp(1j * (phi + mu))
     den = 2.0 - e_mu - e_pm
     if is_singular_loop(den / 2.0):
-        raise SingularLoopError(
-            1, 1, 1.0 - den / 2.0,
-            f"feedback selector singular at phi={float(phi)!r}, mu={float(mu)!r}: "
-            f"|loop denominator| = {abs(den / 2.0):.3e}",
-        )
+        raise SingularLoopError(1, 1, 1.0 - den / 2.0,
+                                f"feedback selector singular at phi={phi!r}, mu={mu!r}: "
+                                f"|loop denominator| = {abs(den / 2.0):.3e}")
     return (1.0 + cmath.exp(1j * phi) - 2.0 * e_pm) / den
 
 
@@ -167,17 +163,14 @@ def weighted_selector_scattering(phi: float, mu: float) -> complex:
     """Closed-form scattering (e^{i mu} - cos phi) / (1 - e^{i mu} cos phi).
 
     |1 - e^{i mu} cos phi| equals |1 - S_11| of the open loop."""
-    if not (math.isfinite(phi) and math.isfinite(mu)):
-        raise DomainError(f"angles must be finite, got phi={float(phi)!r}, mu={float(mu)!r}")
+    phi, mu = _check_angle(phi, "phi"), _check_angle(mu, "mu")
     e_mu = cmath.exp(1j * mu)
     cos_phi = math.cos(phi)
     den = 1.0 - e_mu * cos_phi
     if is_singular_loop(den):
-        raise SingularLoopError(
-            1, 1, e_mu * cos_phi,
-            f"weighted selector singular at phi={float(phi)!r}, mu={float(mu)!r}: "
-            f"|loop denominator| = {abs(den):.3e}",
-        )
+        raise SingularLoopError(1, 1, e_mu * cos_phi,
+                                f"weighted selector singular at phi={phi!r}, mu={mu!r}: "
+                                f"|loop denominator| = {abs(den):.3e}")
     return (e_mu - cos_phi) / den
 
 
@@ -203,7 +196,7 @@ def weighted_small_mu_gain(phi: float) -> float:
 # transfer sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferCurve:
     """Sampled weighted-selector response.
 

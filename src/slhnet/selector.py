@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (ArityError, DomainError, SlhModel, _as_real, _check_binary_phases,
-                   _check_finite, concat, identity, series)
+from .core import (ArityError, DomainError, SlhModel, _as_real, _check_angle,
+                   _check_binary_phases, _check_finite, concat, identity, series)
 from .components import beamsplitter, phase_shift
 
 TWO_PI = 2.0 * math.pi
@@ -148,7 +148,7 @@ class SelectorSpec:
             raise ArityError("memory and control phases must be 1-D")
         object.__setattr__(self, "memory_phases", tuple(mem.tolist()))
         object.__setattr__(self, "control_phases", tuple(ctrl.tolist()))
-        object.__setattr__(self, "tail_phase", float(_as_real(self.tail_phase, "tail phase")))
+        object.__setattr__(self, "tail_phase", _check_angle(self.tail_phase, "tail phase"))
         if len(mem) != len(ctrl):
             raise ArityError(
                 f"{len(mem)} memory phases need {len(mem)} control phases, got {len(ctrl)}"
@@ -245,7 +245,7 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
 # compilation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompilationMatrices:
     """The compile/recover matrix pair for length-n selectors.
 
@@ -324,7 +324,7 @@ def eval_selector(mu, s) -> float:
 # matrix extension
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixProductSpec:
     """A bank of m memory columns read by k selector columns.
 

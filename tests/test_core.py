@@ -22,6 +22,7 @@ from slhnet import (
     concat,
     eval_selector,
     feedback,
+    feedback_selector_scattering,
     identity,
     kernels,
     mz_switch,
@@ -32,8 +33,10 @@ from slhnet import (
     selector_sweep_amplitudes,
     series,
     sweep_transfer,
+    weighted_output_phase,
+    weighted_selector_scattering,
 )
-from slhnet.core import _check_finite, _feedback_masked, is_singular_loop
+from slhnet.core import _check_angle, _check_finite, _feedback_masked, is_singular_loop
 from slhnet.verify import random_passive_circuit
 
 
@@ -130,6 +133,15 @@ READERS = {
     "output_amplitudes": lambda x: output_amplitudes(identity(1), [x]),
     "SlhModel.scattering": lambda x: SlhModel([[x]], [0]),
     "SlhModel.coupling": lambda x: SlhModel([[1]], [x]),
+    "SlhModel.hamiltonian": lambda x: SlhModel(np.eye(1), [0], x),
+    "check_unitary": lambda x: check_unitary([[x]], 1e-9),
+    # the scalar closed forms read each angle through the same rule
+    "feedback_selector_scattering.phi": lambda x: feedback_selector_scattering(x, 0.5),
+    "feedback_selector_scattering.mu": lambda x: feedback_selector_scattering(0.5, x),
+    "weighted_selector_scattering.phi": lambda x: weighted_selector_scattering(x, 0.5),
+    "weighted_selector_scattering.mu": lambda x: weighted_selector_scattering(0.5, x),
+    "weighted_output_phase.phi": lambda x: weighted_output_phase(x, 0.5),
+    "weighted_output_phase.mu": lambda x: weighted_output_phase(0.5, x),
 }
 
 
@@ -174,6 +186,53 @@ def test_output_amplitudes_refuses_a_non_finite_drive():
         output_amplitudes(identity(2), [math.nan, 0])
     with pytest.raises(DomainError, match="drive amplitude must be finite, got inf"):
         output_amplitudes(identity(2), [0, complex(1, math.inf)])
+
+
+@pytest.mark.parametrize("value", [
+    0.3, -0.0, np.float64(0.3), 3, np.array(0.3),
+    math.nan, math.inf, -math.inf, np.nan, np.float64(np.inf),
+], ids=["float", "neg-zero", "float64", "int", "0d-array",
+        "nan", "inf", "neg-inf", "np-nan", "float64-inf"])
+def test_check_angle_short_route_matches_the_array_route(value):
+    # a 0-d array is never a float, so it always takes the array route
+    try:
+        want = _check_angle(np.array(value), "phi")
+    except DomainError as refused:
+        with pytest.raises(DomainError) as info:
+            _check_angle(value, "phi")
+        assert str(info.value) == str(refused)
+    else:
+        got = _check_angle(value, "phi")
+        assert type(got) is type(want) is float
+        assert repr(got) == repr(want)  # the same value, the sign of zero included
+
+
+def test_model_hamiltonian_must_fit_the_batch_shape():
+    with pytest.raises(ArityError, match="hamiltonian shape"):
+        SlhModel(np.eye(1), [0], [1.0])
+    with pytest.raises(ArityError, match="hamiltonian shape"):
+        SlhModel(np.stack([np.eye(1)] * 3), np.zeros((3, 1)), [1.0, 2.0])
+    # a hamiltonian that broadcasts is spread over the batch
+    batch = SlhModel(np.stack([np.eye(1)] * 3), np.zeros((3, 1)), [1.0])
+    assert batch.hamiltonian.tolist() == [1.0] * 3
+    assert type(SlhModel(np.eye(1), [0], np.float32(2)).hamiltonian) is float
+
+
+@pytest.mark.parametrize("index", [True, np.True_, (False,)], ids=["bool", "numpy-bool", "tuple"])
+def test_batch_index_refuses_a_bool(index):
+    batch = SlhModel(np.stack([np.eye(1)] * 2), np.zeros((2, 1)), [1.0, 2.0])
+    with pytest.raises(ArityError, match="must not be a bool"):
+        batch.at(index)
+    assert batch.at(np.int64(1)).hamiltonian == 2.0
+
+
+def test_array_value_types_compare_and_hash_by_identity():
+    for make in (lambda: beamsplitter(0.3), lambda: sweep_transfer([0.5], [0.1]),
+                 lambda: CompilationMatrices([[1.0]], [[1.0]]),
+                 lambda: MatrixProductSpec([[0.1]], [[0.0]], [0.0])):
+        a, b = make(), make()
+        assert a == a and a != b and a in [b, a] and b not in [a]
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_transfer_curve_column_keeps_its_unswept_message_for_nan():

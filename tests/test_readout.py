@@ -225,6 +225,30 @@ def test_closed_forms_refuse_non_finite_angles_as_generic_routes_do(name, bad):
             closed(*bad_args)
 
 
+# a bool, a string or a complex angle in either argument of a scalar route;
+# eval_selector takes a list, in which numpy reads [True, 0.2] as numbers
+@pytest.mark.parametrize("bad", [True, np.True_, "x", 1j],
+                         ids=["bool", "numpy-bool", "str", "complex"])
+@pytest.mark.parametrize("name", sorted(set(FINITE_ROUTES) - {"eval_selector"}))
+def test_closed_forms_refuse_non_real_angles_as_generic_routes_do(name, bad):
+    closed, generic, args = FINITE_ROUTES[name]
+    for i in range(len(args)):
+        bad_args = args[:i] + (bad,) + args[i + 1:]
+        with pytest.raises(DomainError, match="must be real"):
+            generic(*bad_args)
+        with pytest.raises(DomainError, match="must be real"):
+            closed(*bad_args)
+
+
+def test_closed_forms_name_the_non_finite_angle():
+    with pytest.raises(DomainError) as info:
+        feedback_selector_scattering(math.nan, 0.5)
+    assert str(info.value) == "phi must be finite, got nan"
+    with pytest.raises(DomainError) as info:
+        weighted_output_phase(0.5, -math.inf)
+    assert str(info.value) == "mu must be finite, got -inf"
+
+
 def test_chain_examples():
     got = chain_feedback_selectors([0.3, 0.7, 1.1], [0.0, PI, PI])
     assert got == pytest.approx(1.8, abs=1e-12)

@@ -107,6 +107,18 @@ def test_selector_spec_validation():
     assert str(info.value) == "2 memory phases need 2 control phases, got 3"
 
 
+@pytest.mark.parametrize("tail, message", [
+    ([0.0], "tail phase must be a single angle, got shape (1,)"),
+    (math.nan, "tail phase must be finite, got nan"),
+    (-math.inf, "tail phase must be finite, got -inf"),
+], ids=["array", "nan", "neg-inf"])
+def test_selector_spec_reads_its_tail_as_one_angle(tail, message):
+    with pytest.raises(DomainError) as info:
+        SelectorSpec([0.1], [0.0], tail)
+    assert str(info.value) == message
+    assert type(SelectorSpec([0.1], [0.0], 0).tail_phase) is float
+
+
 def test_staircase_layout():
     spec = SelectorSpec.from_selector([1, 0, 1], [0.3, 0.7, 1.1])
     thetas, phases, ports = staircase_arrays(spec)
