@@ -195,11 +195,12 @@ class SlhModel:
         return self.scattering.shape[-1]
 
     def at(self, index) -> "SlhModel":
-        """The model at ``index`` of the batch axes; a bool (numpy's mask) is refused."""
+        """The model at integer or slice ``index`` of the batch axes; a bool (a mask) is refused."""
         if not isinstance(index, tuple):
             index = (index,)
         if any(isinstance(i, (bool, np.bool_)) for i in index):
             raise ArityError(f"batch index must not be a bool, got {index}")
+        _check_integers("batch index", *[i for i in index if type(i) is not slice])
         if len(index) > self.scattering.ndim - 2:
             raise ArityError(
                 f"index {index} has more axes than batch shape {self.scattering.shape[:-2]}"
@@ -210,7 +211,7 @@ class SlhModel:
     def is_passive(self, tol: float = 0.0) -> bool:
         """True when the coupling vector vanishes (to within ``tol``), for
         every element of a batch."""
-        return bool(np.all(np.abs(self.coupling) <= tol))
+        return bool(np.all(np.abs(self.coupling) <= _check_finite(tol, "tolerance")))
 
 
 def _init(m: SlhModel, s: np.ndarray, l: np.ndarray, h) -> SlhModel:
@@ -373,10 +374,16 @@ def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
     return model
 
 
+def _unitarity_residual(s: np.ndarray):
+    """``max |S^dag S - I|`` over the last two axes of a ``(..., n, n)`` scattering, unchecked."""
+    resid = s.conj().swapaxes(-1, -2) @ s - np.eye(s.shape[-1])
+    return np.abs(resid).max(axis=(-2, -1))
+
+
 def check_unitary(s: np.ndarray, tol: float) -> bool:
     """True iff ``max |S^dag S - I| <= tol``."""
     s = _as_real(s, "matrix", np.complex128)
+    tol = _check_finite(tol, "tolerance")
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ArityError(f"expected a square matrix, got shape {s.shape}")
-    resid = s.conj().T @ s - np.eye(s.shape[0])
-    return bool(np.abs(resid).max() <= tol)
+    return bool(_unitarity_residual(s) <= tol)

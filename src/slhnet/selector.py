@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (ArityError, DomainError, SlhModel, _as_real, _check_angle,
-                   _check_binary_phases, _check_finite, concat, identity, series)
+from .core import (ArityError, DomainError, SlhModel, _as_real, _check_angle, _check_binary_phases,
+                   _check_finite, _check_integers, concat, identity, series)
 from .components import beamsplitter, phase_shift
 
 TWO_PI = 2.0 * math.pi
@@ -271,6 +271,7 @@ class CompilationMatrices:
 
 def compilation_matrices(n: int) -> CompilationMatrices:
     """Dense L and Gamma for length n, the reference for the fast compile."""
+    (n,) = _check_integers("selector length", n)
     if n < 0:
         raise ArityError(f"selector length must be nonnegative, got {n}")
     lower = np.tril(np.ones((n, n))) / math.pi

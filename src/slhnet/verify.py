@@ -21,7 +21,7 @@ import numpy as np
 from . import readout as ro
 from . import selector as sel
 from .components import beamsplitter, coherent_drive
-from .core import SingularLoopError, SlhModel, _model, concat, feedback, series
+from .core import SingularLoopError, SlhModel, _model, _unitarity_residual, concat, feedback, series
 from .selector import TWO_PI
 
 __all__ = ["CheckResult", "random_passive_circuit", "run_all"]
@@ -310,10 +310,7 @@ def random_passive_circuit(rng, max_depth: int = 20) -> SlhModel:
 def _check_unitarity_closure(rng, compositions: int) -> CheckResult:
     worst = 0.0
     for _ in range(compositions):
-        model = random_passive_circuit(rng)
-        s = model.scattering
-        resid = np.abs(s.conj().T @ s - np.eye(model.ports)).max()
-        worst = max(worst, float(resid))
+        worst = max(worst, float(_unitarity_residual(random_passive_circuit(rng).scattering)))
     return _result("unitarity-closure", f"{compositions} random compositions, depth <= 20",
                    (worst, 1e-10))
 

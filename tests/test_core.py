@@ -36,7 +36,8 @@ from slhnet import (
     weighted_output_phase,
     weighted_selector_scattering,
 )
-from slhnet.core import _check_angle, _check_finite, _feedback_masked, is_singular_loop
+from slhnet.core import (_check_angle, _check_finite, _feedback_masked, _unitarity_residual,
+                         is_singular_loop)
 from slhnet.verify import random_passive_circuit
 
 
@@ -135,6 +136,8 @@ READERS = {
     "SlhModel.coupling": lambda x: SlhModel([[1]], [x]),
     "SlhModel.hamiltonian": lambda x: SlhModel(np.eye(1), [0], x),
     "check_unitary": lambda x: check_unitary([[x]], 1e-9),
+    "check_unitary.tol": lambda x: check_unitary([[1]], x),
+    "SlhModel.is_passive.tol": lambda x: identity(1).is_passive(x),
     # the scalar closed forms read each angle through the same rule
     "feedback_selector_scattering.phi": lambda x: feedback_selector_scattering(x, 0.5),
     "feedback_selector_scattering.mu": lambda x: feedback_selector_scattering(0.5, x),
@@ -224,6 +227,21 @@ def test_batch_index_refuses_a_bool(index):
     with pytest.raises(ArityError, match="must not be a bool"):
         batch.at(index)
     assert batch.at(np.int64(1)).hamiltonian == 2.0
+
+
+@pytest.mark.parametrize("index, shown", [
+    (None, "an integer, got None"), (0.5, "an integer, got 0.5"), ("x", "an integer, got 'x'"),
+    ((0, None), "integers, got (0, None)"), ((slice(None), 0.5), "an integer, got 0.5"),
+], ids=["none", "float", "str", "tuple", "slice-and-float"])
+def test_batch_index_refuses_a_non_integer(index, shown):
+    batch = SlhModel(np.zeros((2, 3, 1, 1)), np.zeros((2, 3, 1)), np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ArityError) as info:
+        batch.at(index)
+    assert str(info.value) == f"batch index must be {shown}"
+    # integers of any type, negative ones, tuples and slices still index the batch
+    for ok, h in ((1, [3.0, 4.0, 5.0]), (np.int64(-1), [3.0, 4.0, 5.0]), ((0, 2), 2.0),
+                  ((np.int64(1), -3), 3.0), ((slice(None), 0), [0.0, 3.0])):
+        assert np.array_equal(batch.at(ok).hamiltonian, h)
 
 
 def test_array_value_types_compare_and_hash_by_identity():
@@ -385,6 +403,40 @@ def test_check_unitary():
     assert not check_unitary(np.eye(3) * 1.1, 1e-10)
     with pytest.raises(ArityError):
         check_unitary(np.ones((2, 3)), 1e-10)
+
+
+def test_a_tolerance_is_read_by_the_finite_rule():
+    for call in (lambda tol: check_unitary([[1]], tol), lambda tol: identity(2).is_passive(tol)):
+        with pytest.raises(DomainError) as info:
+            call(math.nan)
+        assert str(info.value) == "tolerance must be finite, got nan"
+        assert call(np.float32(0.5)) is True
+    assert identity(2).is_passive() is True
+
+
+def test_check_unitary_is_inclusive_at_the_residual():
+    s = beamsplitter(0.3).scattering * (1 + 1e-9)
+    resid = np.abs(s.conj().T @ s - np.eye(2)).max()
+    assert resid > 0.0
+    assert check_unitary(s, resid)
+    assert not check_unitary(s, math.nextafter(resid, 0.0))
+    assert check_unitary([[2]], 3) and not check_unitary([[2]], math.nextafter(3.0, 0.0))
+
+
+def test_unitarity_residual_of_a_stack_equals_the_inline_residual_bit_for_bit():
+    rng = np.random.default_rng(404)
+    groups = {}
+    for _ in range(300):
+        g = random_passive_circuit(rng)
+        groups.setdefault(g.ports, []).append(g.scattering)
+    assert len(groups) >= 4
+    for n, mats in groups.items():
+        want = [np.abs(s.conj().T @ s - np.eye(n)).max() for s in mats]
+        got = _unitarity_residual(np.stack(mats))
+        assert got.shape == (len(mats),)
+        assert np.array_equal(got, want), n
+        # an unbatched matrix gives the same scalar
+        assert [_unitarity_residual(s) for s in mats] == want
 
 
 def _stack(models):

@@ -181,6 +181,21 @@ def test_compilation_matrices_entries():
         compilation_matrices(-1)
 
 
+@pytest.mark.parametrize("n", [True, 1.5, "x", np.True_, None],
+                         ids=["bool", "float", "str", "numpy-bool", "none"])
+def test_compilation_matrices_refuse_a_non_integer_length(n):
+    with pytest.raises(ArityError) as info:
+        compilation_matrices(n)
+    assert str(info.value) == f"selector length must be an integer, got {n!r}"
+
+
+def test_compilation_matrices_read_any_integer_type():
+    m = compilation_matrices(np.int64(3))
+    assert np.array_equal(m.gamma, compilation_matrices(3).gamma)
+    with pytest.raises(ArityError, match="selector length must be nonnegative, got -1"):
+        compilation_matrices(np.int64(-1))
+
+
 def test_compilation_matrices_freeze_their_own_copies():
     lower, gamma = np.eye(2), np.eye(2)
     m = CompilationMatrices(lower, gamma)

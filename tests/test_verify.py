@@ -12,7 +12,7 @@ from slhnet.cli import main
 from slhnet.components import beamsplitter, phase_shift
 from slhnet.core import SingularLoopError, concat, feedback, series
 from slhnet.selector import TWO_PI
-from slhnet.verify import CheckResult, _result, random_passive_circuit
+from slhnet.verify import CheckResult, _check_unitarity_closure, _result, random_passive_circuit
 
 
 def _reference_stage(rng, ports):
@@ -63,6 +63,18 @@ def test_random_passive_circuit_keeps_its_draws(seed):
         assert np.array_equal(got.coupling, ref.coupling), i
         assert got.hamiltonian == ref.hamiltonian, i
     assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", [5, 39])
+def test_unitarity_closure_reports_the_worst_inline_residual(seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _check_unitarity_closure(rng, 200)
+    worst = 0.0
+    for _ in range(200):
+        s = random_passive_circuit(twin).scattering
+        worst = max(worst, float(np.abs(s.conj().T @ s - np.eye(s.shape[0])).max()))
+    assert got.error == worst > 0.0
+    assert rng.random() == twin.random()  # the same draws
 
 
 _QUICK = ["verify", "--exhaustive", "4", "--grid", "20"]
