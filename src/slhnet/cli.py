@@ -34,8 +34,8 @@ _ANGLE_OPTIONS = ("--mu", "--phi", "--tail", "--mu-min", "--mu-max", "--mu-matri
 
 # the range of each size option; past its top a command would run for hours
 # or ask for more memory than a host has
-_SIZES = {"points": (1, 100_000), "exhaustive": (0, 16), "compositions": (0, 100_000),
-          "grid": (0, 1000)}
+_SIZES = {"points": (1, 100_000), "exhaustive": (1, 16), "compositions": (1, 100_000),
+          "grid": (1, 1000)}
 
 
 def fmt12(x) -> str:

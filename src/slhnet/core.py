@@ -43,6 +43,10 @@ __all__ = [
 # Loop is treated as ill-posed when |1 - S_kl| falls at or below this.
 FEEDBACK_SINGULAR_TOL = 1e-9
 
+# a 0-d complex zero, which numpy adds to an array faster than a Python 0j
+_POSITIVE_ZERO = np.zeros((), dtype=np.complex128)
+_POSITIVE_ZERO.setflags(write=False)
+
 
 class CircuitError(Exception):
     """Base class for circuit-algebra errors."""
@@ -109,14 +113,22 @@ def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def _check_angle(value, what: str) -> float:
+def _check_angle(value, what: str, noun: str = "angle") -> float:
     """One finite angle as a Python float, else DomainError; a finite float skips the arrays."""
     if isinstance(value, float) and math.isfinite(value):
         return float(value)
     arr = _check_finite(value, what)
     if arr.ndim:
-        raise DomainError(f"{what} must be a single angle, got shape {arr.shape}")
+        raise DomainError(f"{what} must be a single {noun}, got shape {arr.shape}")
     return float(arr)
+
+
+def _check_tolerance(tol) -> float:
+    """The one tolerance rule: a single finite number >= 0 as a float, else DomainError."""
+    tol = _check_angle(tol, "tolerance", "number")
+    if tol < 0.0:
+        raise DomainError(f"tolerance must not be negative, got {tol!r}")
+    return tol
 
 
 def _check_integers(what: str, *values) -> tuple[int, ...]:
@@ -169,7 +181,10 @@ class SlhModel:
 
     def __post_init__(self):
         s = np.array(_as_real(self.scattering, "scattering", np.complex128))
-        l = np.array(_as_real(self.coupling, "coupling", np.complex128))
+        # adding +0 turns each -0.0 into +0.0 and keeps every other value, so no
+        # composition result carries a -0.0 and the undriven shortcuts of series
+        # and feedback equal their generic formulas bit for bit
+        l = _as_real(self.coupling, "coupling", np.complex128) + _POSITIVE_ZERO
         if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
             raise ArityError(f"scattering must be square, got shape {s.shape}")
         if s.shape[-1] == 0:
@@ -188,7 +203,7 @@ class SlhModel:
         except ValueError:
             raise ArityError(f"hamiltonian shape {h.shape} does not broadcast to batch shape "
                              f"{s.shape[:-2]}") from None
-        _init(self, s, l, h if s.ndim == 2 else np.array(h))
+        _init(self, s, l, float(h) + 0.0 if s.ndim == 2 else h + 0.0)
 
     @property
     def ports(self) -> int:
@@ -211,7 +226,7 @@ class SlhModel:
     def is_passive(self, tol: float = 0.0) -> bool:
         """True when the coupling vector vanishes (to within ``tol``), for
         every element of a batch."""
-        return bool(np.all(np.abs(self.coupling) <= _check_finite(tol, "tolerance")))
+        return bool(np.all(np.abs(self.coupling) <= _check_tolerance(tol)))
 
 
 def _init(m: SlhModel, s: np.ndarray, l: np.ndarray, h) -> SlhModel:
@@ -261,6 +276,11 @@ def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
             f"series needs equal port counts, got {g2.ports} <| {g1.ports}"
         )
     s2 = g2.scattering
+    s = s2 @ g1.scattering
+    if not (g1.coupling.any() or g2.coupling.any()):
+        # undriven: the L and cross terms below are exact zeros
+        return _model(s, np.zeros(s.shape[:-1], dtype=np.complex128),
+                      g1.hamiltonian + g2.hamiltonian)
     # products with unit axes keep the per-element BLAS calls of the
     # matrix-vector and conjugated dot products, so a batch element rounds
     # exactly as the same model composed alone
@@ -268,7 +288,7 @@ def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
     l = s2l1[..., 0] + g2.coupling
     cross = (g2.coupling.conj()[..., None, :] @ s2l1)[..., 0, 0]
     h = g1.hamiltonian + g2.hamiltonian + cross.imag
-    return _model(s2 @ g1.scattering, l, h)
+    return _model(s, l, h)
 
 
 def concat(g1: SlhModel, g2: SlhModel) -> SlhModel:
@@ -311,9 +331,10 @@ def _feedback_indices(n: int, ki: int, li: int):
 
 
 def _feedback_masked(g: SlhModel, k: int, l: int):
-    """Feedback elimination of every batch element, and the boolean mask of
-    the elements whose loop is singular.  Masked elements are divided by a
-    unit denominator instead, so their values are meaningless but finite.
+    """Feedback elimination of every batch element, the boolean mask of the
+    elements whose loop is singular, and the number of them.  Masked
+    elements are divided by a unit denominator instead, so their values are
+    meaningless but finite.
 
     One ``take`` with the flat indices of ``_feedback_indices``, cached per
     ``(n, k, l)``, gathers the kept block, column l, row k and ``S_kl``; a
@@ -337,11 +358,16 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     row = gathered[..., m * m + m:-1]         # row k with column l removed
     d = 1.0 - gathered[..., -1]
     singular = is_singular_loop(d)
-    if np.count_nonzero(singular):
+    count = np.count_nonzero(singular)
+    if count:
         d = np.where(singular, 1.0, d)
+    s_fb = block + col[..., :, None] * row[..., None, :] / d[..., None, None]
+    if not c.any():
+        # undriven: the L and H terms below are exact zeros
+        model = _model(s_fb, np.zeros(batch + (m,), dtype=np.complex128), g.hamiltonian)
+        return model, singular, count
     coupling = c.take(cflat, axis=-1)
     lk = coupling[..., m]
-    s_fb = block + col[..., :, None] * row[..., None, :] / d[..., None, None]
     l_fb = coupling[..., :m] + col * (lk / d)[..., None]
     # free the gather before the H term's temporaries, so a large batch
     # does not hold both at its peak
@@ -352,7 +378,7 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     # vectorized complex multiply may fuse a product into the sum
     vlk = v.real * lk + v.imag * (1j * lk)
     h_fb = g.hamiltonian + (vlk / d).imag
-    return _model(s_fb, l_fb, h_fb), singular
+    return _model(s_fb, l_fb, h_fb), singular, count
 
 
 def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
@@ -367,23 +393,33 @@ def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
     Raises SingularLoopError when ``|1 - S_kl| <= FEEDBACK_SINGULAR_TOL``,
     for the first such element of a batch in C order.
     """
-    model, singular = _feedback_masked(g, k, l)
-    if np.count_nonzero(singular):
+    model, singular, count = _feedback_masked(g, k, l)
+    if count:
         first = np.unravel_index(np.argmax(singular), singular.shape)
         raise SingularLoopError(k, l, g.scattering[first + (k - 1, l - 1)])
     return model
 
 
+@functools.lru_cache(maxsize=16)
+def _eye(n: int) -> np.ndarray:
+    """A read-only float64 ``n x n`` identity."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _unitarity_residual(s: np.ndarray):
     """``max |S^dag S - I|`` over the last two axes of a ``(..., n, n)`` scattering, unchecked."""
-    resid = s.conj().swapaxes(-1, -2) @ s - np.eye(s.shape[-1])
-    return np.abs(resid).max(axis=(-2, -1))
+    n = s.shape[-1]
+    resid = s.conj().swapaxes(-1, -2) @ s - _eye(n)
+    # a max is exact in any order, so one pass over the flattened matrix
+    return np.abs(resid).reshape(s.shape[:-2] + (n * n,)).max(axis=-1)
 
 
 def check_unitary(s: np.ndarray, tol: float) -> bool:
     """True iff ``max |S^dag S - I| <= tol``."""
     s = _as_real(s, "matrix", np.complex128)
-    tol = _check_finite(tol, "tolerance")
+    tol = _check_tolerance(tol)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ArityError(f"expected a square matrix, got shape {s.shape}")
     return bool(_unitarity_residual(s) <= tol)

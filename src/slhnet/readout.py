@@ -124,7 +124,7 @@ def chain_feedback_selectors(mu, phi):
     # stage axis first, rows after; (0, 0) is the removable bypass: reading
     # a zero phase is a no-op, S = 1; the loop is undriven, so L and H are
     # already 0 there
-    stages, bypass = _feedback_masked(
+    stages, bypass, _ = _feedback_masked(
         _selector_loop(phi_arr.T, np.broadcast_to(mu_arr, phi_arr.shape).T), 1, 1)
     stages = _model(np.where(bypass[..., None, None], 1.0 + 0.0j, stages.scattering),
                     stages.coupling, stages.hamiltonian)

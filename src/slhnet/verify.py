@@ -21,7 +21,8 @@ import numpy as np
 from . import readout as ro
 from . import selector as sel
 from .components import beamsplitter, coherent_drive
-from .core import SingularLoopError, SlhModel, _model, _unitarity_residual, concat, feedback, series
+from .core import (ArityError, SingularLoopError, SlhModel, _model, _unitarity_residual, concat,
+                   feedback, series)
 from .selector import TWO_PI
 
 __all__ = ["CheckResult", "random_passive_circuit", "run_all"]
@@ -332,7 +333,12 @@ def run_all(seed: int = DEFAULT_SEED, exhaustive_n: int = 8,
             compositions: int = 1000, grid: int = 100):
     """Run the whole battery and return a list of CheckResult, each with the
     wall time of its check.  The checks run in this fixed order, which fixes
-    the draws each one takes from the shared generator."""
+    the draws each one takes from the shared generator.  Each size must be
+    at least 1, so that no check passes on no case."""
+    for what, size in (("exhaustive_n", exhaustive_n), ("compositions", compositions),
+                       ("grid", grid)):
+        if size < 1:
+            raise ArityError(f"{what} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     checks = [
         lambda: _check_switch_dichotomy(),

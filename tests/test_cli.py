@@ -181,10 +181,14 @@ _EDGE_INPUTS += [
 _EDGE_INPUTS += [
     (argv, 2, f"error: {argv[1]} must lie in {bounds}, got {argv[2]}\n", None)
     for argv, bounds in [
-        (["verify", "--exhaustive", "17"], "[0, 16]"),
-        (["verify", "--compositions", "-1"], "[0, 100000]"),
-        (["verify", "--grid", "1001"], "[0, 1000]"),
+        (["verify", "--exhaustive", "17"], "[1, 16]"),
+        (["verify", "--compositions", "-1"], "[1, 100000]"),
+        (["verify", "--grid", "1001"], "[1, 1000]"),
         (["sweep", "--points", "100001"], "[1, 100000]"),
+        # a size of 0 would run a check on no case and report it passed
+        (["verify", "--exhaustive", "0"], "[1, 16]"),
+        (["verify", "--compositions", "0"], "[1, 100000]"),
+        (["verify", "--grid", "0"], "[1, 1000]"),
     ]
 ]
 # a non-finite drive amplitude is refused like a non-finite angle
@@ -206,7 +210,8 @@ _EDGE_INPUTS += [
                               "bad-memory-matrix-angle", "netlist-bad-bool-tag",
                               "netlist-bad-timestamp-tag", "netlist-bad-int-tag",
                               "exhaustive-over", "compositions-negative", "grid-over",
-                              "points-over", "nan-drive", "inf-drive"])
+                              "points-over", "exhaustive-zero", "compositions-zero",
+                              "grid-zero", "nan-drive", "inf-drive"])
 def test_edge_inputs(tmp_path, capsys, argv, code, err, check):
     if argv[0] == "netlist":
         path = tmp_path / "edge.yaml"

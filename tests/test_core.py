@@ -36,6 +36,8 @@ from slhnet import (
     weighted_output_phase,
     weighted_selector_scattering,
 )
+from slhnet import core
+from slhnet import verify as verify_module
 from slhnet.core import (_check_angle, _check_finite, _feedback_masked, _unitarity_residual,
                          is_singular_loop)
 from slhnet.verify import random_passive_circuit
@@ -410,8 +412,29 @@ def test_a_tolerance_is_read_by_the_finite_rule():
         with pytest.raises(DomainError) as info:
             call(math.nan)
         assert str(info.value) == "tolerance must be finite, got nan"
-        assert call(np.float32(0.5)) is True
+        for tol in (np.float32(0.5), 0, -0.0, np.array(1e-9)):
+            assert call(tol) is True
     assert identity(2).is_passive() is True
+
+
+# the tolerance rows of READERS: a number that is no single tolerance >= 0 is refused too,
+# where numpy would raise its own error, read one tolerance per port or answer False
+@pytest.mark.parametrize("value, message", [
+    ([0.1, 0.2], "tolerance must be a single number, got shape (2,)"),
+    ([0.0, 0.0], "tolerance must be a single number, got shape (2,)"),
+    (np.zeros((1, 1)), "tolerance must be a single number, got shape (1, 1)"),
+    ([], "tolerance must be a single number, got shape (0,)"),
+    (-1e-12, "tolerance must not be negative, got -1e-12"),
+    (np.float64(-1), "tolerance must not be negative, got -1.0"),
+    (-math.inf, "tolerance must be finite, got -inf"),
+], ids=["pair", "zero-per-port", "matrix", "empty", "negative", "negative-float64", "neg-inf"])
+@pytest.mark.parametrize("entry", ["check_unitary.tol", "SlhModel.is_passive.tol", "two-port"])
+def test_a_tolerance_is_one_finite_number_at_least_zero(entry, value, message):
+    read = (lambda x: identity(2).is_passive(x)) if entry == "two-port" else READERS[entry]
+    with pytest.raises(DomainError) as info:
+        read(value)
+    assert type(info.value) is DomainError
+    assert str(info.value) == message
 
 
 def test_check_unitary_is_inclusive_at_the_residual():
@@ -502,7 +525,8 @@ def test_batched_singular_mask_agrees_with_scalar_raise():
           for a in (0.0, 1.0, -2.5)]
     models = [SlhModel([[1.0 - d, 0.2], [0.1, 1.0]], [0.3, 0.1j], 0.0) for d in ds]
     batch = _stack(models)
-    _, singular = _feedback_masked(batch, 1, 1)
+    _, singular, count = _feedback_masked(batch, 1, 1)
+    assert count == singular.sum()
     for g, masked in zip(models, singular):
         try:
             feedback(g, 1, 1)
@@ -545,7 +569,7 @@ def _fancy_index_feedback(g, k, l):
 
 
 def _assert_same_as_fancy_index(g, k, l):
-    got, singular = _feedback_masked(g, k, l)
+    got, singular, _ = _feedback_masked(g, k, l)
     s_fb, l_fb, h_fb, want_singular = _fancy_index_feedback(g, k, l)
     assert np.array_equal(singular, want_singular)
     assert np.array_equal(got.scattering, s_fb)
@@ -581,6 +605,125 @@ def test_feedback_gather_equals_fancy_indexing_bit_for_bit():
                 masked = SlhModel(s, batch.coupling, batch.hamiltonian)
                 singular = _assert_same_as_fancy_index(masked, k, l)
                 assert np.array_equal(singular, np.arange(len(s)) % 2 == 0)
+
+
+def _generic_series(g2, g1):
+    """The series product with its L and H terms computed for every operand,
+    as before undriven operands took a shortcut: the reference route."""
+    s2 = g2.scattering
+    s2l1 = s2 @ g1.coupling[..., None]
+    l = s2l1[..., 0] + g2.coupling
+    cross = (g2.coupling.conj()[..., None, :] @ s2l1)[..., 0, 0]
+    h = g1.hamiltonian + g2.hamiltonian + cross.imag
+    return core._model(s2 @ g1.scattering, l, h)
+
+
+def _generic_feedback_masked(g, k, l):
+    """Feedback elimination with its L and H terms computed for every operand,
+    as before undriven operands took a shortcut: the reference route."""
+    s_fb, l_fb, h_fb, singular = _fancy_index_feedback(g, k, l)
+    return core._model(s_fb, l_fb, h_fb), singular
+
+
+def _generic_feedback(g, k=1, l=1):
+    model, singular = _generic_feedback_masked(g, k, l)
+    if singular.any():
+        first = np.unravel_index(np.argmax(singular), singular.shape)
+        raise SingularLoopError(k, l, g.scattering[first + (k - 1, l - 1)])
+    return model
+
+
+def _assert_bitwise(got, want):
+    # the same bits, signed zeros included, and the same type of a scalar Hamiltonian
+    for a, b in ((got.scattering, want.scattering), (got.coupling, want.coupling),
+                 (np.asarray(got.hamiltonian), np.asarray(want.hamiltonian))):
+        assert a.shape == b.shape
+        assert np.array_equal(*(np.ascontiguousarray(x).view(np.uint64) for x in (a, b)))
+    assert type(got.hamiltonian) is type(want.hamiltonian)
+
+
+def _shortcut_operands(seed, count=200):
+    """The models of _circuits_by_ports, then each undriven one again with a
+    random Hamiltonian, and with a -0.0 coupling and Hamiltonian put in
+    through the public constructor."""
+    rng = np.random.default_rng(seed + 1)
+    groups = _circuits_by_ports(seed, count)
+    for models in groups.values():
+        for g in models[::2]:
+            models.append(SlhModel(g.scattering, np.zeros(g.ports), rng.standard_normal()))
+            models.append(SlhModel(g.scattering, np.full(g.ports, complex(-0.0, -0.0)), -0.0))
+    return groups
+
+
+def test_undriven_shortcuts_equal_the_generic_formulas_bit_for_bit():
+    a_groups, b_groups = _shortcut_operands(505), _shortcut_operands(606)
+    rng = np.random.default_rng(707)
+    for n in range(1, 7):
+        a, b = a_groups[n], b_groups[n]
+        assert any(g.is_passive() for g in a) and not all(g.is_passive() for g in a)
+        for g2, g1 in zip(a, b[::-1]):
+            _assert_bitwise(series(g2, g1), _generic_series(g2, g1))
+        for g in a if n >= 2 else ():
+            k, l = (int(x) for x in rng.integers(1, n + 1, size=2))
+            if not is_singular_loop(1.0 - g.scattering[k - 1, l - 1]):
+                _assert_bitwise(feedback(g, k, l), _generic_feedback(g, k, l))
+        size = min(len(a), len(b), 8)
+        # the last undriven models: nonzero and -0.0 Hamiltonians in turn
+        passive = [g for g in a if g.is_passive()][-size:]
+        assert np.count_nonzero([g.hamiltonian for g in passive]) == size // 2
+        for batch in (_stack(passive), _stack(a[:size])):
+            _assert_bitwise(series(batch, b[0]), _generic_series(batch, b[0]))
+            _assert_bitwise(series(b[1], batch), _generic_series(b[1], batch))
+            if n < 2:
+                continue
+            # every other element put inside the singular threshold, so masked
+            s = batch.scattering.copy()
+            s[::2, 0, n - 1] = 1.0 - 0.5 * FEEDBACK_SINGULAR_TOL
+            masked = SlhModel(s, batch.coupling, batch.hamiltonian)
+            got, singular, count = _feedback_masked(masked, 1, n)
+            want, want_singular = _generic_feedback_masked(masked, 1, n)
+            _assert_bitwise(got, want)
+            assert np.array_equal(singular, want_singular)
+            assert count == singular.sum() == (len(s) + 1) // 2
+
+
+def test_construction_stores_a_negative_zero_as_positive_zero():
+    zero = complex(-0.0, -0.0)
+    for g in (SlhModel(np.eye(2), [zero, complex(-0.0, 1.0)], -0.0),
+              SlhModel(np.stack([np.eye(2)] * 3), np.full((3, 2), zero), [-0.0, 1.0, -0.0]),
+              SlhModel(np.stack([np.eye(2)] * 3), np.full((3, 2), zero), -0.0),
+              coherent_drive([zero, complex(-1.0, -0.0)])):
+        for part in (g.coupling.real, g.coupling.imag, np.asarray(g.hamiltonian)):
+            assert not (np.signbit(part) & (part == 0.0)).any()
+    # every other value is kept as it is
+    assert coherent_drive([zero, complex(-1.0, -0.0)]).coupling[1].real == -1.0
+    assert SlhModel(np.eye(1), [0], -2.5).hamiltonian == -2.5
+
+
+@pytest.mark.parametrize("seed", [2026, 39])
+def test_random_circuits_equal_their_generic_replay_bit_for_bit(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    fast = [random_passive_circuit(rng) for _ in range(300)]
+    monkeypatch.setattr(verify_module, "series", _generic_series)
+    monkeypatch.setattr(verify_module, "feedback", _generic_feedback)
+    rng = np.random.default_rng(seed)
+    for g in fast:
+        _assert_bitwise(g, random_passive_circuit(rng))
+
+
+def test_a_driven_operand_takes_the_generic_route():
+    # the driven-beamsplitter case: a passive splitter after a drive, and the drive after it
+    a1, a2 = 0.3 - 1.1j, -0.7 + 0.2j
+    bs, drive = beamsplitter(math.pi / 4), coherent_drive([a1, a2])
+    for g2, g1 in ((bs, drive), (drive, bs)):
+        driven = series(g2, g1)
+        _assert_bitwise(driven, _generic_series(g2, g1))
+        assert np.all(driven.coupling != 0.0)
+    assert_allclose(series(bs, drive).coupling, np.array([a1 - a2, a1 + a2]) / math.sqrt(2),
+                    rtol=0, atol=1e-15)
+    closed = feedback(series(bs, drive), 1, 2)
+    _assert_bitwise(closed, _generic_feedback(series(bs, drive), 1, 2))
+    assert closed.coupling[0] != 0.0 and closed.hamiltonian != 0.0
 
 
 def test_algebra_results_are_readonly_complex128():

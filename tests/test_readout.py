@@ -138,7 +138,7 @@ def test_binary_refusal_band_equals_batched_feedback_mask():
 
     rng = np.random.default_rng(7)
     phi, mu = rng.uniform(-4e-9, 4e-9, size=(2, 10 ** 5))
-    _, singular = _feedback_masked(_selector_loop(phi, mu), 1, 1)
+    _, singular, _ = _feedback_masked(_selector_loop(phi, mu), 1, 1)
     refused = np.array([_refuses(lambda: feedback_selector_scattering(p, m))
                         for p, m in zip(phi.tolist(), mu.tolist())])
     assert 0 < refused.sum() < refused.size
@@ -166,7 +166,7 @@ def test_weighted_refusal_band_equals_batched_feedback_mask(box, count):
     if box == "pi":
         _weighted_band(rng, "origin")  # the boxes are drawn in sequence
     phi, mu = _weighted_band(rng, box)
-    _, singular = _feedback_masked(_weighted_loop(phi, mu), 1, 1)
+    _, singular, _ = _feedback_masked(_weighted_loop(phi, mu), 1, 1)
     refused = np.array([_refuses(lambda: weighted_selector_scattering(p, m))
                         for p, m in zip(phi.tolist(), mu.tolist())])
     assert refused.sum() == count
@@ -290,7 +290,7 @@ def _chain_reference(mu, phi):
     # is the bypass, S = 1
     model = identity(1)
     for m, p in zip(mu, phi):
-        stage, singular = _feedback_masked(_selector_loop(p, m), 1, 1)
+        stage, singular, _ = _feedback_masked(_selector_loop(p, m), 1, 1)
         model = series(identity(1) if singular else stage, model)
     return canonical_phase(principal_phase(model.scattering[0, 0]))
 

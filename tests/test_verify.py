@@ -10,9 +10,10 @@ from slhnet import readout as ro
 from slhnet import selector as sel
 from slhnet.cli import main
 from slhnet.components import beamsplitter, phase_shift
-from slhnet.core import SingularLoopError, concat, feedback, series
+from slhnet.core import ArityError, SingularLoopError, concat, feedback, series
 from slhnet.selector import TWO_PI
-from slhnet.verify import CheckResult, _check_unitarity_closure, _result, random_passive_circuit
+from slhnet.verify import (CheckResult, _check_unitarity_closure, _result, random_passive_circuit,
+                           run_all)
 
 
 def _reference_stage(rng, ports):
@@ -75,6 +76,14 @@ def test_unitarity_closure_reports_the_worst_inline_residual(seed):
         worst = max(worst, float(np.abs(s.conj().T @ s - np.eye(s.shape[0])).max()))
     assert got.error == worst > 0.0
     assert rng.random() == twin.random()  # the same draws
+
+
+@pytest.mark.parametrize("size", ["exhaustive_n", "compositions", "grid"])
+def test_run_all_refuses_a_size_below_one(size):
+    # a check that runs on no case would report its zero error as a pass
+    with pytest.raises(ArityError) as info:
+        run_all(**{size: 0})
+    assert str(info.value) == f"{size} must be at least 1, got 0"
 
 
 _QUICK = ["verify", "--exhaustive", "4", "--grid", "20"]
