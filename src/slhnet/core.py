@@ -105,11 +105,11 @@ def _as_real(values, what: str, dtype=np.float64) -> np.ndarray:
 def _check_finite(values, what: str, dtype=np.float64) -> np.ndarray:
     """The one finite-value rule: ``_as_real``, then DomainError unless all parts are finite."""
     arr = _as_real(values, what, dtype)
-    parts = arr if arr.dtype.kind == "f" else np.stack((arr.real, arr.imag), axis=-1)
-    finite = np.isfinite(parts)
+    finite = np.isfinite(arr)
     # a single angle is tested by truth value, which skips a reduction
-    if not (finite if parts.ndim == 0 else finite.all()):
-        raise DomainError(f"{what} must be finite, got {parts[~finite][0].item()!r}")
+    if not (finite if arr.ndim == 0 else finite.all()):
+        parts = arr if arr.dtype.kind == "f" else np.stack((arr.real, arr.imag), axis=-1)
+        raise DomainError(f"{what} must be finite, got {parts[~np.isfinite(parts)][0].item()!r}")
     return arr
 
 
@@ -172,7 +172,7 @@ class SlhModel:
     alone, and batch shapes broadcast against each other.
     Undriven passive components have ``coupling == 0`` and
     ``hamiltonian == 0``; their scattering stays unitary under composition.
-    Ports are 1-indexed everywhere in the public interface.
+    Ports are 1-indexed; a NaN or infinite entry raises DomainError.
     """
 
     scattering: np.ndarray
@@ -180,11 +180,11 @@ class SlhModel:
     hamiltonian: float = 0.0
 
     def __post_init__(self):
-        s = np.array(_as_real(self.scattering, "scattering", np.complex128))
+        s = np.array(_check_finite(self.scattering, "scattering", np.complex128))
         # adding +0 turns each -0.0 into +0.0 and keeps every other value, so no
         # composition result carries a -0.0 and the undriven shortcuts of series
         # and feedback equal their generic formulas bit for bit
-        l = _as_real(self.coupling, "coupling", np.complex128) + _POSITIVE_ZERO
+        l = _check_finite(self.coupling, "coupling", np.complex128) + _POSITIVE_ZERO
         if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
             raise ArityError(f"scattering must be square, got shape {s.shape}")
         if s.shape[-1] == 0:
@@ -197,7 +197,7 @@ class SlhModel:
                 if s.ndim == 2 else
                 f"coupling shape {l.shape} does not match scattering shape {s.shape}"
             )
-        h = _as_real(self.hamiltonian, "hamiltonian")
+        h = _check_finite(self.hamiltonian, "hamiltonian")
         try:
             h = h if h.shape == s.shape[:-2] else np.broadcast_to(h, s.shape[:-2])
         except ValueError:

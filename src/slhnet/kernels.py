@@ -162,7 +162,8 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     beyond the switch states and the output.
 
     Every memory phase must be finite and every control exactly 0.0 or pi,
-    else DomainError; a control's factor is looked up in ``SWITCH_FACTORS``.
+    else DomainError; ``on`` is True where a control is pi, and its factor
+    is looked up in ``SWITCH_FACTORS``.
     A block is held as two contiguous rails, and B(+-pi/4) writes both from
     the products ``p = c45 * top`` and ``q = c45 * bot``.  The switch factor
     and the memory phase turn a rail in place by the unfused complex
@@ -180,8 +181,12 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
                          f"got shapes {mu.shape} and {controls.shape}")
     ctl = controls.T
     _check_binary_phases(np.ravel(ctl, order="K"))
-    on = ctl == math.pi
-    n, m = ctl.shape[0] - 1, ctl.shape[1]
+    return _switch_batch(mu, ctl == math.pi)
+
+
+def _switch_batch(mu, on) -> np.ndarray:
+    # selector_batch_amplitudes on checked mu and (n + 1, m) bool switch states
+    n, m = on.shape[0] - 1, on.shape[1]
     e = np.exp(1j * mu)
     # (real, imag) of each memory factor, as a column for _turner
     memory = np.stack([e.real, e.imag], axis=1)[:, :, None]
@@ -218,8 +223,8 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     return out
 
 
-def _phase_blocks(phis, mus):
-    """Yield ``(rows, phase)``: ``weighted_phase_grid`` one block of rows at a time."""
+def _phase_grid(phis, mus, out) -> None:
+    """``weighted_phase_grid`` of finite 1-D angles, written into ``out``."""
     e_mu = np.exp(1j * mus)[None, :]
     cos_phi = np.cos(phis)[:, None]
     step = max(1, GRID_BLOCK // max(1, mus.size))
@@ -242,7 +247,7 @@ def _phase_blocks(phis, mus):
         np.conjugate(den, out=den)
         w = e_mu - c
         w *= den
-        yield rows, np.angle(w)
+        np.arctan2(w.imag, w.real, out=out[rows])
 
 
 def weighted_phase_grid(phis, mus) -> np.ndarray:
@@ -256,16 +261,16 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     The grid is computed in blocks of ``max(1, GRID_BLOCK // len(mus))``
     rows, in row order, so that a block's complex temporaries stay in a
     core's L2 cache; every element takes the same six operations in any
-    block.  Each block's denominator is formed once and tested with
-    ``is_singular_loop``: the first grid point on the singular set, in C
-    order, raises SingularLoopError naming that (phi, mu).  Only the points
-    with ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are tested, since ``|d| >=
-    |Re d|`` and no other point can be singular.  A non-finite angle
-    raises DomainError before any of that, phis before mus.
+    block, and ``np.arctan2``, the ufunc ``np.angle`` calls, writes each
+    block's phases straight into the output.  Each block's denominator is
+    formed once and tested with ``is_singular_loop``: the first grid point
+    on the singular set, in C order, raises SingularLoopError naming that
+    (phi, mu).  Only the points with ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are
+    tested, since ``|d| >= |Re d|`` and no other point can be singular.  A
+    non-finite angle raises DomainError before any of that, phis before mus.
     """
     phis = _check_finite(phis, "sweep phi")
     mus = _check_finite(mus, "sweep mu")
     out = np.empty((phis.size, mus.size))
-    for rows, phase in _phase_blocks(phis, mus):
-        out[rows] = phase
+    _phase_grid(phis, mus, out)
     return out

@@ -200,9 +200,10 @@ def weighted_small_mu_gain(phi: float) -> float:
 class TransferCurve:
     """Sampled weighted-selector response.
 
-    ``samples`` is an (N, 3) float array with columns (mu, phi, mu_out),
-    grouped by phi in sweep order with mu ascending inside each group.
-    Every row is finite and avoids the singular set.
+    ``samples`` is a read-only (N, 3) float array with columns (mu, phi,
+    mu_out), grouped by phi in sweep order with mu ascending inside each
+    group, column-major from ``sweep_transfer`` (``np.ascontiguousarray``
+    gives C order).  Every row is finite and avoids the singular set.
     """
 
     samples: np.ndarray
@@ -252,9 +253,9 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     if phis_arr.ndim != 1 or mus.ndim != 1:
         raise ArityError("phi list and mu grid must be 1-D")
     mus = np.sort(mus)
-    samples = np.empty((phis_arr.size, mus.size, 3), dtype=np.float64)
-    for rows, out in kernels._phase_blocks(phis_arr, mus):
-        out[out == -math.pi] = math.pi
-        block = samples[rows]
-        block[..., 0], block[..., 1], block[..., 2] = mus, phis_arr[rows, None], out
-    return _init_curve(object.__new__(TransferCurve), samples.reshape(-1, 3))
+    # the (mu, phi, mu_out) columns as three contiguous (phi, mu) grids
+    columns = np.empty((3, phis_arr.size, mus.size))
+    columns[0], columns[1], out = mus, phis_arr[:, None], columns[2]
+    kernels._phase_grid(phis_arr, mus, out)
+    out[out == -math.pi] = math.pi
+    return _init_curve(object.__new__(TransferCurve), columns.reshape(3, -1).T)

@@ -222,8 +222,8 @@ def selector_scattering(spec: SelectorSpec) -> np.ndarray:
 def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
     """Output amplitudes for many selectors sharing one memory bank.
 
-    Each row of ``selectors`` is compiled to its control schedule and the
-    corresponding staircase is folded against the drive (1, 0).  Returns
+    Each row's switch states come straight from its bits, with no control
+    schedule, and its staircase is folded against the drive (1, 0).  Returns
     an (m, 2) complex array of (top, bottom) output amplitudes.
     """
     bits = np.atleast_2d(_as_bits(selectors))
@@ -238,7 +238,7 @@ def selector_sweep_amplitudes(mu, selectors) -> np.ndarray:
             f"selector length {bits.shape[1]} != memory length {mu_arr.shape[0]}"
         )
     _check_memory_phases(mu_arr)
-    return kernels.selector_batch_amplitudes(mu_arr, _compile_bits(bits.T).T)
+    return kernels._switch_batch(mu_arr, _switch_states(bits.T))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def compile_selector(s):
     bits = _as_bits(s)
     if bits.ndim != 1:
         raise ArityError("selector must be a 1-D vector")
-    schedule = _compile_bits(bits[:, None])
+    schedule = math.pi * _switch_states(bits[:, None])
     return schedule[:-1, 0], float(schedule[-1, 0])
 
 
@@ -376,23 +376,17 @@ def compile_selector_matrix(selectors):
     bits = _as_bits(selectors, what="selector matrix")
     if bits.ndim != 2:
         raise ArityError("selector matrix must be 2-D")
-    schedule = _compile_bits(bits)
+    schedule = math.pi * _switch_states(bits)
     return schedule[:-1], schedule[-1]
 
 
-def _compile_bits(bits: np.ndarray) -> np.ndarray:
-    # compile_selector_matrix on an (n, k) integer 0/1 array already
-    # validated, as one (n + 1, k) array: the schedule, then the tails.  The
-    # schedule's mod-2 column sum telescopes to the last bit, so each tail
-    # is pi times that bit
-    n, k = bits.shape
-    if not n:
-        return np.zeros((1, k))
-    schedule = np.empty((n + 1, k))
-    np.multiply(bits[0] != 0, math.pi, out=schedule[0])
-    np.multiply(bits[1:] != bits[:-1], math.pi, out=schedule[1:n])
-    np.multiply(bits[-1] != 0, math.pi, out=schedule[n])
-    return schedule
+def _switch_states(bits: np.ndarray) -> np.ndarray:
+    # validated (n, k) 0/1 bits as the (n + 1, k) bool switch states: where
+    # bits i - 1 and i differ, bits -1 and n read as 0, so the tail is the last
+    # bit.  pi times it is compile_selector_matrix's schedule, then its tails
+    edges = np.zeros((bits.shape[0] + 2, bits.shape[1]), dtype=bool)
+    edges[1:-1] = bits.astype(bool)
+    return np.not_equal(edges[1:], edges[:-1])
 
 
 def recover_selector_matrix(control_matrix) -> np.ndarray:

@@ -62,6 +62,27 @@ def test_model_shape_validation():
         SlhModel(np.zeros((0, 0)), np.zeros(0), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("field, imag", [
+    ("scattering", False), ("scattering", True), ("coupling", False), ("coupling", True),
+    ("hamiltonian", False),
+], ids=["scattering-real", "scattering-imag", "coupling-real", "coupling-imag", "hamiltonian"])
+def test_model_refuses_a_non_finite_field(field, imag, bad):
+    # a model is finite by construction, so an undriven shortcut never turns
+    # a NaN into zeros; each field is named with the bad part's own value
+    fields = {"scattering": np.eye(2, dtype=complex), "coupling": np.zeros(2, dtype=complex),
+              "hamiltonian": 0.0}
+    if field == "hamiltonian":
+        fields[field] = bad
+    else:
+        fields[field].flat[1] = complex(0.0, bad) if imag else bad
+    with pytest.raises(DomainError) as info:
+        SlhModel(**fields)
+    assert str(info.value) == f"{field} must be finite, got {bad!r}"
+    with pytest.raises(DomainError, match="hamiltonian must be finite"):
+        SlhModel(np.stack([np.eye(2)] * 3), np.zeros((3, 2)), [0.0, bad, 1.0])
+
+
 @pytest.mark.parametrize("values, shown", [
     (math.nan, "nan"),
     (np.float64(-math.inf), "-inf"),

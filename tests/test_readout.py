@@ -28,6 +28,7 @@ from slhnet import (
     weighted_selector_scattering,
     weighted_small_mu_gain,
 )
+from slhnet import kernels
 from slhnet.core import _feedback_masked
 from slhnet.readout import _selector_loop
 
@@ -455,6 +456,27 @@ def test_sweep_transfer_layout_and_columns():
     half = curve.column(PI / 2)
     assert_allclose(half[:, 1], half[:, 0], atol=1e-12)
     assert_allclose(curve.column(PI)[:, 1], 0.0, atol=1e-12)
+
+
+def test_sweep_transfer_samples_are_the_phase_grid_column_major():
+    # the reference: weighted_phase_grid with -pi mapped to pi, beside the
+    # tiled mu and phi columns; -pi and the quarter turns in the mu grid put
+    # exact -pi phases on the grid
+    rng = np.random.default_rng(83)
+    phis = np.append(rng.uniform(0.1, PI - 0.1, 6), [PI / 2, PI / 3])
+    mus = np.concatenate([rng.uniform(-PI, PI, 997), [-PI, PI / 2, -PI / 2]])
+    curve = sweep_transfer(phis, mus)
+    sorted_mus = np.sort(mus)
+    grid = kernels.weighted_phase_grid(phis, sorted_mus)
+    assert np.count_nonzero(grid == -PI) == phis.size
+    grid[grid == -PI] = PI
+    want = np.column_stack([np.tile(sorted_mus, phis.size), np.repeat(phis, mus.size),
+                            grid.ravel()])
+    # tobytes reads both in C order
+    assert curve.samples.shape == want.shape and curve.samples.tobytes() == want.tobytes()
+    assert curve.samples.flags.f_contiguous and not curve.samples.flags.writeable
+    for phi, rows in zip(phis, want.reshape(phis.size, mus.size, 3)):
+        assert curve.column(phi).tobytes() == rows[:, [0, 2]].tobytes()
 
 
 def test_transfer_curve_column_rejects_unswept_phi():

@@ -401,6 +401,40 @@ def test_selector_sweep_amplitudes_equals_per_row_compile():
         assert np.array_equal(selector_sweep_amplitudes(mu, rows), want)
 
 
+@pytest.mark.parametrize("m", [1, 3, kernels.ROW_BLOCK - 1, kernels.ROW_BLOCK + 1, 2 ** 16])
+@pytest.mark.parametrize("n", [0, 1, 5, 16])
+def test_selector_sweep_equals_the_public_kernel_on_compiled_controls(n, m):
+    # the sweep takes its switch states straight from the bits; the public
+    # kernel reads the compiled schedule, one row per selector, tail last
+    rng = np.random.default_rng(1000 * n + m)
+    mu = rng.uniform(0.0, TWO_PI, size=n)
+    bits = rng.integers(0, 2, size=(m, n))
+    phi, tails = compile_selector_matrix(bits.T)
+    want = kernels.selector_batch_amplitudes(mu, np.vstack([phi, tails]).T).tobytes()
+    for selectors in (bits.astype(bool), bits.astype(np.uint8), bits, bits.astype(float)):
+        assert selector_sweep_amplitudes(mu, selectors).tobytes() == want
+
+
+def test_selector_sweep_holds_no_float_schedule():
+    # 2**16 rows of 16 bits: beyond the output the traced peak stays within
+    # three bool arrays of the switch states' size, two blocks of the
+    # kernel's four complex rails and 64 KiB, short of one (m, n + 1)
+    # float64 control schedule
+    n, m = 16, 2 ** 16
+    bits = all_bit_vectors(n)
+    mu = np.random.default_rng(73).uniform(0.0, TWO_PI, size=n)
+    selector_sweep_amplitudes(mu, bits[:3])
+    tracemalloc.start()
+    try:
+        out = selector_sweep_amplitudes(mu, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = out.nbytes + 3 * m * (n + 2) + 2 * (4 * kernels.ROW_BLOCK * 16) + 64 * 1024
+    assert bound < out.nbytes + m * (n + 1) * np.dtype(np.float64).itemsize
+    assert peak <= bound
+
+
 def test_selector_sweep_amplitudes_refuses_memory_outside_range():
     for bad in (math.nan, math.inf, -math.inf, -0.1, TWO_PI, 7.0):
         for mu in ([bad], [0.5, bad]):
