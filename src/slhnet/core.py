@@ -156,6 +156,20 @@ def _check_binary_phases(values, what: str = "control phase") -> None:
         raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
 
 
+def _freeze(obj, **fields):
+    """The one freeze rule for every value type: store ``fields`` on the frozen
+    dataclass ``obj`` and make each ndarray among them read-only; returns ``obj``.
+
+    The fields are written straight into the instance dict, which is what
+    ``object.__setattr__`` does for a dataclass without slots.  A caller that
+    must leave its input writeable passes its own copy."""
+    obj.__dict__.update(fields)
+    for value in fields.values():
+        if type(value) is np.ndarray:
+            value.setflags(False)  # write=False, by position: numpy reads keywords slowly
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SlhModel:
     """A passive-circuit SLH triplet, or a batch of them.
@@ -203,7 +217,8 @@ class SlhModel:
         except ValueError:
             raise ArityError(f"hamiltonian shape {h.shape} does not broadcast to batch shape "
                              f"{s.shape[:-2]}") from None
-        _init(self, s, l, float(h) + 0.0 if s.ndim == 2 else h + 0.0)
+        _freeze(self, scattering=s, coupling=l,
+                hamiltonian=float(h) + 0.0 if s.ndim == 2 else h + 0.0)
 
     @property
     def ports(self) -> int:
@@ -229,29 +244,15 @@ class SlhModel:
         return bool(np.all(np.abs(self.coupling) <= _check_tolerance(tol)))
 
 
-def _init(m: SlhModel, s: np.ndarray, l: np.ndarray, h) -> SlhModel:
-    s.setflags(write=False)
-    l.setflags(write=False)
-    if s.ndim == 2:
-        h = float(h)
-    else:
-        h.setflags(write=False)
-    # the frozen fields are written straight into the instance dict, which is
-    # what object.__setattr__ does for a dataclass without slots
-    fields = m.__dict__
-    fields["scattering"] = s
-    fields["coupling"] = l
-    fields["hamiltonian"] = h
-    return m
-
-
 def _model(s: np.ndarray, l: np.ndarray, h) -> SlhModel:
     """An SlhModel from arrays the algebra itself produced, skipping
     validation: ``s`` and ``l`` are complex128 of shapes ``(..., n, n)`` and
-    ``(..., n)``, and ``h`` is real and broadcasts to the batch shape."""
-    if s.ndim > 2 and np.shape(h) != s.shape[:-2]:
+    ``(..., n)``, and ``h`` is real and broadcasts to the batch shape, a float if ``()``."""
+    if s.ndim == 2:
+        h = float(h)
+    elif np.shape(h) != s.shape[:-2]:
         h = np.array(np.broadcast_to(h, s.shape[:-2]), dtype=np.float64)
-    return _init(object.__new__(SlhModel), s, l, h)
+    return _freeze(object.__new__(SlhModel), scattering=s, coupling=l, hamiltonian=h)
 
 
 def identity(n: int) -> SlhModel:

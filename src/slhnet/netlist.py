@@ -51,7 +51,7 @@ import yaml
 from yaml import CSafeLoader, ScalarNode
 
 from .core import (ArityError, CircuitError, SingularLoopError, SlhModel, _check_angle,
-                   _check_integers, concat, feedback, identity, series)
+                   _check_integers, _freeze, concat, feedback, identity, series)
 from .components import beamsplitter, coherent_drive, phase_shift
 
 __all__ = [
@@ -206,8 +206,7 @@ class Netlist:
     circuit: tuple = ()
 
     def __post_init__(self):
-        for key in ("components", "circuit"):
-            object.__setattr__(self, key, tuple(getattr(self, key)))
+        _freeze(self, components=tuple(self.components), circuit=tuple(self.circuit))
         _check_netlist(self)
 
 

@@ -36,6 +36,7 @@ from .core import (
     _check_binary_phases,
     _check_finite,
     _feedback_masked,
+    _freeze,
     _model,
     feedback,
     identity,
@@ -212,7 +213,7 @@ class TransferCurve:
         arr = np.array(_check_finite(self.samples, "transfer curve sample"))
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ArityError("samples must be an (N, 3) array")
-        _init_curve(self, arr)
+        _freeze(self, samples=arr)
 
     def column(self, phi: float) -> np.ndarray:
         """The (mu, mu_out) rows for one swept control value, in sweep order;
@@ -221,13 +222,6 @@ class TransferCurve:
         if not rows.size:
             raise DomainError(f"no sweep column has phi = {float(phi)!r}")
         return rows[:, [0, 2]]
-
-
-def _init_curve(curve: TransferCurve, samples: np.ndarray) -> TransferCurve:
-    # freezes and adopts ``samples`` with no copy and no check
-    samples.setflags(write=False)
-    object.__setattr__(curve, "samples", samples)
-    return curve
 
 
 def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -258,4 +252,5 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     columns[0], columns[1], out = mus, phis_arr[:, None], columns[2]
     kernels._phase_grid(phis_arr, mus, out)
     out[out == -math.pi] = math.pi
-    return _init_curve(object.__new__(TransferCurve), columns.reshape(3, -1).T)
+    # adopted with no copy and no check
+    return _freeze(object.__new__(TransferCurve), samples=columns.reshape(3, -1).T)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .core import (ArityError, DomainError, SlhModel, _as_real, _check_angle, _check_binary_phases,
-                   _check_finite, _check_integers, concat, identity, series)
+                   _check_finite, _check_integers, _freeze, concat, identity, series)
 from .components import beamsplitter, phase_shift
 
 TWO_PI = 2.0 * math.pi
@@ -62,15 +62,12 @@ def canonical_phase(x):
 def _as_bits(s, what: str = "selector") -> np.ndarray:
     arr = np.asarray(s)
     if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
-        # bool and integer bits are checked as they are, without a float copy
-        ok = not arr.size or (arr.min() >= 0 and arr.max() <= 1)
-    elif np.issubdtype(arr.dtype, np.number):
-        ok = np.all((arr == 0) | (arr == 1))
-    else:
-        ok = not arr.size
-    if not ok:
-        raise DomainError(f"{what} entries must be 0 or 1")
-    return arr.real.astype(np.int64, copy=False)
+        # bool and integer bits are checked and returned as they are, with no copy
+        if not arr.size or (arr.min() >= 0 and arr.max() <= 1):
+            return arr
+    elif not arr.size or (np.issubdtype(arr.dtype, np.number) and np.all((arr == 0) | (arr == 1))):
+        return arr.real.astype(np.int64, copy=False)
+    raise DomainError(f"{what} entries must be 0 or 1")
 
 
 def _check_memory_phases(mem: np.ndarray) -> None:
@@ -146,9 +143,8 @@ class SelectorSpec:
         ctrl = _as_real(self.control_phases, "control phase")
         if mem.ndim != 1 or ctrl.ndim != 1:
             raise ArityError("memory and control phases must be 1-D")
-        object.__setattr__(self, "memory_phases", tuple(mem.tolist()))
-        object.__setattr__(self, "control_phases", tuple(ctrl.tolist()))
-        object.__setattr__(self, "tail_phase", _check_angle(self.tail_phase, "tail phase"))
+        _freeze(self, memory_phases=tuple(mem.tolist()), control_phases=tuple(ctrl.tolist()),
+                tail_phase=_check_angle(self.tail_phase, "tail phase"))
         if len(mem) != len(ctrl):
             raise ArityError(
                 f"{len(mem)} memory phases need {len(mem)} control phases, got {len(ctrl)}"
@@ -262,11 +258,9 @@ class CompilationMatrices:
     gamma: np.ndarray
 
     def __post_init__(self):
-        for name in ("lower", "gamma"):
-            # its own copies, so that freezing them leaves the caller's arrays alone
-            arr = np.array(_as_real(getattr(self, name), name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # its own copies, so that freezing them leaves the caller's arrays alone
+        _freeze(self, lower=np.array(_check_finite(self.lower, "lower")),
+                gamma=np.array(_check_finite(self.gamma, "gamma")))
 
 
 def compilation_matrices(n: int) -> CompilationMatrices:
@@ -355,10 +349,7 @@ class MatrixProductSpec:
                 f"{ctrl.shape[1]} selector columns need {ctrl.shape[1]} tails"
             )
         _check_staircase(mem, ctrl, tail)
-        for name, arr in zip(("memory_matrix", "control_matrix", "tail_phases"),
-                             (mem, ctrl, tail)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, memory_matrix=mem, control_matrix=ctrl, tail_phases=tail)
 
     @classmethod
     def from_selector_matrix(cls, selectors, memories) -> "MatrixProductSpec":
@@ -385,7 +376,8 @@ def _switch_states(bits: np.ndarray) -> np.ndarray:
     # bits i - 1 and i differ, bits -1 and n read as 0, so the tail is the last
     # bit.  pi times it is compile_selector_matrix's schedule, then its tails
     edges = np.zeros((bits.shape[0] + 2, bits.shape[1]), dtype=bool)
-    edges[1:-1] = bits.astype(bool)
+    # bool bits as they are, other bits cast once: assigning them uncast is far slower
+    edges[1:-1] = bits.astype(bool, copy=False)
     return np.not_equal(edges[1:], edges[:-1])
 
 

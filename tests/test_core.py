@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from slhnet import (
     FEEDBACK_SINGULAR_TOL,
     ArityError,
     CompilationMatrices,
+    ComponentDecl,
     DomainError,
     MatrixProductSpec,
+    Netlist,
     SelectorSpec,
     SingularLoopError,
     SlhModel,
@@ -27,6 +30,7 @@ from slhnet import (
     kernels,
     mz_switch,
     output_amplitudes,
+    parse_netlist,
     phase_shift,
     recover_selector,
     recover_selector_matrix,
@@ -274,6 +278,46 @@ def test_array_value_types_compare_and_hash_by_identity():
         a, b = make(), make()
         assert a == a and a != b and a in [b, a] and b not in [a]
         assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+# each construction route: the builder, and a maker of fresh caller arguments
+FREEZE_ROUTES = {
+    "SlhModel": (SlhModel, lambda: (np.eye(2, dtype=complex), np.zeros(2, dtype=complex), 0.5)),
+    "SlhModel-batched": (SlhModel, lambda: (np.stack([np.eye(2, dtype=complex)] * 3),
+                                            np.zeros((3, 2), dtype=complex),
+                                            np.array([0.1, 0.2, 0.3]))),
+    "series": (series, lambda: (beamsplitter(0.3), coherent_drive([0.5, 1j]))),
+    "phase_shift-batched": (phase_shift, lambda: (np.array([0.1, 0.2]),)),
+    "SelectorSpec": (SelectorSpec, lambda: (np.array([0.1, 0.2]), np.array([0.0, math.pi]),
+                                            math.pi)),
+    "CompilationMatrices": (CompilationMatrices, lambda: (np.eye(2), np.eye(2))),
+    "MatrixProductSpec": (MatrixProductSpec, lambda: (np.array([[0.1]]), np.array([[math.pi]]),
+                                                      np.array([math.pi]))),
+    "TransferCurve": (TransferCurve, lambda: (np.array([[0.1, 0.5, 0.2]]),)),
+    "sweep_transfer": (sweep_transfer, lambda: (np.array([0.5, 1.0]), np.array([0.2, 0.1]))),
+    "Netlist": (Netlist, lambda: ([ComponentDecl("ph", "phase", 0.5)],)),
+    "parse_netlist": (parse_netlist,
+                      lambda: ("version: 1\ncomponents:\n  - {name: ph, kind: phase, phi: pi}\n",)),
+}
+
+
+@pytest.mark.parametrize("build, make_args", FREEZE_ROUTES.values(), ids=FREEZE_ROUTES.keys())
+def test_every_value_type_is_frozen_with_read_only_arrays(build, make_args):
+    args = make_args()
+    value = build(*args)
+    for field in dataclasses.fields(value):
+        stored = getattr(value, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, stored)
+        if isinstance(stored, np.ndarray):
+            assert not stored.flags.writeable, field.name
+    assert all(a.flags.writeable for a in args if isinstance(a, np.ndarray))
+    if isinstance(value, SlhModel):
+        h = value.hamiltonian
+        assert type(h) is float if value.scattering.ndim == 2 else isinstance(h, np.ndarray)
+    if isinstance(value, (SelectorSpec, Netlist)):
+        other = build(*make_args())
+        assert value == other and hash(value) == hash(other)
 
 
 def test_transfer_curve_column_keeps_its_unswept_message_for_nan():

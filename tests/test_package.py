@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 
 import slhnet
 
@@ -26,3 +27,12 @@ def test_star_import_binds_exactly_all():
     assert sorted(namespace) == slhnet.__all__
     assert {"is_singular_loop", "staircase_arrays", "ComponentDecl",
             "CombinatorDecl"} <= set(namespace)
+
+
+def test_values_are_frozen_by_core_alone():
+    # one freeze rule: every value type stores its fields through core._freeze
+    for path in sorted(pathlib.Path(slhnet.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "object.__setattr__(" not in text, path.name
+        if path.name != "core.py":
+            assert ".setflags(" not in text, path.name

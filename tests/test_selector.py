@@ -205,6 +205,15 @@ def test_compilation_matrices_freeze_their_own_copies():
     assert m.lower[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("field", ["lower", "gamma"])
+def test_compilation_matrices_refuse_non_finite_entries(field, bad):
+    args = {"lower": [[1.0]], "gamma": [[1.0]], field: [[bad]]}
+    with pytest.raises(DomainError) as info:
+        CompilationMatrices(**args)
+    assert str(info.value) == f"{field} must be finite, got {bad!r}"
+
+
 def _scalar_matmul(a, b):
     # one rounding per scalar product; BLAS fuses the multiply-add and
     # never rounds (1/pi)*pi down to 1.0
@@ -257,6 +266,21 @@ def test_selector_bits_accept_every_binary_dtype_and_name_the_input():
         with pytest.raises(DomainError) as info:
             selector_sweep_amplitudes(np.zeros(2), [bad])
         assert str(info.value) == "selector entries must be 0 or 1"
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int32, np.uint8, np.uint16, np.float32,
+                                   np.float64, np.complex128], ids=lambda d: np.dtype(d).name)
+def test_every_bit_dtype_reads_as_its_int64_bits_bit_for_bit(dtype):
+    rng = np.random.default_rng(79)
+    for _ in range(1000):
+        n = int(rng.integers(0, 40))
+        bits = rng.integers(0, 2, size=n)
+        mu = rng.uniform(0.0, TWO_PI, size=n)
+        typed = bits.astype(dtype)
+        assert eval_selector(mu, typed) == eval_selector(mu, bits)
+        control, tail = compile_selector(typed)
+        want_control, want_tail = compile_selector(bits)
+        assert control.tobytes() == want_control.tobytes() and tail == want_tail
 
 
 def _gamma_route(s):
@@ -432,6 +456,25 @@ def test_selector_sweep_holds_no_float_schedule():
         tracemalloc.stop()
     bound = out.nbytes + 3 * m * (n + 2) + 2 * (4 * kernels.ROW_BLOCK * 16) + 64 * 1024
     assert bound < out.nbytes + m * (n + 1) * np.dtype(np.float64).itemsize
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64], ids=["bool", "uint8", "int64"])
+def test_selector_sweep_reads_bool_and_integer_bits_without_a_copy(dtype):
+    # the bound of test_selector_sweep_holds_no_float_schedule, short of an
+    # int64 copy of the bits, holds for every bool or integer dtype
+    n, m = 16, 2 ** 16
+    bits = all_bit_vectors(n).astype(dtype)
+    mu = np.random.default_rng(83).uniform(0.0, TWO_PI, size=n)
+    selector_sweep_amplitudes(mu, bits[:3])
+    tracemalloc.start()
+    try:
+        out = selector_sweep_amplitudes(mu, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = out.nbytes + 3 * m * (n + 2) + 2 * (4 * kernels.ROW_BLOCK * 16) + 64 * 1024
+    assert bound < out.nbytes + m * n * np.dtype(np.int64).itemsize
     assert peak <= bound
 
 
