@@ -118,7 +118,7 @@ def _cmd_eval(args) -> int:
         if args.tail is not None:
             tail = parse_angle(args.tail, "tail")
         else:
-            tail = sel._tail_phases(control)
+            tail = np.pi * sel.recover_selector(control)[-1]  # the last bit is the parity
         spec = sel.SelectorSpec(mu, control, tail)
     else:
         raise ValueError("need --selector bits or a --phi schedule")

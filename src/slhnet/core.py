@@ -146,14 +146,16 @@ def _check_integers(what: str, *values) -> tuple[int, ...]:
     raise ArityError(f"{what} must be {noun}, got {shown!r}")
 
 
-def _check_binary_phases(values, what: str = "control phase") -> None:
-    """Refuse a scalar or 1-D ``values`` unless all are exactly 0.0 or math.pi,
-    naming the first offending entry by its Python value."""
+def _check_binary_phases(values, what: str = "control phase") -> np.ndarray:
+    """The one reading of 0/pi schedules: the bool switch states ``values == math.pi``
+    in the shape and layout of ``values``, once every entry is exactly 0.0 or math.pi;
+    else DomainError naming the first offending entry, in memory order, by its Python value."""
     arr = _as_real(values, what)
-    bad = np.flatnonzero((arr != 0.0) & (arr != math.pi))
+    bad = np.flatnonzero(((arr != 0.0) & (arr != math.pi)).ravel(order="K"))
     if bad.size:
-        x = np.asarray(values if arr.ndim == 0 else values[bad[0]]).item()
+        x = np.asarray(values).ravel(order="K")[bad[0]].item()
         raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
+    return arr == math.pi
 
 
 def _freeze(obj, **fields):

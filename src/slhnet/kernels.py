@@ -3,8 +3,6 @@ fold, the batched selector sweep and the weighted transfer grid."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (FEEDBACK_SINGULAR_TOL, ArityError, DomainError, SingularLoopError,
@@ -162,8 +160,8 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     beyond the switch states and the output.
 
     Every memory phase must be finite and every control exactly 0.0 or pi,
-    else DomainError; ``on`` is True where a control is pi, and its factor
-    is looked up in ``SWITCH_FACTORS``.
+    else DomainError; ``on`` is True where a control is pi, and its factor's
+    real and imaginary parts are looked up in ``SWITCH_PAIRS``.
     A block is held as two contiguous rails, and B(+-pi/4) writes both from
     the products ``p = c45 * top`` and ``q = c45 * bot``.  The switch factor
     and the memory phase turn a rail in place by the unfused complex
@@ -179,9 +177,7 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     if mu.ndim != 1 or controls.ndim != 2 or controls.shape[1] != mu.size + 1:
         raise ArityError(f"need 1-D memory phases and (m, n + 1) controls for n of them, "
                          f"got shapes {mu.shape} and {controls.shape}")
-    ctl = controls.T
-    _check_binary_phases(np.ravel(ctl, order="K"))
-    return _switch_batch(mu, ctl == math.pi)
+    return _switch_batch(mu, _check_binary_phases(controls).T)
 
 
 def _switch_batch(mu, on) -> np.ndarray:
@@ -221,6 +217,14 @@ def _switch_batch(mu, on) -> np.ndarray:
         out[rows, 0] = block[0]
         out[rows, 1] = block[1]
     return out
+
+
+def _grid_angles(phis, mus):
+    """The one reader of sweep angles: finite phis, then finite mus, both 1-D."""
+    phis, mus = _check_finite(phis, "sweep phi"), _check_finite(mus, "sweep mu")
+    if phis.ndim != 1 or mus.ndim != 1:
+        raise ArityError("phi list and mu grid must be 1-D")
+    return phis, mus
 
 
 def _phase_grid(phis, mus, out) -> None:
@@ -267,10 +271,10 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     on the singular set, in C order, raises SingularLoopError naming that
     (phi, mu).  Only the points with ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are
     tested, since ``|d| >= |Re d|`` and no other point can be singular.  A
-    non-finite angle raises DomainError before any of that, phis before mus.
+    non-finite angle raises DomainError before any of that, phis before mus,
+    and angles that are not 1-D raise ArityError, as in ``sweep_transfer``.
     """
-    phis = _check_finite(phis, "sweep phi")
-    mus = _check_finite(mus, "sweep mu")
+    phis, mus = _grid_angles(phis, mus)
     out = np.empty((phis.size, mus.size))
     _phase_grid(phis, mus, out)
     return out

@@ -206,6 +206,10 @@ class Netlist:
     circuit: tuple = ()
 
     def __post_init__(self):
+        for key, entries in (("components", self.components), ("circuit", self.circuit)):
+            if not isinstance(entries, (list, tuple)):
+                raise NetlistError(f"document.{key}",
+                                   f"{key} must be a list or tuple, got {type(entries).__name__}")
         _freeze(self, components=tuple(self.components), circuit=tuple(self.circuit))
         _check_netlist(self)
 
@@ -364,6 +368,8 @@ def _load(text: str):
 
 
 def parse_netlist(text: str) -> Netlist:
+    if not isinstance(text, str):
+        raise NetlistError("document", f"expected a str, got {type(text).__name__}")
     try:
         doc = _load(text)
     except Exception as exc:

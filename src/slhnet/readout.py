@@ -242,10 +242,7 @@ def sweep_transfer(phis, mu_grid) -> TransferCurve:
     order given.  Any grid point on the singular set aborts the sweep with
     an error naming the point.
     """
-    phis_arr = _check_finite(phis, "sweep phi")
-    mus = _check_finite(mu_grid, "sweep mu")
-    if phis_arr.ndim != 1 or mus.ndim != 1:
-        raise ArityError("phi list and mu grid must be 1-D")
+    phis_arr, mus = kernels._grid_angles(phis, mu_grid)
     mus = np.sort(mus)
     # the (mu, phi, mu_out) columns as three contiguous (phi, mu) grids
     columns = np.empty((3, phis_arr.size, mus.size))

@@ -60,13 +60,13 @@ def canonical_phase(x):
 
 
 def _as_bits(s, what: str = "selector") -> np.ndarray:
+    # 0/1 bits of any numeric dtype, checked and returned as they are (complex
+    # ones as their real part), with no copy
     arr = np.asarray(s)
-    if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
-        # bool and integer bits are checked and returned as they are, with no copy
-        if not arr.size or (arr.min() >= 0 and arr.max() <= 1):
-            return arr
-    elif not arr.size or (np.issubdtype(arr.dtype, np.number) and np.all((arr == 0) | (arr == 1))):
-        return arr.real.astype(np.int64, copy=False)
+    kind = arr.dtype.kind
+    if kind in "biufc" and (not arr.size or (arr.min() >= 0 and arr.max() <= 1 if kind in "biu"
+                                             else np.all((arr == 0) | (arr == 1)))):
+        return arr.real
     raise DomainError(f"{what} entries must be 0 or 1")
 
 
@@ -76,17 +76,12 @@ def _check_memory_phases(mem: np.ndarray) -> None:
         raise DomainError(f"memory phase {mem.flat[bad[0]].item()!r} outside [0, 2*pi)")
 
 
-def _tail_phases(control) -> np.ndarray:
-    """The tails returning the probe to the top rail: pi times each column's parity."""
-    return math.pi * (np.count_nonzero(np.asarray(control) == math.pi, axis=0) % 2)
-
-
 def _check_staircase(mem: np.ndarray, ctrl: np.ndarray, tail: np.ndarray) -> None:
     """Refuse a staircase bank unless memory (n, m) lies in [0, 2*pi), controls
-    (n, k) and tails (k,) are exactly 0 or pi, and tails are ``_tail_phases``."""
+    (n, k) and tails (k,) are exactly 0 or pi, and each tail is pi times its column's parity."""
     _check_memory_phases(mem)
-    _check_binary_phases(np.concatenate([ctrl.ravel(), tail]))
-    if not np.array_equal(_tail_phases(ctrl), tail):
+    on = _check_binary_phases(ctrl)
+    if not np.array_equal(np.count_nonzero(on, axis=0) % 2, _check_binary_phases(tail)):
         raise DomainError("tail phase must equal the mod-2 sum of the control phases")
 
 
@@ -302,7 +297,7 @@ def eval_selector(mu, s) -> float:
     """Output phase of the staircase: ``canonical_phase`` of s . mu, 0.0 if empty.
 
     This is the closed-form route; it must match the argument of the top
-    output amplitude of the built chain.
+    output amplitude of the built chain and refuse the memory phases it refuses.
     """
     mu_arr = _check_finite(mu, "memory phase")
     bits = _as_bits(s)
@@ -312,7 +307,9 @@ def eval_selector(mu, s) -> float:
         raise ArityError(
             f"memory length {mu_arr.shape} != selector length {bits.shape}"
         )
-    return canonical_phase(bits @ mu_arr)
+    _check_memory_phases(mu_arr)
+    # contiguous bits, as every cast gives: a strided dot product sums in another order
+    return canonical_phase(np.ascontiguousarray(bits) @ mu_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +383,7 @@ def recover_selector_matrix(control_matrix) -> np.ndarray:
     phi = _as_real(control_matrix, "control phase")
     if phi.ndim != 2:
         raise ArityError("control matrix must be 2-D")
-    _check_binary_phases(phi.ravel())
-    steps = (phi == math.pi).astype(np.int64)
-    return np.cumsum(steps, axis=0) % 2
+    return np.cumsum(_check_binary_phases(phi), axis=0) % 2
 
 
 def eval_matrix_product(spec: MatrixProductSpec) -> np.ndarray:

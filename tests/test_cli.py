@@ -112,6 +112,26 @@ def test_eval_bad_inputs(capsys):
     capsys.readouterr()
 
 
+def test_eval_derives_the_tail_from_the_schedule(capsys):
+    # an omitted --tail is pi times the schedule's parity, the last recovered bit
+    for phi, tail in (("0,pi,0", "pi"), ("pi,pi,0", "0"), ("0,0,0", "0"), ("pi", "pi")):
+        mu = ",".join(["0.3", "0.7", "1.1"][: phi.count(",") + 1])
+        assert main(["eval", "--mu", mu, "--phi", phi]) == 0
+        derived = capsys.readouterr().out
+        assert main(["eval", "--mu", mu, "--phi", phi, "--tail", tail]) == 0
+        assert capsys.readouterr().out == derived
+
+
+@pytest.mark.parametrize("mu", ["0.3,0.7", "7,0.7", "0.3"])
+def test_eval_names_a_non_binary_schedule_entry(capsys, mu):
+    # with --tail omitted the schedule is read first, so a non-binary entry is
+    # named before a memory phase out of range or a length clash
+    assert main(["eval", "--mu", mu, "--phi", "0,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: control phase must be exactly 0 or pi, got 0.5\n"
+
+
 _LONG_MU = np.random.default_rng(5000).uniform(0.0, TWO_PI, size=5000)
 _LONG_BITS = np.random.default_rng(5001).integers(0, 2, size=5000)
 

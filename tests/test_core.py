@@ -935,3 +935,55 @@ def test_schur_complement_solve_refuses_where_a_single_feedback_does():
             err = np.abs(closed.scattering - solved[0]).max()
             assert err <= 1e-13 * np.abs(solved[0]).max()
     assert 60 <= refused < 140
+
+
+_SCHEDULE = np.array([[0.0, math.pi, 0.0, math.pi], [math.pi, math.pi, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, math.pi]])
+
+
+@pytest.mark.parametrize("values", [
+    0.0, math.pi, np.float64(math.pi), 0, [0.0, math.pi, math.pi], [],
+    _SCHEDULE, np.asfortranarray(_SCHEDULE), _SCHEDULE[::-1, 1:], _SCHEDULE.reshape(3, 2, 2),
+], ids=["0d-zero", "0d-pi", "0d-numpy", "0d-int", "1d", "1d-empty", "2d-C", "2d-F",
+        "2d-strided", "3d"])
+def test_check_binary_phases_returns_the_switch_states_it_checks(values):
+    # the one reading of a 0/pi schedule: values == pi, in the shape and
+    # memory layout of values
+    on = core._check_binary_phases(values)
+    want = np.asarray(values) == math.pi
+    assert on.dtype == np.bool_ and on.shape == want.shape and np.array_equal(on, want)
+    if np.ndim(values) == 2:
+        assert on.flags.f_contiguous == np.asarray(values).flags.f_contiguous
+
+
+def _first_in_memory_order(values, what="control phase"):
+    # the refusal message naming the first entry, in memory order, that is
+    # neither 0 nor pi
+    flat = np.ravel(values, order="K")
+    x = flat[(flat != 0.0) & (flat != math.pi)][0].item()
+    return f"{what} must be exactly 0 or pi, got {x!r}"
+
+
+def test_check_binary_phases_names_the_first_bad_entry_in_memory_order():
+    for values, shown in ((0.5, "0.5"), (2, "2"), (np.float32(0.1), "0.10000000149011612"),
+                          ([0.0, math.nan, 0.5], "nan")):
+        with pytest.raises(DomainError) as info:
+            core._check_binary_phases(values, "tail phase")
+        assert str(info.value) == f"tail phase must be exactly 0 or pi, got {shown}"
+    rng = np.random.default_rng(101)
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(1, 6, size=2))
+        controls = math.pi * rng.integers(0, 2, size=(m, n + 1))
+        for _ in range(int(rng.integers(1, 4))):
+            controls[rng.integers(m), rng.integers(n + 1)] = rng.choice([0.5, 3.0, math.nan])
+        # the kernel's row-major and stage-major layouts, and a C-ordered schedule
+        for layout in (controls, np.ascontiguousarray(controls.T).T):
+            with pytest.raises(DomainError) as info:
+                kernels.selector_batch_amplitudes(np.zeros(n), layout)
+            assert str(info.value) == _first_in_memory_order(layout.T)
+            with pytest.raises(DomainError) as info:
+                core._check_binary_phases(layout)
+            assert str(info.value) == _first_in_memory_order(layout)
+        with pytest.raises(DomainError) as info:
+            recover_selector_matrix(controls)
+        assert str(info.value) == _first_in_memory_order(controls.ravel())

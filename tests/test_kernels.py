@@ -354,6 +354,22 @@ def test_kernel_entries_refuse_non_finite_angles_before_computing(name, bad):
     assert str(info.value) == f"{what} must be finite, got {bad!r}"
 
 
+@pytest.mark.parametrize("phis, mus", [
+    ([[0.1, 0.2]], [0.3]), (0.1, [0.3]), ([0.1], [[0.3, 0.4]]), ([0.1], 0.3),
+], ids=["2d-phis", "0d-phis", "2d-mus", "0d-mus"])
+@pytest.mark.parametrize("entry", [kernels.weighted_phase_grid, sweep_transfer],
+                         ids=["grid", "sweep"])
+def test_grid_entries_read_sweep_angles_alike(entry, phis, mus):
+    # angles that are not 1-D are refused with one message on both entries,
+    # and a non-finite angle is named first, phis before mus
+    with pytest.raises(ArityError) as info:
+        entry(phis, mus)
+    assert str(info.value) == "phi list and mu grid must be 1-D"
+    with pytest.raises(DomainError) as info:
+        entry(np.full(np.shape(phis), math.inf), np.full(np.shape(mus), math.nan))
+    assert str(info.value) == "sweep phi must be finite, got inf"
+
+
 @pytest.mark.parametrize("phis, mus, message, s_kl", [
     ([1.0, 0.0], [-0.5, 0.0, 0.25],
      "sweep grid touches the singular set at phi=0.0, mu=0.0",

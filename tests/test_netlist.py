@@ -396,6 +396,24 @@ def test_a_netlist_breaking_the_rule_cannot_be_built():
     assert Netlist([a], []) == Netlist((a,), ())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_netlist(123), "document: expected a str, got int"),
+    (lambda: parse_netlist(None), "document: expected a str, got NoneType"),
+    (lambda: parse_netlist(b"version: 1"), "document: expected a str, got bytes"),
+    (lambda: parse_netlist(["x"]), "document: expected a str, got list"),
+    (lambda: Netlist(components=5),
+     "document.components: components must be a list or tuple, got int"),
+    (lambda: Netlist(components=None),
+     "document.components: components must be a list or tuple, got NoneType"),
+    (lambda: Netlist(circuit=7), "document.circuit: circuit must be a list or tuple, got int"),
+], ids=["text-int", "text-none", "text-bytes", "text-list", "components-int",
+        "components-none", "circuit-int"])
+def test_a_wrong_text_or_container_type_is_a_netlist_error(call, message):
+    with pytest.raises(NetlistError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_malformed_entry_is_reported_before_structure_errors():
     # every entry parses before the structure rule runs over the document
     text = ("version: 1\ncomponents:\n"

@@ -36,3 +36,15 @@ def test_values_are_frozen_by_core_alone():
         assert "object.__setattr__(" not in text, path.name
         if path.name != "core.py":
             assert ".setflags(" not in text, path.name
+
+
+def test_binary_inputs_have_one_reading():
+    # core._check_binary_phases alone decides which control phases are on,
+    # and selector bits are read without an int64 cast
+    for path in sorted(pathlib.Path(slhnet.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "core.py":
+            assert "== math.pi" not in text, path.name
+        assert "_tail_phases" not in text, path.name
+        if path.name == "selector.py":
+            assert "astype(np.int64" not in text

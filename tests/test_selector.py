@@ -478,6 +478,59 @@ def test_selector_sweep_reads_bool_and_integer_bits_without_a_copy(dtype):
     assert peak <= bound
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128],
+                         ids=["float64", "float32", "complex128"])
+def test_selector_sweep_reads_float_and_complex_bits_without_a_copy(dtype):
+    # 0/1 bits of a float or complex dtype peak no higher than bool bits do
+    n, m = 16, 2 ** 16
+    mu = np.random.default_rng(89).uniform(0.0, TWO_PI, size=n)
+    peaks = {}
+    for kind in (np.bool_, dtype):
+        bits = all_bit_vectors(n).astype(kind)
+        selector_sweep_amplitudes(mu, bits[:3])
+        tracemalloc.start()
+        try:
+            selector_sweep_amplitudes(mu, bits)
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[dtype] <= peaks[np.bool_] + 1024 < m * n * np.dtype(np.int64).itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32, np.complex128, np.bool_])
+def test_strided_bits_read_as_their_contiguous_int64_bits_bit_for_bit(dtype):
+    # a strided dot product sums in another order, so eval_selector reads a
+    # column of a wider array, or a complex array's real part, contiguously
+    rng = np.random.default_rng(97)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        bits = rng.integers(0, 2, size=n)
+        mu = rng.uniform(0.0, TWO_PI, size=n)
+        wide = np.zeros((n, 3), dtype=dtype)
+        wide[:, 1] = bits
+        want = eval_selector(mu, bits)
+        assert eval_selector(mu, wide[:, 1]) == want
+        assert eval_selector(mu[::-1], wide[::-1, 1]) == eval_selector(mu[::-1], bits[::-1])
+
+
+@pytest.mark.parametrize("mu, ok", [
+    (-0.1, False), (TWO_PI, False), (7.0, False),
+    (-0.0, True), (np.nextafter(TWO_PI, 0.0), True), (0.0, True),
+])
+def test_every_staircase_route_refuses_the_same_memory_phases(mu, ok):
+    # eval_selector, the per-row spec and the sweep agree on [0, 2*pi)
+    routes = (lambda: eval_selector([0.5, mu], [1, 1]),
+              lambda: SelectorSpec.from_selector([1, 1], [0.5, mu]),
+              lambda: selector_sweep_amplitudes([0.5, mu], [[1, 1]]))
+    for route in routes:
+        if ok:
+            route()
+        else:
+            with pytest.raises(DomainError) as info:
+                route()
+            assert str(info.value) == f"memory phase {mu!r} outside [0, 2*pi)"
+
+
 def test_selector_sweep_amplitudes_refuses_memory_outside_range():
     for bad in (math.nan, math.inf, -math.inf, -0.1, TWO_PI, 7.0):
         for mu in ([bad], [0.5, bad]):
