@@ -280,6 +280,8 @@ def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
         )
     s2 = g2.scattering
     s = s2 @ g1.scattering
+    # ndarray.any, not the faster count_nonzero of _feedback_masked: that one slowed
+    # the netlist benchmark's YAML reads 5% through allocator state (CHANGES.md)
     if not (g1.coupling.any() or g2.coupling.any()):
         # undriven: the L and cross terms below are exact zeros
         return _model(s, np.zeros(s.shape[:-1], dtype=np.complex128),
@@ -365,7 +367,7 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     if count:
         d = np.where(singular, 1.0, d)
     s_fb = block + col[..., :, None] * row[..., None, :] / d[..., None, None]
-    if not c.any():
+    if not np.count_nonzero(c):
         # undriven: the L and H terms below are exact zeros
         model = _model(s_fb, np.zeros(batch + (m,), dtype=np.complex128), g.hamiltonian)
         return model, singular, count

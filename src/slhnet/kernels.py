@@ -32,6 +32,9 @@ C45 = np.cos(np.pi / 4)
 # core's L2 cache
 ROW_BLOCK = 8192
 GRID_BLOCK = 16384
+# columns every stage of the selector sweep's prefix table runs on, at
+# least: a stage on fewer costs about as much
+TABLE_BASE = 256
 
 
 def chain_unitary(thetas, phases, ports) -> np.ndarray:
@@ -151,13 +154,17 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     A row's state after stage ``i`` depends only on its first ``i + 1``
     switch states, so rows that share a switch prefix share its partial
     product.  The first ``depth = min(n + 1, floor(log2 m), log2
-    ROW_BLOCK)`` stages run once on a table of all ``2**depth`` prefixes:
-    the rails of one block run them, each column with the switch bits of
-    its column number, so column ``c < 2**depth`` holds prefix ``c``.  Each
-    block of ``ROW_BLOCK`` rows then gathers its starting state from the
-    table, at prefix index ``sum(on[j] << j for j < depth)``, and runs the
-    remaining ``n + 1 - depth`` stages.  Nothing row-sized is allocated
-    beyond the switch states and the output.
+    ROW_BLOCK)`` stages run once on a table of all ``2**depth`` prefixes,
+    in the rails of one block, each column with the switch bits of its
+    column number, so column ``c < 2**depth`` holds prefix ``c``.  The table
+    is built by doubling: stage ``i`` runs on the first ``max(2**(i + 1),
+    TABLE_BASE)`` columns only, and each time that count doubles, the new
+    half starts as a copy of the old.  Every column still takes the same
+    operations in the same order.  Each block of
+    ``ROW_BLOCK`` rows then gathers its starting state from the table, at
+    prefix index ``sum(on[j] << j for j < depth)``, and runs the remaining
+    ``n + 1 - depth`` stages.  Nothing row-sized is allocated beyond the
+    switch states and the output.
 
     Every memory phase must be finite and every control exactly 0.0 or pi,
     else DomainError; ``on`` is True where a control is pi, and its factor's
@@ -194,11 +201,18 @@ def _switch_batch(mu, on) -> np.ndarray:
     prefix = np.empty(width, dtype=np.intp)
     block = rails.reshape(4, width)
     stage = _stager(block, n, memory)
-    # the prefix table: column c runs with switch bits c
+    # the prefix table, by doubling: column c runs with switch bits c
+    cols = min(width, TABLE_BASE)
+    table_stage = stage if cols == width else _stager(block[:, :cols], n, memory)
     block[0], block[1] = 1.0, 0.0
     for i in range(depth):
-        np.right_shift(np.arange(width), i, out=prefix)
-        stage(i, np.bitwise_and(prefix, 1, out=prefix))
+        if 2 << i > cols:
+            block[:2, cols : 2 * cols] = block[:2, :cols]
+            cols *= 2
+            table_stage = stage if cols == width else _stager(block[:, :cols], n, memory)
+        bits = prefix[:cols]
+        np.right_shift(np.arange(cols), i, out=bits)
+        table_stage(i, np.bitwise_and(bits, 1, out=bits))
     table = block[:2, : 1 << depth].copy()
     for lo in range(0, m, ROW_BLOCK):
         rows = slice(lo, min(lo + ROW_BLOCK, m))
@@ -230,28 +244,40 @@ def _grid_angles(phis, mus):
 def _phase_grid(phis, mus, out) -> None:
     """``weighted_phase_grid`` of finite 1-D angles, written into ``out``."""
     e_mu = np.exp(1j * mus)[None, :]
+    e_bar = np.conjugate(e_mu)
     cos_phi = np.cos(phis)[:, None]
+    # Re d = fl(1 - fl(e_r c)) with |e_r| <= 1, and rounding is monotone, so
+    # fl(e_r c) <= |c| and Re d >= fl(1 - |c|): a row with fl(1 - |c|) above
+    # the tolerance holds no point the prefilter below could pass
+    safe = 1.0 - np.abs(cos_phi[:, 0]) > FEEDBACK_SINGULAR_TOL
     step = max(1, GRID_BLOCK // max(1, mus.size))
+    # one block's conjugated denominator and numerator, reused by every block
+    buffers = np.empty((2, min(step, phis.size), mus.size), dtype=np.complex128)
     for lo in range(0, phis.size, step):
         rows = slice(lo, lo + step)
         c = cos_phi[rows]
-        # the same operations as (e_mu - c) * conj(1 - e_mu c), done in
-        # place so that two block-sized complex arrays are alive, not five
-        den = e_mu * c
+        den, w = buffers[:, : c.size]
+        # conj(1 - e_mu c) as 1 - conj(e_mu) c, one pass fewer; a zero imaginary
+        # part may differ in sign, but the phases do not (tests/test_kernels.py)
+        np.multiply(e_bar, c, out=den)
         np.subtract(1.0, den, out=den)
-        near = np.flatnonzero(np.abs(den.real) <= FEEDBACK_SINGULAR_TOL)
-        bad = near[is_singular_loop(den.reshape(-1)[near])]
-        if bad.size:
-            i, j = divmod(lo * mus.size + int(bad[0]), mus.size)
-            raise SingularLoopError(
-                1, 1, np.exp(1j * mus[j]) * np.cos(phis[i]),
-                f"sweep grid touches the singular set at phi={float(phis[i])!r}, "
-                f"mu={float(mus[j])!r}",
-            )
-        np.conjugate(den, out=den)
-        w = e_mu - c
+        if not safe[rows].all():
+            near = np.flatnonzero(np.abs(den.real) <= FEEDBACK_SINGULAR_TOL)
+            bad = near[is_singular_loop(den.reshape(-1)[near])]
+            if bad.size:
+                i, j = divmod(lo * mus.size + int(bad[0]), mus.size)
+                raise SingularLoopError(
+                    1, 1, np.exp(1j * mus[j]) * np.cos(phis[i]),
+                    f"sweep grid touches the singular set at phi={float(phis[i])!r}, "
+                    f"mu={float(mus[j])!r}",
+                )
+        np.subtract(e_mu, c, out=w)
         w *= den
-        np.arctan2(w.imag, w.real, out=out[rows])
+        # arctan2 reads contiguous parts faster than strided ones, to the same
+        # bits; the denominator's memory holds them
+        parts = den.reshape(-1).view(np.float64).reshape((2,) + den.shape)
+        parts[0], parts[1] = w.real, w.imag
+        np.arctan2(parts[1], parts[0], out=out[rows])
 
 
 def weighted_phase_grid(phis, mus) -> np.ndarray:
@@ -263,16 +289,20 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     complex division; the phi = pi collapse line keeps ~1e-17 of dust.
 
     The grid is computed in blocks of ``max(1, GRID_BLOCK // len(mus))``
-    rows, in row order, so that a block's complex temporaries stay in a
-    core's L2 cache; every element takes the same six operations in any
-    block, and ``np.arctan2``, the ufunc ``np.angle`` calls, writes each
-    block's phases straight into the output.  Each block's denominator is
-    formed once and tested with ``is_singular_loop``: the first grid point
-    on the singular set, in C order, raises SingularLoopError naming that
+    rows, in row order, in two block-sized complex buffers that stay in a
+    core's L2 cache; every element takes the same operations in any block.
+    ``np.arctan2``, the ufunc ``np.angle`` calls, reads each block's real
+    and imaginary parts from a contiguous copy, to the bits it gives on the
+    strided parts, and writes the phases straight into the output.  Each
+    block's conjugated denominator, formed directly as ``1 - conj(e^{i mu})
+    cos phi``, is tested with ``is_singular_loop``: the first grid point on
+    the singular set, in C order, raises SingularLoopError naming that
     (phi, mu).  Only the points with ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are
-    tested, since ``|d| >= |Re d|`` and no other point can be singular.  A
-    non-finite angle raises DomainError before any of that, phis before mus,
-    and angles that are not 1-D raise ArityError, as in ``sweep_transfer``.
+    tested, since ``|d| >= |Re d|`` and no other point can be singular, and
+    a block whose rows all have ``1 - |cos phi| > FEEDBACK_SINGULAR_TOL``
+    skips even that, as none of its points can pass.  A non-finite angle
+    raises DomainError before any of that, phis before mus, and angles that
+    are not 1-D raise ArityError, as in ``sweep_transfer``.
     """
     phis, mus = _grid_angles(phis, mus)
     out = np.empty((phis.size, mus.size))

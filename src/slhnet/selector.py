@@ -71,8 +71,9 @@ def _as_bits(s, what: str = "selector") -> np.ndarray:
 
 
 def _check_memory_phases(mem: np.ndarray) -> None:
-    bad = np.flatnonzero(~((mem >= 0.0) & (mem < TWO_PI)))  # NaN fails too
-    if bad.size:
+    # NaN fails both range tests; the mask is built for the message only
+    if mem.size and not (mem.min() >= 0.0 and mem.max() < TWO_PI):
+        bad = np.flatnonzero(~((mem >= 0.0) & (mem < TWO_PI)))
         raise DomainError(f"memory phase {mem.flat[bad[0]].item()!r} outside [0, 2*pi)")
 
 
@@ -308,8 +309,8 @@ def eval_selector(mu, s) -> float:
             f"memory length {mu_arr.shape} != selector length {bits.shape}"
         )
     _check_memory_phases(mu_arr)
-    # contiguous bits, as every cast gives: a strided dot product sums in another order
-    return canonical_phase(np.ascontiguousarray(bits) @ mu_arr)
+    # contiguous operands, as every cast gives: a strided dot product sums in another order
+    return canonical_phase(np.ascontiguousarray(bits) @ np.ascontiguousarray(mu_arr))
 
 
 # ---------------------------------------------------------------------------

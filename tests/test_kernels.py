@@ -517,3 +517,29 @@ def test_blocked_grid_names_the_first_singular_point(phis, first):
     assert want[0].endswith(first)
     assert _grid_error(kernels.weighted_phase_grid, phis, mus) == want
     assert _grid_error(sweep_transfer, phis, mus) == want
+
+
+def test_grid_refuses_rows_straddling_the_tolerance_among_safe_rows():
+    # phi near sqrt(2e-9) = 4.47e-5 and near pi - 4.47e-5, where 1 - |cos phi|
+    # crosses FEEDBACK_SINGULAR_TOL, with mu = 0 and mu = pi on the grid; each
+    # such row shares its four-row block with rows far from the singular set,
+    # so a block skips the prefilter only if every one of its rows may
+    cols = kernels.GRID_BLOCK // 4
+    rng = np.random.default_rng(29)
+    mus = np.concatenate([rng.uniform(-3.0, 3.0, cols - 4), [0.0, math.pi, 1e-6, -1e-6]])
+    safe = [0.7, 2.0, 1.1, 0.4, 1.3, 0.9, 2.5]
+    edge = math.sqrt(2.0 * FEEDBACK_SINGULAR_TOL)
+    straddle = edge * (1.0 + np.linspace(-2e-6, 2e-6, 9))
+    margins, refused = [], []
+    for phi in np.concatenate([straddle, -straddle, math.pi - straddle]):
+        margins.append(1.0 - abs(math.cos(phi)) > FEEDBACK_SINGULAR_TOL)
+        for at in (0, 3, 5):
+            phis = safe[:at] + [phi] + safe[at:]
+            want = _full_scan_error(phis, mus)
+            refused.append(want is not None)
+            assert _grid_error(kernels.weighted_phase_grid, phis, mus) == want
+            assert _grid_error(sweep_transfer, phis, mus) == _full_scan_error(phis, np.sort(mus))
+    # the rows do straddle: some clear the tolerance, some do not, and both
+    # outcomes of the scan occur
+    assert any(margins) and not all(margins)
+    assert any(refused) and not all(refused)

@@ -38,6 +38,8 @@ TWO_PI = 2.0 * PI
 
 def test_principal_phase_range():
     assert principal_phase(-1.0 + 0.0j) == PI
+    # the -pi branch: cmath.phase gives -pi on the negative real axis from below
+    assert principal_phase(complex(-1.0, -0.0)) == PI
     assert principal_phase(1.0 + 0.0j) == 0.0
     assert principal_phase(-1j) == pytest.approx(-PI / 2, abs=1e-15)
 

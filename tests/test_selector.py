@@ -513,6 +513,27 @@ def test_strided_bits_read_as_their_contiguous_int64_bits_bit_for_bit(dtype):
         assert eval_selector(mu[::-1], wide[::-1, 1]) == eval_selector(mu[::-1], bits[::-1])
 
 
+def test_eval_selector_reads_memory_phases_by_value_not_layout():
+    # strided, reversed and F-ordered views of mu return the bytes of its
+    # contiguous copy: the dot product sums in one order whatever mu's strides
+    rng = np.random.default_rng(141)
+    moved = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        bits = rng.integers(0, 2, size=n)
+        mu = rng.uniform(0.0, TWO_PI, size=n)
+        want = np.float64(eval_selector(mu.copy(), bits)).tobytes()
+        wide = np.zeros(3 * n)
+        wide[1::3] = mu
+        fortran = np.asfortranarray(np.stack([mu, mu]))
+        for view in (wide[1::3], mu[::-1].copy()[::-1], fortran[1], fortran[:, ::-1][0, ::-1]):
+            assert np.array_equal(view, mu) and not view.flags.c_contiguous
+            assert np.float64(eval_selector(view, bits)).tobytes() == want
+        # the strided sum itself rounds otherwise on some draws, so the views do test the read
+        moved += np.float64(bits @ wide[1::3]).tobytes() != np.float64(bits @ mu).tobytes()
+    assert moved
+
+
 @pytest.mark.parametrize("mu, ok", [
     (-0.1, False), (TWO_PI, False), (7.0, False),
     (-0.0, True), (np.nextafter(TWO_PI, 0.0), True), (0.0, True),
