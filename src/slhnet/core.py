@@ -265,7 +265,11 @@ def identity(n: int) -> SlhModel:
     (n,) = _check_integers("identity port count", n)
     if n < 1:
         raise ArityError(f"identity needs at least one port, got n={n}")
-    return _model(np.eye(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128), 0.0)
+    try:
+        s = np.eye(n, dtype=np.complex128)
+    except ValueError:  # numpy's "Maximum allowed dimension exceeded" or "array is too big"
+        raise ArityError(f"identity of {n} ports exceeds numpy's array size limit") from None
+    return _model(s, np.zeros(n, dtype=np.complex128), 0.0)
 
 
 def series(g2: SlhModel, g1: SlhModel) -> SlhModel:

@@ -72,8 +72,9 @@ NETLIST_VERSION = 1
 # optional integer divisor
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
-# divisors worth a symbolic spelling on output
+# divisors worth a symbolic spelling on output, all dividing 24
 _NICE_DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
+_TWENTY_FOUR_OVER_PI = 24 / math.pi
 
 # names must survive the flow-style emitter unquoted
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -116,16 +117,27 @@ def parse_angle(token, location: str = "angle") -> float:
 
 
 def format_angle(x: float) -> str:
-    """Shortest faithful spelling of an angle.
+    """Symbolic spelling ``k*pi/d`` of an angle where one is faithful, else ``repr``.
 
-    Tries ``k*pi/d`` for small d, accepting a spelling only when re-parsing
-    it reproduces the exact same float; falls back to ``repr``.
+    Tries small d, accepting a spelling only when re-parsing it reproduces
+    the exact same float; falls back to ``repr``.  The first d that fits
+    wins, so a large exact multiple keeps its ``k*pi`` spelling even where
+    ``repr`` is shorter: ``format_angle(1e16) == "3183098861837907pi"``.
     """
     x = _check_angle(x, "angle")
     if x == 0.0:
         return "0"
+    # every d divides 24, so a spelling k*pi/d puts q within a few ulps of the integer
+    # 24k/d; farther than 1e-9 |q| from every integer, none fits (q = inf: r is NaN)
+    q = x * _TWENTY_FOUR_OVER_PI
+    r, tol = q % 1.0, 1e-9 * abs(q)
+    if tol < r < 1.0 - tol:
+        return repr(x)
     for den in _NICE_DENOMINATORS:
-        k = round(x * den / math.pi)
+        scaled = x * den
+        if not math.isfinite(scaled):  # near the float range's end; the larger d overflow too
+            break
+        k = round(scaled / math.pi)
         if k != 0 and k * math.pi / den == x:
             sign = "-" if k < 0 else ""
             mag = abs(k)
@@ -221,23 +233,25 @@ def _check_netlist(nl: Netlist) -> None:
     Then a component, and only one when ``circuit`` is empty."""
     seen = set()
     for key, cls in (("components", ComponentDecl), ("circuit", CombinatorDecl)):
+        # an entry's location, f"{key}[{i}]", is formatted only for its fault
         for i, decl in enumerate(getattr(nl, key)):
-            location = f"{key}[{i}]"
             if not isinstance(decl, cls):
-                raise NetlistError(location,
+                raise NetlistError(f"{key}[{i}]",
                                    f"expected a {cls.__name__}, got {type(decl).__name__}")
             name = decl.name
             if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise NetlistError(location, f"name must match {_NAME_RE.pattern!r}, got {name!r}")
-            if cls is ComponentDecl:
-                _row(_KINDS, decl.kind, "kind", location)
-            else:
-                _check_operands(decl, location)
+                raise NetlistError(f"{key}[{i}]",
+                                   f"name must match {_NAME_RE.pattern!r}, got {name!r}")
+            if cls is CombinatorDecl:
+                _check_operands(decl, key, i)
+            elif not (type(decl.kind) is str and decl.kind in _KINDS):
+                _row(_KINDS, decl.kind, "kind", f"{key}[{i}]")
             if name in seen:
-                raise NetlistError(location, f"duplicate name {name!r}")
-            for j, ref in enumerate(decl.operands):
-                if ref not in seen:
-                    raise NetlistError(f"{location}.of[{j}]", f"unresolved reference {ref!r}")
+                raise NetlistError(f"{key}[{i}]", f"duplicate name {name!r}")
+            # the operands are names by now, so the set can hash them
+            if not seen.issuperset(decl.operands):
+                j, ref = next((j, ref) for j, ref in enumerate(decl.operands) if ref not in seen)
+                raise NetlistError(f"{key}[{i}].of[{j}]", f"unresolved reference {ref!r}")
             seen.add(name)
     if not nl.components:
         raise NetlistError("document.components", "at least one component is required")
@@ -246,20 +260,23 @@ def _check_netlist(nl: Netlist) -> None:
                            "to denote the model")
 
 
-def _check_operands(d: CombinatorDecl, location: str) -> None:
-    _row(_OPS, d.op, "op", location)
-    refs, where = d.operands, f"{location}.of"
+def _check_operands(d: CombinatorDecl, key: str, i: int) -> None:
+    if not (type(d.op) is str and d.op in _OPS):
+        _row(_OPS, d.op, "op", f"{key}[{i}]")
+    refs = d.operands
     if not isinstance(refs, tuple) or not all(isinstance(x, str) and x for x in refs):
-        raise NetlistError(where, "operands must be a list of names")
+        raise NetlistError(f"{key}[{i}].of", "operands must be a list of names")
     if d.op == "feedback":
         if len(refs) != 1:
-            raise NetlistError(where, f"feedback takes exactly one operand, got {len(refs)}")
-        for key in ("output", "input"):
-            _parse_ports(getattr(d, key), f"{location}.{key}")
+            raise NetlistError(f"{key}[{i}].of",
+                               f"feedback takes exactly one operand, got {len(refs)}")
+        for port in ("output", "input"):
+            _parse_ports(getattr(d, port), f"{key}[{i}].{port}")
     elif len(refs) < 2:
-        raise NetlistError(where, f"{d.op} needs at least two operands, got {len(refs)}")
+        raise NetlistError(f"{key}[{i}].of", f"{d.op} needs at least two operands, got {len(refs)}")
     elif (d.output, d.input) != (0, 0):
-        raise NetlistError(location, f"{d.op} takes no ports, got ({d.output!r}, {d.input!r})")
+        raise NetlistError(f"{key}[{i}]",
+                           f"{d.op} takes no ports, got ({d.output!r}, {d.input!r})")
 
 
 def _require_map(node, location: str) -> dict:
@@ -293,7 +310,9 @@ def _parse_component(node, location: str) -> ComponentDecl:
     node = _require_map(node, location)
     name, kind = _take(node, "name", location), _take(node, "kind", location)
     row = _row(_KINDS, kind, "kind", location)
-    _check_keys(node, ("name", "kind", row.key), location)
+    # name and kind are in the node: with the value key as well and no other, none is unknown
+    if len(node) != 3 or row.key not in node:
+        _check_keys(node, ("name", "kind", row.key), location)
     value = row.parse(_take(node, row.key, location), f"{location}.{row.key}")
     return ComponentDecl(name, kind, value)
 
@@ -304,10 +323,22 @@ def _parse_combinator(node, location: str) -> CombinatorDecl:
     _row(_OPS, op, "op", location)
     operands = _take(node, "of", location)
     ports = ("output", "input") if op == "feedback" else ()
-    _check_keys(node, ("name", "op", "of", *ports), location)
+    # name, op and of are in the node: with the ports as well and no other, none is unknown
+    if len(node) != 3 + len(ports) or (ports and not all(map(node.__contains__, ports))):
+        _check_keys(node, ("name", "op", "of", *ports), location)
     # a non-list stays as it is, for the netlist rule to refuse
     operands = tuple(operands) if isinstance(operands, list) else operands
-    return CombinatorDecl(name, op, operands, *(_take(node, key, location) for key in ports))
+    return CombinatorDecl(name, op, operands, *[_take(node, key, location) for key in ports])
+
+
+@functools.cache
+def _canonical_patterns():
+    """The canonical reader's item, pair and key-line patterns, compiled on the first read,
+    not at import: every command-line process imports this module."""
+    t = r"[A-Za-z0-9_.+~/-]{1,1024}"
+    item = rf"\[(?:{t}(?:, {t})*)?\]|{t}"
+    pair = rf"({t}): ({t}|\[(?:(?:{item})(?:, (?:{item}))*)?\])"
+    return re.compile(item), re.compile(pair), re.compile(rf"({t}):(?: ((?!-$){t}))?")
 
 
 def _read_canonical(text: str, loader) -> dict:
@@ -315,9 +346,7 @@ def _read_canonical(text: str, loader) -> dict:
     followed by ``  - {key: value, ...}`` entries; a value is a token or a list of tokens and
     flat lists, and a token is plain (no indicator, quote, space or line break) and short
     enough for a YAML key, resolved and built by ``loader``.  Else LookupError or ValueError."""
-    t = r"[A-Za-z0-9_.+~/-]{1,1024}"
-    item = rf"\[(?:{t}(?:, {t})*)?\]|{t}"
-    pair = rf"({t}): ({t}|\[(?:(?:{item})(?:, (?:{item}))*)?\])"
+    item, pair, key_line = _canonical_patterns()
 
     @functools.cache  # equal tokens build equal values; PyYAML has one NaN object, too
     def scalar(tok):
@@ -327,17 +356,17 @@ def _read_canonical(text: str, loader) -> dict:
             raise LookupError(f"no canonical read of {tok!r}")
         return tok if kind == "str" else loader.yaml_constructors[tag](loader, ScalarNode(tag, tok))
 
-    def build(v):
-        return scalar(v) if v[0] != "[" else [build(x) for x in re.findall(item, v[1:-1])]
+    def build(v):  # a list token, brackets and all
+        return [scalar(x) if x[0] != "[" else build(x) for x in item.findall(v, 1, len(v) - 1)]
 
     doc, key, entries = {}, None, None
     for line in text.removesuffix("\n").split("\n"):
-        pairs = re.findall(pair, line[5:-1])
+        pairs = pair.findall(line, 5, len(line) - 1)
         if entries is not None and line == "  - {" + ", ".join(map(": ".join, pairs)) + "}":
-            entries.append({scalar(k): build(v) for k, v in pairs})
+            entries.append({scalar(k): scalar(v) if v[0] != "[" else build(v) for k, v in pairs})
             doc[key] = entries
             continue
-        m = re.fullmatch(rf"({t}):(?: ((?!-$){t}))?", line)
+        m = key_line.fullmatch(line)
         if m is None or (key := scalar(m[1])) in doc:
             raise LookupError(f"no canonical read of {line!r}")
         doc[key], entries = (scalar(m[2]), None) if m[2] else (None, [])

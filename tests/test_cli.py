@@ -348,6 +348,19 @@ def test_netlist_print_is_canonical(tmp_path, capsys):
     assert capsys.readouterr().out == serialize_netlist(parse_netlist(SWITCH_DOC))
 
 
+def test_netlist_print_reads_back_an_angle_near_the_float_range_end(tmp_path, capsys):
+    # phi * 2 overflows here, which once raised OverflowError out of print
+    top = 1.4668959017160943e308
+    path = tmp_path / "top.yaml"
+    path.write_text(_one_part_doc(f"kind: phase, phi: {top!r}"))
+    assert main(["netlist", "print", str(path)]) == 0
+    out = capsys.readouterr().out
+    path.write_text(out)
+    assert main(["netlist", "print", str(path)]) == 0
+    assert capsys.readouterr().out == out
+    assert parse_netlist(out).components[0].value == top
+
+
 def test_netlist_errors(tmp_path, capsys):
     assert main(["netlist", "elaborate", str(tmp_path / "missing.yaml")]) == 2
     bad = tmp_path / "bad.yaml"
@@ -383,6 +396,16 @@ def test_importing_cli_leaves_the_battery_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_importing_cli_compiles_no_netlist_reader_pattern():
+    # the canonical reader compiles its patterns on its first read
+    code = ("import slhnet.cli, slhnet.netlist as n; "
+            "print(n._canonical_patterns.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slhnet.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0\n"
 
 
 def test_argparse_rejects_unknown_command():

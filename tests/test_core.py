@@ -337,6 +337,14 @@ def test_identity_is_series_unit():
     assert np.array_equal(identity(np.int64(3)).scattering, identity(3).scattering)
 
 
+@pytest.mark.parametrize("n", [10**30, 2**62])
+def test_identity_too_large_for_an_array_is_an_arity_error(n):
+    # numpy refuses both shapes before allocating anything
+    with pytest.raises(ArityError) as info:
+        identity(n)
+    assert str(info.value) == f"identity of {n} ports exceeds numpy's array size limit"
+
+
 @pytest.mark.parametrize("n", [1.5, True, "2", np.True_, None],
                          ids=["float", "bool", "str", "numpy-bool", "none"])
 def test_identity_refuses_a_non_integer_port_count(n):

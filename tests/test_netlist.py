@@ -442,6 +442,83 @@ def test_format_angle_refuses_an_array_of_angles():
     assert str(info.value) == message
 
 
+def _format_angle_loop(x):
+    """A frozen copy of format_angle before its non-symbolic shortcut and its
+    overflow guard: every denominator tried in turn (raises OverflowError
+    where ``x * den`` overflows)."""
+    if x == 0.0:
+        return "0"
+    for den in (1, 2, 3, 4, 6, 8, 12):
+        k = round(x * den / PI)
+        if k != 0 and k * PI / den == x:
+            sign = "-" if k < 0 else ""
+            mag = abs(k)
+            head = "pi" if mag == 1 else f"{mag}pi"
+            tail = "" if den == 1 else f"/{den}"
+            return f"{sign}{head}{tail}"
+    return repr(x)
+
+
+def test_format_angle_matches_the_exact_loop():
+    rng = np.random.default_rng(41)
+    symbolic = [k * PI / d for k in range(-3000, 3001) for d in range(1, 25)]
+    uniform = rng.uniform(-10.0, 10.0, 200_000).tolist()
+    binades = (np.power(10.0, rng.uniform(-320.0, 308.0, 100_000))
+               * rng.choice([-1.0, 1.0], 100_000)).tolist()
+    differ, unread, compared = [], [], 0
+    for x in symbolic + uniform + binades:
+        got = format_angle(x)
+        try:
+            want = _format_angle_loop(x)
+        except OverflowError:
+            pass
+        else:
+            compared += 1
+            if got != want:
+                differ.append((x, got, want))
+        if parse_angle(got) != x:
+            unread.append((x, got))
+    assert differ == [] and unread == []
+    # the copy raised only near the float range's end, where x * 2 overflows
+    assert compared > 444_000
+    # and the shortcut met both kinds: symbolic spellings and repr
+    assert format_angle(3 * PI / 8) == "3pi/8" and format_angle(2.5) == "2.5"
+
+
+def test_format_angle_reads_back_angles_near_the_float_range_end():
+    top = 1.4668959017160943e308
+    with pytest.raises(OverflowError):
+        _format_angle_loop(top)
+    rng = np.random.default_rng(43)
+    values = [top, 1.7976931348623157e308, *rng.uniform(9e307, 1.79e308, 2000).tolist()]
+    for x in values + [-x for x in values]:
+        assert parse_angle(format_angle(x)) == x
+    assert format_angle(top) == repr(top)
+    assert format_angle(1e16) == "3183098861837907pi"
+    text = serialize_netlist(Netlist((ComponentDecl("p", "phase", top),)))
+    again = parse_netlist(text)
+    assert again.components[0].value == top and serialize_netlist(again) == text
+
+
+def test_a_full_count_of_keys_still_names_the_unknown_one():
+    # as many keys as the entry allows, one of them unknown: that key is
+    # reported, not the allowed key it displaced
+    for decl, message in [
+        ("{name: c, op: feedback, of: [a], output: 1, extra: 2}", "unknown keys ['extra']"),
+        ("{name: c, op: feedback, of: [a], extra: 2, input: 1}", "unknown keys ['extra']"),
+        ("{name: c, op: series, of: [a, a], output: 1}", "unknown keys ['output']"),
+    ]:
+        e = _err(f"version: 1\ncomponents:\n  - {{name: a, kind: identity, ports: 2}}\n"
+                 f"circuit:\n  - {decl}\n")
+        assert (e.location, str(e)) == ("circuit[0]", f"circuit[0]: {message}")
+    e = _err("version: 1\ncomponents:\n  - {name: a, kind: phase, extra: 1}\n")
+    assert str(e) == "components[0]: unknown keys ['extra']"
+    # one key short, the missing one is named
+    e = _err("version: 1\ncomponents:\n  - {name: a, kind: identity, ports: 2}\n"
+             "circuit:\n  - {name: c, op: feedback, of: [a], output: 1}\n")
+    assert str(e) == "circuit[0]: missing required key 'input'"
+
+
 def test_numpy_integer_ports_build_and_reprint_as_python_ints():
     def netlist(port):
         return Netlist((ComponentDecl("b", "beamsplitter", PI / 3),
