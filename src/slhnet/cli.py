@@ -24,7 +24,7 @@ import numpy as np
 
 from . import readout
 from . import selector as sel
-from .core import CircuitError, SingularLoopError, _check_finite
+from .core import CircuitError, SingularLoopError, _check_finite, _product
 from .netlist import elaborate, format_angle, parse_angle, parse_netlist, serialize_netlist
 
 __all__ = ["main"]
@@ -124,7 +124,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("need --selector bits or a --phi schedule")
 
     scattering = sel.selector_scattering(spec)
-    amps = scattering @ np.array([args.drive, 0.0], dtype=np.complex128)
+    amps = _product(scattering, np.array([args.drive, 0.0], dtype=np.complex128))
     phase = sel.canonical_phase(np.angle(amps[0]))
     print(f"output_phase: {fmt12(phase)}")
     print(f"amplitude[1]: {_fmtc(amps[0])}")

@@ -6,11 +6,13 @@ path in every circuit diagram built from these parts.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .core import ArityError, DrivenCircuitError, SlhModel, _check_angle, _check_finite, _model
+from .core import (ArityError, DrivenCircuitError, SlhModel, _check_angle, _check_finite, _model,
+                   _product)
 
 __all__ = ["phase_shift", "beamsplitter", "coherent_drive", "output_amplitudes"]
 
@@ -19,6 +21,9 @@ def phase_shift(phi) -> SlhModel:
     """One-port phase shifter: ``S = [e^{i phi}]``.
 
     An array of angles gives a batch of shifters of the same shape."""
+    if isinstance(phi, float):  # _check_angle's fast path; cmath.exp rounds as np.exp does
+        return _model(np.array([[cmath.exp(1j * _check_angle(phi, "phase"))]]),
+                      np.zeros(1, dtype=np.complex128), 0.0)
     arr = _check_finite(phi, "phase")
     return _model(np.exp(1j * arr)[..., None, None],
                   np.zeros(arr.shape + (1,), dtype=np.complex128), 0.0)
@@ -63,4 +68,4 @@ def output_amplitudes(circuit: SlhModel, alpha) -> np.ndarray:
         raise ArityError(
             f"drive vector length {a.shape[0]} does not match {circuit.ports} ports"
         )
-    return circuit.scattering @ a
+    return _product(circuit.scattering, a)

@@ -84,8 +84,12 @@ class SingularLoopError(CircuitError, ArithmeticError):
 
 def is_singular_loop(d):
     """The one singular-loop rule, elementwise on the loop denominator
-    ``d = 1 - S_kl``: refuse when ``|d| <= FEEDBACK_SINGULAR_TOL``."""
-    return abs(d) <= FEEDBACK_SINGULAR_TOL
+    ``d = 1 - S_kl``: refuse when ``|d| <= FEEDBACK_SINGULAR_TOL``.  A ``d``
+    with no absolute value (a string, None) raises DomainError."""
+    try:
+        return abs(d) <= FEEDBACK_SINGULAR_TOL
+    except TypeError:  # caught, not converted first: every feedback runs this rule
+        raise DomainError(f"loop denominator must be a number, got {d!r}") from None
 
 
 def _as_real(values, what: str, dtype=np.float64) -> np.ndarray:
@@ -156,6 +160,25 @@ def _check_binary_phases(values, what: str = "control phase") -> np.ndarray:
         x = np.asarray(values).ravel(order="K")[bad[0]].item()
         raise DomainError(f"{what} must be exactly 0 or pi, got {x!r}")
     return arr == math.pi
+
+
+# the one-entry float64 operand of _product's comparison
+_SETTLE = np.zeros(1)
+_SETTLE.setflags(write=False)
+
+
+def _product(a, b):
+    """``a @ b``, bit for bit: the one matrix product of the library.
+
+    OpenBLAS's AVX-512 (SkylakeX) kernels can return with the upper halves of the
+    vector registers dirty.  Until a vectorized loop clears them, legacy-SSE code in
+    CPython and libm runs slower: a scalar loop right after a 2x2 complex product ran
+    2.6-3x slower on an AVX-512 Xeon.  A one-entry float64 comparison runs numpy's
+    vectorized loop, whose exit clears that state; a float64 add, ``take``,
+    ``np.count_nonzero`` or ``np.isfinite`` does not (CHANGES.md has the table)."""
+    out = a @ b
+    np.less_equal(_SETTLE, _SETTLE)
+    return out
 
 
 def _freeze(obj, **fields):
@@ -283,19 +306,17 @@ def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
             f"series needs equal port counts, got {g2.ports} <| {g1.ports}"
         )
     s2 = g2.scattering
-    s = s2 @ g1.scattering
-    # ndarray.any, not the faster count_nonzero of _feedback_masked: that one slowed
-    # the netlist benchmark's YAML reads 5% through allocator state (CHANGES.md)
-    if not (g1.coupling.any() or g2.coupling.any()):
+    s = _product(s2, g1.scattering)
+    if not (np.count_nonzero(g1.coupling) or np.count_nonzero(g2.coupling)):
         # undriven: the L and cross terms below are exact zeros
         return _model(s, np.zeros(s.shape[:-1], dtype=np.complex128),
                       g1.hamiltonian + g2.hamiltonian)
     # products with unit axes keep the per-element BLAS calls of the
     # matrix-vector and conjugated dot products, so a batch element rounds
     # exactly as the same model composed alone
-    s2l1 = s2 @ g1.coupling[..., None]
+    s2l1 = _product(s2, g1.coupling[..., None])
     l = s2l1[..., 0] + g2.coupling
-    cross = (g2.coupling.conj()[..., None, :] @ s2l1)[..., 0, 0]
+    cross = _product(g2.coupling.conj()[..., None, :], s2l1)[..., 0, 0]
     h = g1.hamiltonian + g2.hamiltonian + cross.imag
     return _model(s, l, h)
 
@@ -381,7 +402,7 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     # free the gather before the H term's temporaries, so a large batch
     # does not hold both at its peak
     del gathered, block, col, row
-    v = (c.conj()[..., None, :] @ s[..., :, li, None])[..., 0, 0]
+    v = _product(c.conj()[..., None, :], s[..., :, li, None])[..., 0, 0]
     # (sum_j L_j^* S_jl) L_k as Re(v) L_k + Im(v) (i L_k): each real product
     # is rounded once, as in numpy's scalar complex product, where its
     # vectorized complex multiply may fuse a product into the sum
@@ -420,7 +441,7 @@ def _eye(n: int) -> np.ndarray:
 def _unitarity_residual(s: np.ndarray):
     """``max |S^dag S - I|`` over the last two axes of a ``(..., n, n)`` scattering, unchecked."""
     n = s.shape[-1]
-    resid = s.conj().swapaxes(-1, -2) @ s - _eye(n)
+    resid = _product(s.conj().swapaxes(-1, -2), s) - _eye(n)
     # a max is exact in any order, so one pass over the flattened matrix
     return np.abs(resid).reshape(s.shape[:-2] + (n * n,)).max(axis=-1)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (FEEDBACK_SINGULAR_TOL, ArityError, DomainError, SingularLoopError,
-                   _as_real, _check_binary_phases, _check_finite, is_singular_loop)
+                   _as_real, _check_binary_phases, _check_finite, _product, is_singular_loop)
 
 __all__ = ["BACKEND", "chain_unitary", "selector_batch_amplitudes",
            "weighted_phase_grid"]
@@ -85,11 +85,11 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     factor = factor.reshape(blocks, width, 2, 1)
     s = np.tile(np.eye(2, dtype=np.complex128), (blocks, 1, 1))
     for j in range(width):
-        s = rot[:, j] @ s
+        s = _product(rot[:, j], s)
         s *= factor[:, j]
     out = s[0]
     for k in range(1, blocks):
-        out = s[k] @ out
+        out = _product(s[k], out)
     return out
 
 

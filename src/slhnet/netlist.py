@@ -97,11 +97,14 @@ def parse_angle(token, location: str = "angle") -> float:
         m = _ANGLE_RE.match(token.strip())
         if m:
             sign = -1.0 if m.group(1) == "-" else 1.0
-            num = int(m.group(2)) if m.group(2) else 1
-            den = int(m.group(3)) if m.group(3) else 1
-            if den == 0:
-                raise NetlistError(location, f"zero divisor in angle {token!r}")
-            value = sign * (num * math.pi / den)
+            try:
+                num = int(m.group(2)) if m.group(2) else 1
+                den = int(m.group(3)) if m.group(3) else 1
+                value = sign * (num * math.pi / den)
+            except ZeroDivisionError:
+                raise NetlistError(location, f"zero divisor in angle {token!r}") from None
+            except (OverflowError, ValueError):  # an int past the float range or int()'s digit limit
+                raise NetlistError(location, f"angle {token!r} does not fit a float") from None
         else:
             try:
                 value = float(token)
@@ -347,9 +350,15 @@ def _read_canonical(text: str, loader) -> dict:
     flat lists, and a token is plain (no indicator, quote, space or line break) and short
     enough for a YAML key, resolved and built by ``loader``.  Else LookupError or ValueError."""
     item, pair, key_line = _canonical_patterns()
+    # PyYAML's resolve reads a token whose first character keys no implicit resolver
+    # as a str, unless a wildcard (None) or path resolver applies
+    keyed = loader.yaml_implicit_resolvers
+    direct = None not in keyed and not loader.yaml_path_resolvers
 
     @functools.cache  # equal tokens build equal values; PyYAML has one NaN object, too
     def scalar(tok):
+        if direct and tok[0] not in keyed:
+            return tok
         tag = loader.resolve(ScalarNode, tok, (True, False))
         kind = tag.removeprefix("tag:yaml.org,2002:")
         if kind not in ("str", "int", "float", "bool", "null"):

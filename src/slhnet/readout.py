@@ -61,8 +61,11 @@ __all__ = [
 
 
 def principal_phase(z: complex) -> float:
-    """Argument of ``z`` canonicalized to (-pi, pi]."""
-    a = cmath.phase(z)
+    """Argument of ``z`` canonicalized to (-pi, pi]; DomainError unless ``z`` is one number."""
+    try:
+        a = cmath.phase(z)
+    except TypeError:  # caught, not converted first: the battery calls this thousands of times
+        raise DomainError(f"phase argument must be a single number, got {z!r}") from None
     return math.pi if a == -math.pi else a
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .core import (ArityError, DomainError, SlhModel, _as_real, _check_angle, _check_binary_phases,
-                   _check_finite, _check_integers, _freeze, concat, identity, series)
+                   _check_finite, _check_integers, _freeze, _product, concat, identity, series)
 from .components import beamsplitter, phase_shift
 
 TWO_PI = 2.0 * math.pi
@@ -310,7 +310,7 @@ def eval_selector(mu, s) -> float:
         )
     _check_memory_phases(mu_arr)
     # contiguous operands, as every cast gives: a strided dot product sums in another order
-    return canonical_phase(np.ascontiguousarray(bits) @ np.ascontiguousarray(mu_arr))
+    return canonical_phase(_product(np.ascontiguousarray(bits), np.ascontiguousarray(mu_arr)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,4 +395,4 @@ def eval_matrix_product(spec: MatrixProductSpec) -> np.ndarray:
     thinks they compiled.
     """
     bits = recover_selector_matrix(spec.control_matrix)
-    return canonical_phase(spec.memory_matrix.T @ bits.astype(np.float64))
+    return canonical_phase(_product(spec.memory_matrix.T, bits.astype(np.float64)))

@@ -361,6 +361,18 @@ def test_netlist_print_reads_back_an_angle_near_the_float_range_end(tmp_path, ca
     assert parse_netlist(out).components[0].value == top
 
 
+@pytest.mark.parametrize("phi", ["1" * 400 + "pi", "pi/" + "1" * 400, "1" * 5000 + "pi",
+                                 "-pi/" + "1" * 5000])
+def test_netlist_print_refuses_a_symbolic_angle_past_the_float_range(tmp_path, capsys, phi):
+    # a float conversion's OverflowError, or int()'s digit limit, once escaped parse_angle
+    path = tmp_path / "huge.yaml"
+    path.write_text(_one_part_doc(f"kind: phase, phi: {phi}"))
+    assert main(["netlist", "print", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: components[0].phi: angle {phi!r} does not fit a float\n"
+
+
 def test_netlist_errors(tmp_path, capsys):
     assert main(["netlist", "elaborate", str(tmp_path / "missing.yaml")]) == 2
     bad = tmp_path / "bad.yaml"

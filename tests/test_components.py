@@ -31,6 +31,31 @@ def test_phase_shift():
     assert str(info.value) == "phase must be finite, got -inf"
 
 
+def test_phase_shift_of_a_float_equals_the_array_route_bit_for_bit():
+    # a Python float skips the arrays: cmath.exp must round as np.exp does
+    rng = np.random.default_rng(71)
+    angles = np.concatenate([
+        rng.uniform(-10.0, 10.0, 700_000),
+        rng.uniform(-1e6, 1e6, 100_000),
+        # every binade of the doubles, subnormals included
+        np.ldexp(rng.uniform(-1.0, 1.0, 200_000), rng.integers(-1074, 1025, 200_000)),
+    ])
+    assert np.isfinite(angles).all()
+    batch = phase_shift(angles).scattering
+    fast = b"".join([phase_shift(x).scattering.tobytes() for x in angles.tolist()])
+    assert fast == batch.tobytes()
+    big = 1.7976931348623157e308
+    for x in (0.0, 5e-324, math.pi, 1e300, big, -0.0, -5e-324, -math.pi, -1e300, -big):
+        for value in (x, np.float64(x)):
+            g, ref = phase_shift(value), phase_shift(np.array(x))
+            assert g.scattering.tobytes() == ref.scattering.tobytes(), x
+            assert g.scattering.shape == ref.scattering.shape == (1, 1)
+            assert g.coupling.tobytes() == ref.coupling.tobytes() and g.coupling.shape == (1,)
+            assert type(g.hamiltonian) is float and g.hamiltonian == ref.hamiltonian == 0.0
+    with pytest.raises(DomainError, match="phase must be finite, got nan"):
+        phase_shift(np.float64("nan"))
+
+
 def test_beamsplitter_is_a_rotation():
     theta = 0.3
     g = beamsplitter(theta)

@@ -42,8 +42,8 @@ from slhnet import (
 )
 from slhnet import core
 from slhnet import verify as verify_module
-from slhnet.core import (_check_angle, _check_finite, _feedback_masked, _unitarity_residual,
-                         is_singular_loop)
+from slhnet.core import (_check_angle, _check_finite, _feedback_masked, _product,
+                         _unitarity_residual, is_singular_loop)
 from slhnet.verify import random_passive_circuit
 
 
@@ -287,6 +287,7 @@ FREEZE_ROUTES = {
                                             np.zeros((3, 2), dtype=complex),
                                             np.array([0.1, 0.2, 0.3]))),
     "series": (series, lambda: (beamsplitter(0.3), coherent_drive([0.5, 1j]))),
+    "phase_shift": (phase_shift, lambda: (0.1,)),
     "phase_shift-batched": (phase_shift, lambda: (np.array([0.1, 0.2]),)),
     "SelectorSpec": (SelectorSpec, lambda: (np.array([0.1, 0.2]), np.array([0.0, math.pi]),
                                             math.pi)),
@@ -456,6 +457,16 @@ def test_feedback_refuses_bool_ports(k, l):
     with pytest.raises(ArityError) as info:
         feedback(beamsplitter(0.3), k, l)
     assert str(info.value) == f"feedback ports must be integers, got ({k!r}, {l!r})"
+
+
+HOSTILE_DENOMINATORS = {"str": "x", "None": None, "object": object(), "str-array": np.array(["x"])}
+
+
+@pytest.mark.parametrize("d", HOSTILE_DENOMINATORS.values(), ids=HOSTILE_DENOMINATORS.keys())
+def test_singular_loop_rule_refuses_a_value_without_magnitude(d):
+    with pytest.raises(DomainError) as info:
+        is_singular_loop(d)
+    assert str(info.value) == f"loop denominator must be a number, got {d!r}"
 
 
 def test_feedback_threshold_is_inclusive():
@@ -995,3 +1006,32 @@ def test_check_binary_phases_names_the_first_bad_entry_in_memory_order():
         with pytest.raises(DomainError) as info:
             recover_selector_matrix(controls)
         assert str(info.value) == _first_in_memory_order(controls.ravel())
+
+
+def test_product_is_the_matmul_operator_bit_for_bit():
+    # the helper only adds a comparison after the product: every shape class of
+    # the library's products, complex and real, gives the operator's bytes
+    rng = np.random.default_rng(91)
+
+    def draw(*shape, kind=complex):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if kind is complex else x
+
+    pairs = [
+        (draw(2, 2), draw(2, 2)),                       # unbatched
+        (draw(6, 6), draw(6, 6)),
+        (draw(64, 2, 2), draw(64, 2, 2)),               # batched
+        (draw(5, 3, 6, 6), draw(3, 6, 6)),              # broadcast batch axes
+        (draw(5, 1, 2, 2), draw(4, 2, 2)),
+        (draw(6, 6), draw(6)),                          # matrix-vector
+        (draw(4, 6, 6), draw(4, 6, 1)),
+        (draw(4, 1, 6), draw(4, 6, 1)),                 # conjugated dot, as in series
+        (draw(7, kind=float), draw(7, kind=float)),     # a selector's dot product
+        (draw(9, 5, kind=float).T, draw(9, 3, kind=float)),  # a transposed memory matrix
+        (draw(2, 2)[:, ::-1], draw(2, 2).T),            # strided operands
+    ]
+    for a, b in pairs:
+        got, want = _product(a, b), a @ b
+        assert type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

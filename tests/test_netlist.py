@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import string
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,18 @@ def test_parse_angle_requires_finite():
         parse_angle(math.inf)
     with pytest.raises(NetlistError):
         parse_angle("nan")
+
+
+@pytest.mark.parametrize("token", ["1" * 400 + "pi", "-pi/" + "1" * 400, "1" * 5000 + "pi",
+                                   "pi/" + "1" * 5000, "1" * 400 + "pi/" + "1" * 400])
+def test_parse_angle_refuses_a_multiple_or_divisor_past_the_float_range(token):
+    with pytest.raises(NetlistError) as info:
+        parse_angle(token, "components[0].phi")
+    assert info.value.location == "components[0].phi"
+    assert str(info.value) == f"components[0].phi: angle {token!r} does not fit a float"
+    # a divisor of zero keeps its own message
+    with pytest.raises(NetlistError, match="zero divisor in angle '2pi/0'"):
+        parse_angle("2pi/0")
 
 
 def test_format_angle_spellings():
@@ -832,6 +845,53 @@ def test_every_serialized_netlist_takes_the_canonical_reader():
             loader.dispose()
         assert repr(doc) == repr(yaml.load(text, Loader=yaml.CSafeLoader)), text
     assert drives > 50
+
+
+# the first characters that key PyYAML's implicit resolvers within the canonical token
+# grammar, each with its YAML 1.1 spellings and a plain word; and names that start with none
+RESOLVER_KEY_TOKENS = ["0", "1x", "2e3", "3_0", "4-5", "5.5", "6", "7o", "8", "9a", "+1", "+x",
+                       "-1", "-x", "-.inf", ".5", ".nan", ".x", "~", "~x", "y", "yes", "yx", "Y",
+                       "Yes", "YES", "n", "no", "nx", "N", "No", "NO", "t", "true", "tx", "T",
+                       "True", "TRUE", "o", "on", "off", "ox", "O", "On", "Off", "OFF", "f",
+                       "false", "fx", "F", "False", "FALSE", "null", "Null", "NULL", "nullx", "nan",
+                       "3pi/4"]
+PLAIN_NAMES = ["c12", "bp", "series", "a", "Z", "_x", "pi", "pi/4", "x-1", "x.5", "x~",
+               "/p", "e", "inf", "Q", "kind", "phase", "S", "b", "u"]
+
+
+def _read_canonical_with(loader_class, text):
+    loader = loader_class(text)
+    try:
+        return _read_canonical(text, loader)
+    finally:
+        loader.dispose()
+
+
+def test_canonical_reader_resolves_tokens_as_yaml_load_does():
+    # the characters of a canonical token: [A-Za-z0-9_.+~/-]
+    grammar = set(string.ascii_letters + string.digits + "_.+~/-")
+    keys = grammar & set(yaml.CSafeLoader.yaml_implicit_resolvers)
+    assert keys == set("+-.~0123456789yYnNtToOfF")
+    assert {token[0] for token in RESOLVER_KEY_TOKENS} == keys
+    assert not {name[0] for name in PLAIN_NAMES} & set(yaml.CSafeLoader.yaml_implicit_resolvers)
+    for token in RESOLVER_KEY_TOKENS + PLAIN_NAMES:
+        for text in (f"version: 1\ncomponents:\n  - {{{token}: {token}, of: [{token}, [{token}]]}}\n",
+                     f"{token}: {token}\n"):
+            want = yaml.load(text, Loader=yaml.CSafeLoader)
+            assert repr(_read_canonical_with(yaml.CSafeLoader, text)) == repr(want), text
+
+
+def test_canonical_reader_applies_wildcard_resolvers():
+    # a resolver keyed by no first character (None) may claim any plain name
+    class Loader(yaml.CSafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:null", re.compile(r"^c12$"), None)
+    text = "version: 1\ncomponents:\n  - {name: c12, of: [c12, bp]}\n"
+    got = _read_canonical_with(Loader, text)
+    assert got == yaml.load(text, Loader=Loader)
+    assert got["components"] == [{"name": None, "of": [None, "bp"]}]
+    assert _read_canonical_with(yaml.CSafeLoader, text)["components"][0]["name"] == "c12"
 
 
 ALIAS_DOC = """\

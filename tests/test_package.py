@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 
@@ -48,3 +49,25 @@ def test_binary_inputs_have_one_reading():
         assert "_tail_phases" not in text, path.name
         if path.name == "selector.py":
             assert "astype(np.int64" not in text
+
+
+def test_matrix_products_go_through_one_helper():
+    # every matrix product of the library is core._product's one @; the battery's
+    # reference products in verify.py stay independent routes
+    products = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
+    helper = 0
+    for path in sorted(pathlib.Path(slhnet.__file__).parent.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for node in ast.walk(tree):
+            if path.name == "core.py" and isinstance(node, ast.FunctionDef) and node.name == "_product":
+                exempt = {id(n) for n in ast.walk(node)}
+                helper = sum(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                             for n in ast.walk(node))
+        found = [node.lineno for node in ast.walk(tree) if id(node) not in exempt and (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in products)]
+        assert found == [], path.name
+    assert helper == 1

@@ -44,6 +44,17 @@ def test_principal_phase_range():
     assert principal_phase(-1j) == pytest.approx(-PI / 2, abs=1e-15)
 
 
+HOSTILE_PHASE_ARGUMENTS = {"str": "x", "None": None, "object": object(),
+                           "str-array": np.array(["x"])}
+
+
+@pytest.mark.parametrize("z", HOSTILE_PHASE_ARGUMENTS.values(), ids=HOSTILE_PHASE_ARGUMENTS.keys())
+def test_principal_phase_refuses_a_value_without_argument(z):
+    with pytest.raises(DomainError) as info:
+        principal_phase(z)
+    assert str(info.value) == f"phase argument must be a single number, got {z!r}"
+
+
 def test_closed_form_matches_built_loop():
     rng = np.random.default_rng(61)
     for _ in range(200):
