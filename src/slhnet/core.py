@@ -162,13 +162,13 @@ def _check_binary_phases(values, what: str = "control phase") -> np.ndarray:
     return arr == math.pi
 
 
-# the one-entry float64 operand of _product's comparison
+# the one-entry float64 operand of _settle's comparison
 _SETTLE = np.zeros(1)
 _SETTLE.setflags(write=False)
 
 
-def _product(a, b):
-    """``a @ b``, bit for bit: the one matrix product of the library.
+def _settle() -> None:
+    """The one settle rule, run after every BLAS product.
 
     OpenBLAS's AVX-512 (SkylakeX) kernels can return with the upper halves of the
     vector registers dirty.  Until a vectorized loop clears them, legacy-SSE code in
@@ -176,8 +176,13 @@ def _product(a, b):
     2.6-3x slower on an AVX-512 Xeon.  A one-entry float64 comparison runs numpy's
     vectorized loop, whose exit clears that state; a float64 add, ``take``,
     ``np.count_nonzero`` or ``np.isfinite`` does not (CHANGES.md has the table)."""
-    out = a @ b
     np.less_equal(_SETTLE, _SETTLE)
+
+
+def _product(a, b):
+    """``a @ b``, bit for bit, then ``_settle()``: the one matrix product of the library."""
+    out = a @ b
+    _settle()
     return out
 
 
@@ -301,7 +306,7 @@ def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
     Returns ``(S2 S1, S2 L1 + L2, H1 + H2 + Im(L2^dag S2 L1))``, elementwise
     over the broadcast batch shape.
     """
-    if g1.ports != g2.ports:
+    if g1.scattering.shape[-1] != g2.scattering.shape[-1]:
         raise ArityError(
             f"series needs equal port counts, got {g2.ports} <| {g1.ports}"
         )
@@ -391,7 +396,10 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     count = np.count_nonzero(singular)
     if count:
         d = np.where(singular, 1.0, d)
-    s_fb = block + col[..., :, None] * row[..., None, :] / d[..., None, None]
+    # block + col row / d, its three operations in that order in one buffer
+    s_fb = np.multiply(col[..., :, None], row[..., None, :])
+    np.divide(s_fb, d[..., None, None], out=s_fb)
+    np.add(block, s_fb, out=s_fb)
     if not np.count_nonzero(c):
         # undriven: the L and H terms below are exact zeros
         model = _model(s_fb, np.zeros(batch + (m,), dtype=np.complex128), g.hamiltonian)

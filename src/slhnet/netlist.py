@@ -50,8 +50,9 @@ from dataclasses import dataclass
 import yaml
 from yaml import CSafeLoader, ScalarNode
 
-from .core import (ArityError, CircuitError, SingularLoopError, SlhModel, _check_angle,
-                   _check_integers, _freeze, concat, feedback, identity, series)
+from .core import (ArityError, CircuitError, DomainError, SingularLoopError, SlhModel,
+                   _check_angle, _check_finite, _check_integers, _freeze, concat, feedback,
+                   identity, series)
 from .components import beamsplitter, coherent_drive, phase_shift
 
 __all__ = [
@@ -178,14 +179,22 @@ def _format_amplitudes(amps) -> str:
         f"[{format_angle(z.real)}, {format_angle(z.imag)}]" for z in amps) + "]"
 
 
-_Kind = namedtuple("_Kind", "key parse format build")
+def _check_amplitudes(amps, what: str) -> None:
+    # a non-empty tuple, as _parse_amplitudes returns, of numbers coherent_drive reads
+    if type(amps) is not tuple or not amps or _check_finite(amps, what, complex).ndim != 1:
+        raise DomainError(f"{what} must be a non-empty tuple")
+
+
+_Kind = namedtuple("_Kind", "key parse format build check rule")
 
 # one row per component kind, in the order the "unknown kind" message lists
+_ANGLE = "a single finite real"
 _KINDS = {
-    "phase": _Kind("phi", parse_angle, format_angle, phase_shift),
-    "beamsplitter": _Kind("theta", parse_angle, format_angle, beamsplitter),
-    "drive": _Kind("amplitudes", _parse_amplitudes, _format_amplitudes, coherent_drive),
-    "identity": _Kind("ports", _parse_ports, str, identity),
+    "phase": _Kind("phi", parse_angle, format_angle, phase_shift, _check_angle, _ANGLE),
+    "beamsplitter": _Kind("theta", parse_angle, format_angle, beamsplitter, _check_angle, _ANGLE),
+    "drive": _Kind("amplitudes", _parse_amplitudes, _format_amplitudes, coherent_drive,
+                   _check_amplitudes, "a non-empty tuple of finite complex numbers"),
+    "identity": _Kind("ports", _parse_ports, str, identity, _parse_ports, "a positive integer"),
 }
 _OPS = {"series": series, "concat": concat, "feedback": feedback}
 
@@ -231,9 +240,9 @@ class Netlist:
 
 def _check_netlist(nl: Netlist) -> None:
     """The netlist rule, entry by entry in document order: a declaration of the
-    list's type, with a unique name matching ``_NAME_RE``, a known kind or op,
-    operands and ports that fit the op, and operands naming earlier entries.
-    Then a component, and only one when ``circuit`` is empty."""
+    list's type, with a unique name matching ``_NAME_RE``, a known kind and a value it
+    checks or a known op, operands and ports that fit the op, and operands naming earlier
+    entries.  Then a component, and only one when ``circuit`` is empty."""
     seen = set()
     for key, cls in (("components", ComponentDecl), ("circuit", CombinatorDecl)):
         # an entry's location, f"{key}[{i}]", is formatted only for its fault
@@ -249,6 +258,13 @@ def _check_netlist(nl: Netlist) -> None:
                 _check_operands(decl, key, i)
             elif not (type(decl.kind) is str and decl.kind in _KINDS):
                 _row(_KINDS, decl.kind, "kind", f"{key}[{i}]")
+            else:
+                row = _KINDS[decl.kind]
+                try:
+                    row.check(decl.value, row.key)
+                except CircuitError:
+                    raise NetlistError(f"{key}[{i}].{row.key}", f"{row.key} must be "
+                                       f"{row.rule}, got {decl.value!r}") from None
             if name in seen:
                 raise NetlistError(f"{key}[{i}]", f"duplicate name {name!r}")
             # the operands are names by now, so the set can hash them

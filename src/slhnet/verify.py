@@ -12,6 +12,7 @@ the one nearest to failing, or failed furthest (``_result``).
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, replace
@@ -21,8 +22,8 @@ import numpy as np
 from . import readout as ro
 from . import selector as sel
 from .components import beamsplitter, coherent_drive
-from .core import (ArityError, SingularLoopError, SlhModel, _model, _unitarity_residual, concat,
-                   feedback, series)
+from .core import (ArityError, SingularLoopError, SlhModel, _model, _settle, _unitarity_residual,
+                   concat, feedback, series)
 from .selector import TWO_PI
 
 __all__ = ["CheckResult", "random_passive_circuit", "run_all"]
@@ -57,6 +58,11 @@ def _result(name, detail, *criteria) -> CheckResult:
     return CheckResult(name, float(error), float(tolerance), detail)
 
 
+def _uniform(rng, low, high) -> float:
+    # rng.uniform(low, high) without its overhead: the same value and generator state
+    return low + (high - low) * rng.random()
+
+
 def _wrapped(a, b):
     # distance on the phase circle
     return np.abs(np.mod(np.asarray(a) - np.asarray(b) + math.pi, TWO_PI) - math.pi)
@@ -89,9 +95,10 @@ def _check_selector_exhaustive(rng, n_max: int) -> CheckResult:
         for _ in range(10):
             mu = rng.uniform(0.0, TWO_PI, size=n)
             amps = sel.selector_sweep_amplitudes(mu, bits)
-            want = (bits @ mu) % TWO_PI
+            want = bits @ mu  # an independent route, so a plain @, then core's settle rule
+            _settle()
             got = np.angle(amps[:, 0])
-            worst_phase = max(worst_phase, _wrapped(got, want).max())
+            worst_phase = max(worst_phase, _wrapped(got, want % TWO_PI).max())
             worst_amp = max(worst_amp, np.abs(amps[:, 1]).max())
             cases += bits.shape[0]
     return _result("selector-exhaustive",
@@ -127,6 +134,7 @@ def _check_compilation_algebra() -> CheckResult:
         # Gamma @ S lifted into [0, 2*pi), the scalar-wise L action must agree
         # with the integer-space recovery, and both must return the input
         via_gamma = mats.gamma @ bits
+        _settle()
         via_l = _scalar_matmul(mats.lower, control)
         if not (np.array_equal(control, np.where(via_gamma < 0.0, via_gamma + TWO_PI, via_gamma))
                 and np.array_equal(sel.recover_selector_matrix(control), bits)
@@ -160,14 +168,14 @@ def _check_feedback_closed_form(grid: int) -> CheckResult:
     # stays a per-point scalar evaluation
     built = ro.build_feedback_selector(pts[:, None], pts[None, :]).scattering[..., 0, 0]
     worst = worst_mod = 0.0
-    # Python floats and complexes, not numpy scalars: the same IEEE
-    # arithmetic at a fraction of the per-call cost
     mus = pts.tolist()
     for phi, built_row in zip(mus, built):
-        for mu, generic in zip(mus, built_row.tolist()):
-            closed = ro.feedback_selector_scattering(phi, mu)
-            worst = max(worst, abs(closed - generic))
-            worst_mod = max(worst_mod, abs(abs(closed) - 1.0))
+        # one row's closed forms as an array; np.hypot is Python's abs(complex)
+        # bit for bit, where np.abs of a complex array may differ in the last bit
+        closed = np.array([ro.feedback_selector_scattering(phi, mu) for mu in mus])
+        diff = closed - built_row
+        worst = max(worst, np.hypot(diff.real, diff.imag).max())
+        worst_mod = max(worst_mod, np.abs(np.hypot(closed.real, closed.imag) - 1.0).max())
     return _result("feedback-closed-form",
                    f"{grid}x{grid} grid; closed vs generic {worst:.3e} (tol 1e-12), "
                    f"|S|-1 {worst_mod:.3e} (tol 1e-10)",
@@ -182,7 +190,7 @@ def _check_feedback_dichotomy(rng) -> CheckResult:
             continue
         bypass = ro.feedback_selector_scattering(0.0, mu)
         through = ro.feedback_selector_scattering(math.pi, mu)
-        worst = max(worst, abs(bypass - 1.0), abs(through - np.exp(1j * mu)))
+        worst = max(worst, abs(bypass - 1.0), abs(through - cmath.exp(1j * mu)))
     return _result("feedback-binary-dichotomy",
                    "S(0, mu) = 1 and S(pi, mu) = e^(i mu), 1000 draws", (worst, 1e-12))
 
@@ -202,11 +210,11 @@ def _check_weighted_tangent(rng) -> CheckResult:
     worst = 0.0
     kept = 0
     while kept < 2000:
-        phi = rng.uniform(0.05, math.pi - 0.05)
-        mu = rng.uniform(-math.pi + 0.05, math.pi - 0.05)
+        phi = _uniform(rng, 0.05, math.pi - 0.05)
+        mu = _uniform(rng, -math.pi + 0.05, math.pi - 0.05)
         num = 4.0 * math.sin(phi) ** 2 * math.sin(mu)
         den = 2.0 * (3.0 + math.cos(2.0 * phi)) * math.cos(mu) - 8.0 * math.cos(phi)
-        if abs(den) < 1e-2 or abs(1.0 - np.exp(1j * mu) * math.cos(phi)) < 1e-3:
+        if abs(den) < 1e-2 or abs(1.0 - cmath.exp(1j * mu) * math.cos(phi)) < 1e-3:
             continue
         mu_out = ro.weighted_output_phase(phi, mu)
         if abs(math.cos(mu_out)) < 0.05:
@@ -263,9 +271,8 @@ def _random_stage(rng, ports: int) -> SlhModel:
     # scaled as rng.uniform scales it, low + (high - low) * next_double, so
     # the values and the generator state match that chain bit for bit.
     # Entries are written one scalar at a time: a rotation's four as
-    # beamsplitter builds them, a phase entry as phase_shift's
-    # np.exp(1j * phi), where 1j * phi is exactly (0, phi) in Python's
-    # complex product as in numpy's.
+    # beamsplitter builds them, a phase entry as phase_shift builds a float
+    # angle's, cmath.exp(1j * phi), which rounds as np.exp does.
     s = np.zeros((ports, ports), dtype=np.complex128)
     i = 0
     while i < ports:
@@ -278,7 +285,7 @@ def _random_stage(rng, ports: int) -> SlhModel:
             s[i + 1, i + 1] = c
             i += 2
         else:
-            s[i, i] = np.exp(1j * (TWO_PI * rng.random()))
+            s[i, i] = cmath.exp(1j * (TWO_PI * rng.random()))
             i += 1
     return _model(s, np.zeros(ports, dtype=np.complex128), 0.0)
 
@@ -290,28 +297,39 @@ def random_passive_circuit(rng, max_depth: int = 20) -> SlhModel:
     are skipped rather than retried, so the draw count is deterministic
     for a given generator state.
     """
-    model = _random_stage(rng, int(rng.integers(1, 4)))
+    ports = int(rng.integers(1, 4))  # model.ports, kept in step
+    model = _random_stage(rng, ports)
     depth = int(rng.integers(1, max_depth + 1))
     for _ in range(depth):
         choice = rng.random()
         if choice < 0.45:
-            model = series(_random_stage(rng, model.ports), model)
-        elif choice < 0.75 and model.ports < 6:
+            model = series(_random_stage(rng, ports), model)
+        elif choice < 0.75 and ports < 6:
             model = concat(model, _random_stage(rng, int(rng.integers(1, 3))))
-        elif model.ports >= 2:
-            k = int(rng.integers(1, model.ports + 1))
-            l = int(rng.integers(1, model.ports + 1))
+            ports = model.ports
+        elif ports >= 2:
+            k = int(rng.integers(1, ports + 1))
+            l = int(rng.integers(1, ports + 1))
             try:
                 model = feedback(model, k, l)
+                ports -= 1
             except SingularLoopError:
                 pass
     return model
 
 
 def _check_unitarity_closure(rng, compositions: int) -> CheckResult:
-    worst = 0.0
+    # residuals of up to 64 matrices of one port count a call, each as it rounds alone
+    worst, stacks = 0.0, {}
     for _ in range(compositions):
-        worst = max(worst, float(_unitarity_residual(random_passive_circuit(rng).scattering)))
+        s = random_passive_circuit(rng).scattering
+        stack = stacks.setdefault(s.shape[-1], [])
+        stack.append(s)
+        if len(stack) == 64:
+            worst = max(worst, float(_unitarity_residual(np.stack(stack)).max()))
+            stack.clear()
+    for stack in filter(None, stacks.values()):
+        worst = max(worst, float(_unitarity_residual(np.stack(stack)).max()))
     return _result("unitarity-closure", f"{compositions} random compositions, depth <= 20",
                    (worst, 1e-10))
 

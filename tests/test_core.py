@@ -691,6 +691,26 @@ def test_feedback_gather_equals_fancy_indexing_bit_for_bit():
                 assert np.array_equal(singular, np.arange(len(s)) % 2 == 0)
 
 
+def test_feedback_equals_its_formula_on_every_family_bit_for_bit():
+    # S_fb = block + col row / d, its three operations in that order, on driven and
+    # undriven circuits, each alone and stacked into a batch
+    groups = _circuits_by_ports(505, count=300)
+    for n in range(2, 7):
+        for driven in (False, True):
+            family = [g for g in groups[n] if g.is_passive() != driven][:8]
+            assert len(family) >= 2
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    keep = [g for g in family
+                            if not is_singular_loop(1.0 - g.scattering[k - 1, l - 1])]
+                    for model in keep + [_stack(keep)] * (len(keep) > 1):
+                        got = feedback(model, k, l)
+                        s_fb, l_fb, h_fb, _ = _fancy_index_feedback(model, k, l)
+                        assert got.scattering.tobytes() == s_fb.tobytes()
+                        assert np.array_equal(got.coupling, l_fb)
+                        assert np.array_equal(got.hamiltonian, h_fb)
+
+
 def _generic_series(g2, g1):
     """The series product with its L and H terms computed for every operand,
     as before undriven operands took a shortcut: the reference route."""

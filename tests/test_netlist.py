@@ -10,7 +10,6 @@ import yaml
 from numpy.testing import assert_allclose
 
 from slhnet import (
-    ArityError,
     CircuitError,
     DomainError,
     Netlist,
@@ -366,21 +365,74 @@ def test_elaborate_holds_hand_built_netlists_to_the_structure_rule():
 
 
 def test_elaborate_refuses_hand_built_values_with_typed_errors():
-    # the netlist rule checks structure; a value is refused by its builder
-    for decl, error, message in [
-        (ComponentDecl("a", "identity", "x"), ArityError,
-         "identity port count must be an integer, got 'x'"),
-        (ComponentDecl("b", "beamsplitter", [1, 2]), DomainError,
-         "mixing angle must be a single angle, got shape (2,)"),
-        (ComponentDecl("b", "beamsplitter", "pi"), DomainError, "mixing angle must be real, got 'pi'"),
-        (ComponentDecl("p", "phase", "x"), DomainError, "phase must be real, got 'x'"),
-        (ComponentDecl("p", "phase", True), DomainError, "phase must be real, got True"),
-        (ComponentDecl("d", "drive", (1, "x")), DomainError,
-         "drive amplitude must be real or complex, got (1, 'x')"),
+    # the netlist rule checks each value by its kind's rule, so a value that the
+    # builders would refuse never reaches elaborate: the netlist cannot be built
+    for decl, message in [
+        (ComponentDecl("a", "identity", "x"), "ports: ports must be a positive integer, got 'x'"),
+        (ComponentDecl("b", "beamsplitter", [1, 2]),
+         "theta: theta must be a single finite real, got [1, 2]"),
+        (ComponentDecl("b", "beamsplitter", "pi"),
+         "theta: theta must be a single finite real, got 'pi'"),
+        (ComponentDecl("p", "phase", "x"), "phi: phi must be a single finite real, got 'x'"),
+        (ComponentDecl("p", "phase", True), "phi: phi must be a single finite real, got True"),
+        (ComponentDecl("d", "drive", (1, "x")), "amplitudes: amplitudes must be a non-empty "
+         "tuple of finite complex numbers, got (1, 'x')"),
     ]:
-        with pytest.raises(error) as info:
+        with pytest.raises(NetlistError) as info:
             elaborate(Netlist((decl,)))
-        assert str(info.value) == message
+        assert str(info.value) == "components[0]." + message
+
+
+_AMPS = "a non-empty tuple of finite complex numbers"
+
+
+@pytest.mark.parametrize("kind, value, rule", [
+    ("phase", np.array([1.0, 2.0]), "a single finite real"),  # elaborated to a batch of two
+    ("phase", math.nan, "a single finite real"),
+    ("beamsplitter", -math.inf, "a single finite real"),
+    ("phase", 1j, "a single finite real"),
+    ("phase", np.True_, "a single finite real"),
+    ("beamsplitter", None, "a single finite real"),
+    ("identity", 2.0, "a positive integer"),  # serialized as "ports: 2.0", which the parser refuses
+    ("identity", 0, "a positive integer"),
+    ("identity", np.int64(-1), "a positive integer"),
+    ("identity", True, "a positive integer"),
+    ("drive", (), _AMPS),
+    ("drive", [1j], _AMPS),
+    ("drive", np.array([1j]), _AMPS),
+    ("drive", (1j, complex(math.nan, 0.0)), _AMPS),
+    ("drive", (complex(0.0, math.inf),), _AMPS),
+    ("drive", (True,), _AMPS),
+    ("drive", (10 ** 400,), _AMPS),
+    ("drive", ("1",), _AMPS),
+], ids=["phase-array", "phase-nan", "theta-inf", "phase-complex", "phase-np-bool", "theta-none",
+        "ports-float", "ports-zero", "ports-negative", "ports-bool", "amps-empty", "amps-list",
+        "amps-array", "amps-nan", "amps-inf", "amps-bool", "amps-huge-int", "amps-str"])
+def test_a_hand_built_value_is_checked_by_its_kind_rule(kind, value, rule):
+    key = {"phase": "phi", "beamsplitter": "theta", "drive": "amplitudes",
+           "identity": "ports"}[kind]
+    ok = ComponentDecl("ok", "identity", 1)
+    with pytest.raises(NetlistError) as info:
+        Netlist((ok, ComponentDecl("bad", kind, value)),
+                (CombinatorDecl("c", "concat", ("ok", "bad")),))
+    assert info.value.location == f"components[1].{key}"
+    assert str(info.value) == f"components[1].{key}: {key} must be {rule}, got {value!r}"
+
+
+def test_values_of_the_parsed_types_and_their_numpy_kin_still_build():
+    # what the parser returns, and numbers numpy reads the same way, build, print
+    # and reparse to the same document
+    for components in [
+        (ComponentDecl("p", "phase", 0.5), ComponentDecl("b", "beamsplitter", 1),
+         ComponentDecl("d", "drive", (1j, 2.0)), ComponentDecl("w", "identity", 3)),
+        (ComponentDecl("p", "phase", np.float64(0.5)), ComponentDecl("b", "beamsplitter", 1.0),
+         ComponentDecl("d", "drive", (np.complex128(1j), 2)),
+         ComponentDecl("w", "identity", np.int64(3))),
+    ]:
+        nl = Netlist(components, (CombinatorDecl("c", "concat", ("p", "b", "d", "w")),))
+        text = serialize_netlist(nl)
+        assert serialize_netlist(parse_netlist(text)) == text
+        assert elaborate(nl).ports == 8
 
 
 def test_a_netlist_breaking_the_rule_cannot_be_built():
@@ -441,8 +493,9 @@ def test_format_angle_refuses_non_finite_angles():
         with pytest.raises(DomainError) as info:
             format_angle(bad)
         assert str(info.value) == f"angle must be finite, got {bad!r}"
-    with pytest.raises(DomainError, match="angle must be finite, got nan"):
-        serialize_netlist(Netlist((ComponentDecl("p", "phase", float("nan")),)))
+    # a netlist cannot hold one, so serialize_netlist never meets it
+    with pytest.raises(NetlistError, match=r"^components\[0\]\.phi: phi must be a single finite"):
+        Netlist((ComponentDecl("p", "phase", float("nan")),))
 
 
 def test_format_angle_refuses_an_array_of_angles():
@@ -450,9 +503,9 @@ def test_format_angle_refuses_an_array_of_angles():
     with pytest.raises(DomainError) as info:
         format_angle(np.array([1.0, 2.0]))
     assert str(info.value) == message
-    with pytest.raises(DomainError) as info:
-        serialize_netlist(Netlist((ComponentDecl("p", "phase", np.array([1.0, 2.0])),)))
-    assert str(info.value) == message
+    # a netlist cannot hold one, so serialize_netlist never meets it
+    with pytest.raises(NetlistError, match=r"^components\[0\]\.phi: phi must be a single finite"):
+        Netlist((ComponentDecl("p", "phase", np.array([1.0, 2.0])),))
 
 
 def _format_angle_loop(x):

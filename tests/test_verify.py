@@ -8,12 +8,14 @@ import pytest
 
 from slhnet import readout as ro
 from slhnet import selector as sel
+from slhnet import verify
 from slhnet.cli import main
 from slhnet.components import beamsplitter, phase_shift
 from slhnet.core import ArityError, SingularLoopError, concat, feedback, series
 from slhnet.selector import TWO_PI
-from slhnet.verify import (CheckResult, _check_unitarity_closure, _result, random_passive_circuit,
-                           run_all)
+from slhnet.verify import (CheckResult, _check_feedback_closed_form, _check_feedback_dichotomy,
+                           _check_unitarity_closure, _check_weighted_tangent, _result, _uniform,
+                           random_passive_circuit, run_all)
 
 
 def _reference_stage(rng, ports):
@@ -76,6 +78,121 @@ def test_unitarity_closure_reports_the_worst_inline_residual(seed):
         worst = max(worst, float(np.abs(s.conj().T @ s - np.eye(s.shape[0])).max()))
     assert got.error == worst > 0.0
     assert rng.random() == twin.random()  # the same draws
+
+
+def _raw(name, detail, *criteria):
+    # every criterion as computed, not only the one _result reports
+    return (name, detail) + criteria
+
+
+# frozen copies of the checks as they ran one case at a time, on numpy scalars and
+# Python complexes, with one inline residual per matrix; each returns _raw's tuple
+def _frozen_unitarity_closure(rng, compositions):
+    worst = 0.0
+    for _ in range(compositions):
+        s = _reference_circuit(rng).scattering
+        worst = max(worst, float(np.abs(s.conj().T @ s - np.eye(s.shape[0])).max()))
+    return _raw("unitarity-closure", f"{compositions} random compositions, depth <= 20",
+                (worst, 1e-10))
+
+
+def _frozen_feedback_closed_form(grid):
+    pts = TWO_PI * (np.arange(grid) + 0.5) / grid
+    built = ro.build_feedback_selector(pts[:, None], pts[None, :]).scattering[..., 0, 0]
+    worst = worst_mod = 0.0
+    mus = pts.tolist()
+    for phi, built_row in zip(mus, built):
+        for mu, generic in zip(mus, built_row.tolist()):
+            closed = ro.feedback_selector_scattering(phi, mu)
+            worst = max(worst, abs(closed - generic))
+            worst_mod = max(worst_mod, abs(abs(closed) - 1.0))
+    return _raw("feedback-closed-form",
+                f"{grid}x{grid} grid; closed vs generic {worst:.3e} (tol 1e-12), "
+                f"|S|-1 {worst_mod:.3e} (tol 1e-10)",
+                (worst, 1e-12), (worst_mod, 1e-10))
+
+
+def _frozen_feedback_dichotomy(rng):
+    worst = 0.0
+    for mu in rng.uniform(0.0, TWO_PI, size=1000).tolist():
+        if abs(mu) < 1e-6:
+            continue
+        bypass = ro.feedback_selector_scattering(0.0, mu)
+        through = ro.feedback_selector_scattering(math.pi, mu)
+        worst = max(worst, abs(bypass - 1.0), abs(through - np.exp(1j * mu)))
+    return _raw("feedback-binary-dichotomy",
+                "S(0, mu) = 1 and S(pi, mu) = e^(i mu), 1000 draws", (worst, 1e-12))
+
+
+def _frozen_weighted_tangent(rng):
+    worst = 0.0
+    kept = 0
+    while kept < 2000:
+        phi = rng.uniform(0.05, math.pi - 0.05)
+        mu = rng.uniform(-math.pi + 0.05, math.pi - 0.05)
+        num = 4.0 * math.sin(phi) ** 2 * math.sin(mu)
+        den = 2.0 * (3.0 + math.cos(2.0 * phi)) * math.cos(mu) - 8.0 * math.cos(phi)
+        if abs(den) < 1e-2 or abs(1.0 - np.exp(1j * mu) * math.cos(phi)) < 1e-3:
+            continue
+        mu_out = ro.weighted_output_phase(phi, mu)
+        if abs(math.cos(mu_out)) < 0.05:
+            continue
+        worst = max(worst, abs(math.tan(mu_out) - num / den))
+        kept += 1
+    return _raw("weighted-tangent-form", "tan(mu_out) vs printed ratio, 2000 kept samples",
+                (worst, 1e-9))
+
+
+def _assert_same_as_frozen(monkeypatch, check, frozen, *args):
+    # the same criteria, so the same CheckResult, and the same generator state
+    rngs = [np.random.default_rng(args[0]) for _ in range(2)] if args else []
+    rest = args[1:]
+    want = frozen(*rngs[1:], *rest)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_result", _raw)
+        got = check(*rngs[:1], *rest)
+    assert got == want
+    assert _result(*got) == _result(*want)
+    if rngs:
+        assert rngs[0].random() == rngs[1].random()
+
+
+_FROZEN_SEEDS = [2026, 39, 131, 150, 203]
+
+
+@pytest.mark.parametrize("seed", _FROZEN_SEEDS)
+def test_stacked_unitarity_closure_equals_its_frozen_loop(monkeypatch, seed):
+    # 64 residuals to a stack per port count, with the remainders at the end
+    for compositions in (1, 63, 64, 65, 200):
+        _assert_same_as_frozen(monkeypatch, _check_unitarity_closure, _frozen_unitarity_closure,
+                               seed, compositions)
+
+
+# np.abs in place of np.hypot moves the last bit of a criterion at some of these grids
+@pytest.mark.parametrize("grid", [1, 2, 4, 7, 17, 100, 233])
+def test_feedback_closed_form_rows_equal_their_frozen_loop(monkeypatch, grid):
+    _assert_same_as_frozen(monkeypatch, lambda: _check_feedback_closed_form(grid),
+                           lambda: _frozen_feedback_closed_form(grid))
+
+
+@pytest.mark.parametrize("seed", _FROZEN_SEEDS)
+def test_scalar_draw_checks_equal_their_frozen_loops(monkeypatch, seed):
+    _assert_same_as_frozen(monkeypatch, _check_feedback_dichotomy, _frozen_feedback_dichotomy,
+                           seed)
+    _assert_same_as_frozen(monkeypatch, _check_weighted_tangent, _frozen_weighted_tangent, seed)
+
+
+def test_uniform_is_a_scalar_rng_uniform():
+    # the same value and the same generator state, for the check's bounds and others
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    bounds = [(0.05, math.pi - 0.05), (-math.pi + 0.05, math.pi - 0.05), (0.0, TWO_PI),
+              (-math.pi, math.pi), (-1e150, 1e150), (3.0, 3.0)]
+    for _ in range(20_000):
+        for low, high in bounds:
+            got, want = _uniform(rng, low, high), twin.uniform(low, high)
+            assert type(got) is type(want) is float
+            assert got == want
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("size", ["exhaustive_n", "compositions", "grid"])
