@@ -48,7 +48,7 @@ def coherent_drive(alpha) -> SlhModel:
     ``(S, L, H) = (I_n, alpha, 0)``.  Compose with a passive circuit via
     ``series(circuit, coherent_drive(alpha))`` to drive it.
     """
-    l = np.ascontiguousarray(_check_finite(alpha, "drive amplitude", np.complex128))
+    l = _check_finite(alpha, "drive amplitude", np.complex128)
     if l.ndim != 1 or l.size == 0:
         raise ArityError("drive amplitudes must be a non-empty vector")
     return SlhModel(np.eye(l.size, dtype=np.complex128), l)

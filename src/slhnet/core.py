@@ -43,6 +43,8 @@ __all__ = [
 # Loop is treated as ill-posed when |1 - S_kl| falls at or below this.
 FEEDBACK_SINGULAR_TOL = 1e-9
 
+TWO_PI = 2.0 * math.pi
+
 # a 0-d complex zero, which numpy adds to an array faster than a Python 0j
 _POSITIVE_ZERO = np.zeros((), dtype=np.complex128)
 _POSITIVE_ZERO.setflags(write=False)
@@ -162,6 +164,15 @@ def _check_binary_phases(values, what: str = "control phase") -> np.ndarray:
     return arr == math.pi
 
 
+def _check_memory_phases(mem: np.ndarray) -> None:
+    """The one range rule for memory phases: DomainError unless every entry of the
+    float array ``mem`` lies in [0, 2*pi), naming the first offending one in C order."""
+    # NaN fails both range tests; the mask is built for the message only
+    if mem.size and not (mem.min() >= 0.0 and mem.max() < TWO_PI):
+        bad = np.flatnonzero(~((mem >= 0.0) & (mem < TWO_PI)))
+        raise DomainError(f"memory phase {mem.flat[bad[0]].item()!r} outside [0, 2*pi)")
+
+
 # the one-entry float64 operand of _settle's comparison
 _SETTLE = np.zeros(1)
 _SETTLE.setflags(write=False)
@@ -224,11 +235,13 @@ class SlhModel:
     hamiltonian: float = 0.0
 
     def __post_init__(self):
-        s = np.array(_check_finite(self.scattering, "scattering", np.complex128))
+        # C-ordered copies, as a product's bytes follow the strides of its operands
+        s = np.array(_check_finite(self.scattering, "scattering", np.complex128), order="C")
         # adding +0 turns each -0.0 into +0.0 and keeps every other value, so no
         # composition result carries a -0.0 and the undriven shortcuts of series
         # and feedback equal their generic formulas bit for bit
-        l = _check_finite(self.coupling, "coupling", np.complex128) + _POSITIVE_ZERO
+        l = np.add(_check_finite(self.coupling, "coupling", np.complex128), _POSITIVE_ZERO,
+                   order="C")
         if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
             raise ArityError(f"scattering must be square, got shape {s.shape}")
         if s.shape[-1] == 0:
@@ -407,9 +420,6 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     coupling = c.take(cflat, axis=-1)
     lk = coupling[..., m]
     l_fb = coupling[..., :m] + col * (lk / d)[..., None]
-    # free the gather before the H term's temporaries, so a large batch
-    # does not hold both at its peak
-    del gathered, block, col, row
     v = _product(c.conj()[..., None, :], s[..., :, li, None])[..., 0, 0]
     # (sum_j L_j^* S_jl) L_k as Re(v) L_k + Im(v) (i L_k): each real product
     # is rounded once, as in numpy's scalar complex product, where its
@@ -438,18 +448,10 @@ def feedback(g: SlhModel, k: int = 1, l: int = 1) -> SlhModel:
     return model
 
 
-@functools.lru_cache(maxsize=16)
-def _eye(n: int) -> np.ndarray:
-    """A read-only float64 ``n x n`` identity."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
 def _unitarity_residual(s: np.ndarray):
     """``max |S^dag S - I|`` over the last two axes of a ``(..., n, n)`` scattering, unchecked."""
     n = s.shape[-1]
-    resid = _product(s.conj().swapaxes(-1, -2), s) - _eye(n)
+    resid = _product(s.conj().swapaxes(-1, -2), s) - np.eye(n)
     # a max is exact in any order, so one pass over the flattened matrix
     return np.abs(resid).reshape(s.shape[:-2] + (n * n,)).max(axis=-1)
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (FEEDBACK_SINGULAR_TOL, ArityError, DomainError, SingularLoopError,
-                   _as_real, _check_binary_phases, _check_finite, _product, is_singular_loop)
+                   _as_real, _check_binary_phases, _check_finite, _check_memory_phases,
+                   _product, is_singular_loop)
 
 __all__ = ["BACKEND", "chain_unitary", "selector_batch_amplitudes",
            "weighted_phase_grid"]
@@ -43,8 +44,9 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     ``thetas`` are the beamsplitter mixing angles in order; after
     beamsplitter ``i`` the relative phase ``phases[i]`` is applied to path
     ``ports[i]`` (1 = left, 2 = right).  ``len(phases) == len(ports) ==
-    len(thetas) - 1`` (0 for no beamsplitter), else ArityError; a port other
-    than 1 or 2, or a non-finite angle or phase, raises DomainError.
+    len(thetas) - 1`` (0 for no beamsplitter), else ArityError; a port that
+    is not an integer 1 or 2 (a bool or a float included), or a non-finite
+    angle or phase, raises DomainError.
 
     The cells are folded in blocks of ``BLOCK`` = 64 cells, the last one
     padded with identity cells; a chain of at most 64 cells is one block of
@@ -64,9 +66,10 @@ def chain_unitary(thetas, phases, ports) -> np.ndarray:
     if thetas.ndim != 1 or not phases.shape == ports.shape == want:
         raise ArityError(f"need 1-D thetas and one phase and port per cell but the last, "
                          f"got shapes {thetas.shape}, {phases.shape} and {ports.shape}")
-    bad = np.flatnonzero((ports != 1) & (ports != 2))
+    # a bool or a float is no port, whatever its value
+    bad = np.flatnonzero((ports != 1) & (ports != 2) | (ports.dtype.kind not in "iu"))
     if bad.size:
-        raise DomainError(f"chain port must be 1 or 2, got {ports[bad[0]].item()!r}")
+        raise DomainError(f"chain port must be 1 or 2, got {ports.tolist()[bad[0]]!r}")
     cells = max(len(thetas), 1)
     width = min(BLOCK, cells)
     blocks = -(-cells // width)
@@ -166,9 +169,9 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     ``n + 1 - depth`` stages.  Nothing row-sized is allocated beyond the
     switch states and the output.
 
-    Every memory phase must be finite and every control exactly 0.0 or pi,
-    else DomainError; ``on`` is True where a control is pi, and its factor's
-    real and imaginary parts are looked up in ``SWITCH_PAIRS``.
+    Every memory phase must be finite and in [0, 2*pi), and every control
+    exactly 0.0 or pi, else DomainError; ``on`` is True where a control is
+    pi, and its factor's real and imaginary parts are looked up in ``SWITCH_PAIRS``.
     A block is held as two contiguous rails, and B(+-pi/4) writes both from
     the products ``p = c45 * top`` and ``q = c45 * bot``.  The switch factor
     and the memory phase turn a rail in place by the unfused complex
@@ -184,6 +187,7 @@ def selector_batch_amplitudes(mu, controls) -> np.ndarray:
     if mu.ndim != 1 or controls.ndim != 2 or controls.shape[1] != mu.size + 1:
         raise ArityError(f"need 1-D memory phases and (m, n + 1) controls for n of them, "
                          f"got shapes {mu.shape} and {controls.shape}")
+    _check_memory_phases(mu)
     return _switch_batch(mu, _check_binary_phases(controls).T)
 
 
@@ -247,8 +251,8 @@ def _phase_grid(phis, mus, out) -> None:
     e_bar = np.conjugate(e_mu)
     cos_phi = np.cos(phis)[:, None]
     # Re d = fl(1 - fl(e_r c)) with |e_r| <= 1, and rounding is monotone, so
-    # fl(e_r c) <= |c| and Re d >= fl(1 - |c|): a row with fl(1 - |c|) above
-    # the tolerance holds no point the prefilter below could pass
+    # fl(e_r c) <= |c| and |d| >= Re d >= fl(1 - |c|): a row with fl(1 - |c|)
+    # above the tolerance holds no singular point
     safe = 1.0 - np.abs(cos_phi[:, 0]) > FEEDBACK_SINGULAR_TOL
     step = max(1, GRID_BLOCK // max(1, mus.size))
     # one block's conjugated denominator and numerator, reused by every block
@@ -262,8 +266,7 @@ def _phase_grid(phis, mus, out) -> None:
         np.multiply(e_bar, c, out=den)
         np.subtract(1.0, den, out=den)
         if not safe[rows].all():
-            near = np.flatnonzero(np.abs(den.real) <= FEEDBACK_SINGULAR_TOL)
-            bad = near[is_singular_loop(den.reshape(-1)[near])]
+            bad = np.flatnonzero(is_singular_loop(den))
             if bad.size:
                 i, j = divmod(lo * mus.size + int(bad[0]), mus.size)
                 raise SingularLoopError(
@@ -297,10 +300,9 @@ def weighted_phase_grid(phis, mus) -> np.ndarray:
     block's conjugated denominator, formed directly as ``1 - conj(e^{i mu})
     cos phi``, is tested with ``is_singular_loop``: the first grid point on
     the singular set, in C order, raises SingularLoopError naming that
-    (phi, mu).  Only the points with ``|Re d| <= FEEDBACK_SINGULAR_TOL`` are
-    tested, since ``|d| >= |Re d|`` and no other point can be singular, and
-    a block whose rows all have ``1 - |cos phi| > FEEDBACK_SINGULAR_TOL``
-    skips even that, as none of its points can pass.  A non-finite angle
+    (phi, mu).  A block whose rows all have ``1 - |cos phi| >
+    FEEDBACK_SINGULAR_TOL`` skips the test, since ``|d| >= Re d >= 1 - |cos
+    phi|`` and none of its points can be singular.  A non-finite angle
     raises DomainError before any of that, phis before mus, and angles that
     are not 1-D raise ArityError, as in ``sweep_transfer``.
     """

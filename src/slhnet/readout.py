@@ -213,7 +213,7 @@ class TransferCurve:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(_check_finite(self.samples, "transfer curve sample"))
+        arr = np.array(_check_finite(self.samples, "transfer curve sample"), order="C")
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ArityError("samples must be an (N, 3) array")
         _freeze(self, samples=arr)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (ArityError, DomainError, SlhModel, _as_real, _check_angle, _check_binary_phases,
-                   _check_finite, _check_integers, _freeze, _product, concat, identity, series)
+from .core import (TWO_PI, ArityError, DomainError, SlhModel, _as_real, _check_angle,
+                   _check_binary_phases, _check_finite, _check_integers, _check_memory_phases,
+                   _freeze, _product, concat, identity, series)
 from .components import beamsplitter, phase_shift
-
-TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "CompilationMatrices",
@@ -71,13 +70,6 @@ def _as_bits(s, what: str = "selector") -> np.ndarray:
                                              else np.all((arr == 0) | (arr == 1)))):
         return arr.real
     raise DomainError(f"{what} entries must be 0 or 1")
-
-
-def _check_memory_phases(mem: np.ndarray) -> None:
-    # NaN fails both range tests; the mask is built for the message only
-    if mem.size and not (mem.min() >= 0.0 and mem.max() < TWO_PI):
-        bad = np.flatnonzero(~((mem >= 0.0) & (mem < TWO_PI)))
-        raise DomainError(f"memory phase {mem.flat[bad[0]].item()!r} outside [0, 2*pi)")
 
 
 def _check_staircase(mem: np.ndarray, ctrl: np.ndarray, tail: np.ndarray) -> None:
@@ -258,8 +250,8 @@ class CompilationMatrices:
 
     def __post_init__(self):
         # its own copies, so that freezing them leaves the caller's arrays alone
-        _freeze(self, lower=np.array(_check_finite(self.lower, "lower")),
-                gamma=np.array(_check_finite(self.gamma, "gamma")))
+        _freeze(self, lower=np.array(_check_finite(self.lower, "lower"), order="C"),
+                gamma=np.array(_check_finite(self.gamma, "gamma"), order="C"))
 
 
 def compilation_matrices(n: int) -> CompilationMatrices:
@@ -335,10 +327,10 @@ class MatrixProductSpec:
     tail_phases: np.ndarray
 
     def __post_init__(self):
-        # the spec's own copies, so that freezing them leaves the caller's arrays alone
-        mem = np.array(_as_real(self.memory_matrix, "memory phase"))
-        ctrl = np.array(_as_real(self.control_matrix, "control phase"))
-        tail = np.array(_as_real(self.tail_phases, "tail phase"))
+        # the spec's own C-ordered copies: freezing them leaves the caller's arrays alone
+        mem = np.array(_as_real(self.memory_matrix, "memory phase"), order="C")
+        ctrl = np.array(_as_real(self.control_matrix, "control phase"), order="C")
+        tail = np.array(_as_real(self.tail_phases, "tail phase"), order="C")
         if mem.ndim != 2 or ctrl.ndim != 2 or tail.ndim != 1:
             raise ArityError("memory/control must be matrices, tails a vector")
         if mem.shape[0] != ctrl.shape[0]:

@@ -133,6 +133,11 @@ def test_chain_unitary_across_block_boundaries():
     (([0.1, 0.2], [0.3], [0]), DomainError),  # port - 1 = -1 would index from the end
     (([0.1, 0.2], [0.3], [3]), DomainError),
     (([0.1, 0.2], [0.3], [1.5]), DomainError),
+    (([0.1, 0.2], [0.3], [True]), DomainError),  # a bool is never port 1
+    (([0.1, 0.2], [0.3], [np.True_]), DomainError),
+    (([0.1, 0.2], [0.3], [1.0]), DomainError),  # nor is a float, whatever its value
+    (([0.1, 0.2], [0.3], np.array([2.0])), DomainError),
+    (([0.1, 0.2], [0.3], [None]), DomainError),  # named by value, not by numpy's item()
     (([0.1, 0.2], [0.3], []), ArityError),  # a phase with no port was dropped
     (([0.1, 0.2, 0.3], [0.3], [1]), ArityError),  # a cell with no phase was dropped
     (([0.1, 0.2, 0.3], [0.3], [1, 2]), ArityError),
@@ -143,6 +148,20 @@ def test_chain_unitary_across_block_boundaries():
 def test_chain_unitary_refuses_malformed_chains(chain, error):
     with pytest.raises(error):
         kernels.chain_unitary(*chain)
+
+
+def test_chain_unitary_reads_only_integer_ports():
+    with pytest.raises(DomainError) as info:
+        kernels.chain_unitary([0.1, 0.2], [0.3], [True])
+    assert str(info.value) == "chain port must be 1 or 2, got True"
+    # an empty port list has no port to refuse, whatever its dtype
+    for empty in ([], np.array([], dtype=bool), np.array([], dtype=np.float64)):
+        assert np.array_equal(kernels.chain_unitary([0.4], [], empty),
+                              kernels.chain_unitary([0.4], [], []))
+    thetas, phases, ports = _random_chain(np.random.default_rng(37), 70)  # int8 ports
+    want = kernels.chain_unitary(thetas, phases, ports).tobytes()
+    for dtype in (np.uint8, np.int64):
+        assert kernels.chain_unitary(thetas, phases, ports.astype(dtype)).tobytes() == want
 
 
 @pytest.mark.parametrize("n", [4096, 100_000])

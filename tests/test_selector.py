@@ -559,10 +559,11 @@ def test_eval_selector_reads_memory_phases_by_value_not_layout():
     (-0.0, True), (np.nextafter(TWO_PI, 0.0), True), (0.0, True),
 ])
 def test_every_staircase_route_refuses_the_same_memory_phases(mu, ok):
-    # eval_selector, the per-row spec and the sweep agree on [0, 2*pi)
+    # eval_selector, the per-row spec, the sweep and its kernel agree on [0, 2*pi)
     routes = (lambda: eval_selector([0.5, mu], [1, 1]),
               lambda: SelectorSpec.from_selector([1, 1], [0.5, mu]),
-              lambda: selector_sweep_amplitudes([0.5, mu], [[1, 1]]))
+              lambda: selector_sweep_amplitudes([0.5, mu], [[1, 1]]),
+              lambda: kernels.selector_batch_amplitudes([0.5, mu], [[0.0, 0.0, 0.0]]))
     for route in routes:
         if ok:
             route()
