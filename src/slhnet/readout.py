@@ -220,8 +220,11 @@ class TransferCurve:
 
     def column(self, phi: float) -> np.ndarray:
         """The (mu, mu_out) rows for one swept control value, in sweep order;
-        a phi equal to no swept value raises DomainError."""
-        rows = self.samples[self.samples[:, 1] == _as_real(phi, "phi")]
+        a phi equal to no swept value, or not a single number, raises DomainError."""
+        value = _as_real(phi, "phi")
+        if value.ndim:
+            raise DomainError(f"phi must be a single angle, got shape {value.shape}")
+        rows = self.samples[self.samples[:, 1] == value]
         if not rows.size:
             raise DomainError(f"no sweep column has phi = {float(phi)!r}")
         return rows[:, [0, 2]]

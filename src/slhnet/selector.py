@@ -52,9 +52,6 @@ __all__ = [
 def canonical_phase(x):
     """Reduce a phase to the canonical range [0, 2*pi): a float for a scalar,
     an array of its shape for an array; a NaN or infinite phase raises DomainError."""
-    if isinstance(x, float) and math.isfinite(x):  # _check_angle's fast path, np.float64 too
-        r = float(x) % TWO_PI  # Python's float % is numpy's floored mod
-        return 0.0 if r >= TWO_PI else r
     r = np.mod(_check_finite(x, "phase"), TWO_PI)
     # mod of a tiny negative number can round up to exactly 2*pi
     r = np.where(r >= TWO_PI, 0.0, r)
@@ -259,7 +256,10 @@ def compilation_matrices(n: int) -> CompilationMatrices:
     (n,) = _check_integers("selector length", n)
     if n < 0:
         raise ArityError(f"selector length must be nonnegative, got {n}")
-    lower = np.tril(np.ones((n, n))) / math.pi
+    try:
+        lower = np.tril(np.ones((n, n))) / math.pi
+    except ValueError:  # numpy's "Maximum allowed dimension exceeded" or "array is too big"
+        raise ArityError(f"selector length {n} exceeds numpy's array size limit") from None
     gamma = math.pi * (np.eye(n) - np.eye(n, k=-1))
     return CompilationMatrices(lower, gamma)
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import readout as ro
 from . import selector as sel
 from .components import beamsplitter, coherent_drive
-from .core import (ArityError, SingularLoopError, SlhModel, _model, _settle, _unitarity_residual,
-                   concat, feedback, series)
+from .core import (ArityError, SingularLoopError, SlhModel, _model, _no_coupling, _settle,
+                   _unitarity_residual, concat, feedback, series)
 from .selector import TWO_PI
 
 __all__ = ["CheckResult", "random_passive_circuit", "run_all"]
@@ -287,7 +287,7 @@ def _random_stage(rng, ports: int) -> SlhModel:
         else:
             s[i, i] = cmath.exp(1j * (TWO_PI * rng.random()))
             i += 1
-    return _model(s, np.zeros(ports, dtype=np.complex128), 0.0)
+    return _model(s, _no_coupling(ports), 0.0)
 
 
 def random_passive_circuit(rng, max_depth: int = 20) -> SlhModel:

@@ -271,6 +271,17 @@ def test_batch_index_refuses_a_non_integer(index, shown):
         assert np.array_equal(batch.at(ok).hamiltonian, h)
 
 
+@pytest.mark.parametrize("index, shown", [
+    (5, "(5,)"), (-4, "(-4,)"), (10**30, f"({10**30},)"), ((0, 3), "(0, 3)"),
+    ((slice(None), -4), "(slice(None, None, None), -4)"),
+], ids=["past-the-end", "before-the-start", "does-not-fit-an-index", "second-axis", "slice-and-int"])
+def test_batch_index_out_of_range_is_an_arity_error(index, shown):
+    batch = SlhModel(np.zeros((2, 3, 1, 1)), np.zeros((2, 3, 1)))
+    with pytest.raises(ArityError) as info:
+        batch.at(index)
+    assert str(info.value) == f"index {shown} out of range for batch shape (2, 3)"
+
+
 def test_array_value_types_compare_and_hash_by_identity():
     for make in (lambda: beamsplitter(0.3), lambda: sweep_transfer([0.5], [0.1]),
                  lambda: CompilationMatrices([[1.0]], [[1.0]]),
@@ -844,6 +855,118 @@ def test_algebra_results_are_readonly_complex128():
             h = m.hamiltonian
             assert h.dtype == np.float64 and h.shape == m.scattering.shape[:-2]
             assert not h.flags.writeable
+
+
+def _shared_zero_operands(seed):
+    """Models that hold the shared zero coupling, each with a user-built copy
+    ``SlhModel(s, np.zeros(n), h)`` that holds its own: builders, random
+    stages and random circuits of 1-6 ports."""
+    rng = np.random.default_rng(seed)
+    models = [identity(n) for n in range(1, 7)]
+    models += [phase_shift(0.3), phase_shift(np.float64(-2.0)), beamsplitter(0.7)]
+    models += [verify_module._random_stage(rng, n) for n in range(1, 7)]
+    models += [random_passive_circuit(rng, 8) for _ in range(60)]
+    for g in models:
+        assert g.coupling is core._no_coupling(g.ports)
+    copies = [SlhModel(g.scattering, np.zeros(g.ports), g.hamiltonian) for g in models]
+    for u in copies:
+        assert u.coupling is not core._no_coupling(u.ports)
+    return models, copies
+
+
+def test_shared_zero_builders_equal_user_built_models_bit_for_bit():
+    for g, want in ((identity(3), SlhModel(np.eye(3), np.zeros(3))),
+                    (phase_shift(0.3), SlhModel([[np.exp(0.3j)]], np.zeros(1))),
+                    (beamsplitter(0.7), SlhModel([[math.cos(0.7), -math.sin(0.7)],
+                                                  [math.sin(0.7), math.cos(0.7)]], np.zeros(2)))):
+        _assert_bitwise(g, want)
+
+
+def test_shared_zero_shortcuts_equal_user_built_operands_bit_for_bit():
+    models, copies = _shared_zero_operands(811)
+    rng = np.random.default_rng(812)
+    by_ports = {}
+    for g, u in zip(models, copies):
+        by_ports.setdefault(g.ports, []).append((g, u))
+    for n, pairs in by_ports.items():
+        shared, user = zip(*pairs)
+        for (g2, u2), (g1, u1) in zip(pairs, pairs[::-1]):
+            want = series(u2, u1)
+            for args in ((g2, g1), (g2, u1), (u2, g1)):
+                _assert_bitwise(series(*args), want)
+            assert series(g2, g1).coupling is core._no_coupling(n)
+        for g, u in pairs if n >= 2 else ():
+            k, l = (int(x) for x in rng.integers(1, n + 1, size=2))
+            if not is_singular_loop(1.0 - g.scattering[k - 1, l - 1]):
+                _assert_bitwise(feedback(g, k, l), feedback(u, k, l))
+                assert feedback(g, k, l).coupling is core._no_coupling(n - 1)
+        # a user-built batch, and each element read back from it by at(i)
+        batch = _stack(user)
+        for other in (shared[0], user[0]):
+            for got, op in ((series(batch, other), lambda a: series(a, other)),
+                            (series(other, batch), lambda a: series(other, a))):
+                assert got.coupling is not core._no_coupling(n)
+                for j, g in enumerate(shared):
+                    _assert_bitwise(got.at(j), op(g))
+                    _assert_bitwise(op(batch.at(j)), op(g))
+        if n >= 2:
+            closed = feedback(batch, 2, 1)
+            for j, (g, u) in enumerate(pairs):
+                _assert_bitwise(closed.at(j), feedback(g, 2, 1))
+                _assert_bitwise(feedback(batch.at(j), 2, 1), feedback(u, 2, 1))
+    for (g1, u1), (g2, u2) in zip(zip(models, copies), zip(models[::-1], copies[::-1])):
+        want = concat(u1, u2)
+        for args in ((g1, g2), (g1, u2), (u1, g2)):
+            _assert_bitwise(concat(*args), want)
+        assert concat(g1, g2).coupling is core._no_coupling(g1.ports + g2.ports)
+    batched = phase_shift(np.array([0.1, 0.2]))
+    for got in (concat(batched, beamsplitter(0.3)), concat(beamsplitter(0.3), batched)):
+        assert got.coupling.shape == (2, 3)
+        for j in range(2):
+            assert got.at(j).coupling.tobytes() == np.zeros(3, dtype=complex).tobytes()
+
+
+def test_shared_zero_is_read_only_and_held_by_no_driven_or_caller_array():
+    # a port count no model has used yet, so no model's freeze has touched it
+    for zero in (core._no_coupling(1009), core._no_coupling(3)):
+        assert zero.ndim == 1 and zero.dtype == np.complex128 and zero.flags.c_contiguous
+        assert not zero.flags.writeable and not np.any(zero)
+        with pytest.raises(ValueError, match="read-only"):
+            zero[0] = 1.0
+    # np.array gives a writeable copy
+    copy = np.array(identity(3).coupling)
+    assert copy.flags.writeable and not np.shares_memory(copy, zero)
+    drive = coherent_drive([0.5, 1j, 0.0])
+    driven = [series(identity(3), drive), series(drive, identity(3)),
+              feedback(concat(drive, identity(1)), 1, 4), concat(identity(1), drive)]
+    for g in driven:
+        assert np.any(g.coupling)
+        assert all(g.coupling is not core._no_coupling(n) for n in range(1, 7))
+    # an undriven user-built model keeps a copy of the caller's arrays
+    s, l = np.eye(3, dtype=complex), np.zeros(3, dtype=complex)
+    user = SlhModel(s, l)
+    for result in (user, series(user, identity(3)), concat(user, identity(1)),
+                   feedback(series(beamsplitter(0.3), beamsplitter(0.2)), 1, 1)):
+        for caller in (s, l):
+            assert not np.shares_memory(result.scattering, caller)
+            assert not np.shares_memory(result.coupling, caller)
+    l[0] = 1.0
+    assert not np.any(user.coupling)
+
+
+def test_shared_zero_cache_stays_bounded_and_evicted_vectors_still_compose():
+    limit = core._no_coupling.cache_info().maxsize
+    assert limit is not None
+    early = identity(1)
+    for n in range(1, limit + 20):
+        series(identity(n), identity(n))
+        assert core._no_coupling.cache_info().currsize <= limit
+    # the vector an evicted entry held is no longer the shared one; the scan
+    # still reads it as undriven, with the same bits
+    assert early.coupling is not core._no_coupling(1)
+    _assert_bitwise(series(early, phase_shift(0.2)),
+                    series(SlhModel(np.eye(1), np.zeros(1)), phase_shift(0.2)))
+    assert series(early, early).coupling is core._no_coupling(1)
 
 
 def test_batched_model_shapes():

@@ -504,6 +504,17 @@ def test_transfer_curve_column_rejects_unswept_phi():
     assert str(info.value) == "no sweep column has phi = 0.5"
 
 
+@pytest.mark.parametrize("phi, shape", [
+    ([], (0,)), (np.array([1.0, 2.0]), (2,)), ([PI / 3], (1,)), ([[PI / 3]], (1, 1)),
+], ids=["empty", "two", "one-element-list", "nested"])
+def test_transfer_curve_column_refuses_a_non_scalar_phi(phi, shape):
+    curve = sweep_transfer([PI / 3], np.linspace(-3.0, 3.0, 7))
+    with pytest.raises(DomainError) as info:
+        curve.column(phi)
+    assert type(info.value) is DomainError
+    assert str(info.value) == f"phi must be a single angle, got shape {shape}"
+
+
 def test_sweep_transfer_is_deterministic():
     mus = np.linspace(-3.0, 3.0, 57)
     a = sweep_transfer([1.0, 2.0, 3.0], mus)
