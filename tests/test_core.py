@@ -18,6 +18,7 @@ from slhnet import (
     SlhModel,
     TransferCurve,
     beamsplitter,
+    build_feedback_selector,
     build_weighted_selector,
     chain_feedback_selectors,
     check_unitary,
@@ -967,6 +968,30 @@ def test_shared_zero_cache_stays_bounded_and_evicted_vectors_still_compose():
     _assert_bitwise(series(early, phase_shift(0.2)),
                     series(SlhModel(np.eye(1), np.zeros(1)), phase_shift(0.2)))
     assert series(early, early).coupling is core._no_coupling(1)
+
+
+# (batch shape of the first operand, of the second, broadcast batch shape or None)
+_BATCH_PAIRS = [((2,), (3,), None), ((2, 3), (2,), None), ((4, 1), (3, 4), None),
+                ((), (3,), (3,)), ((3,), (), (3,)), ((2, 1), (3,), (2, 3)),
+                ((1,), (4,), (4,)), ((2, 3), (2, 3), (2, 3))]
+
+
+@pytest.mark.parametrize("a, b, want", _BATCH_PAIRS)
+def test_batch_shapes_that_do_not_broadcast_are_an_arity_error(a, b, want):
+    g1, g2 = phase_shift(np.full(a, 0.5)), phase_shift(np.full(b, 0.25))
+    for op, sign in ((series, "<|"), (concat, "[+]")):
+        if want is None:
+            with pytest.raises(ArityError) as info:
+                op(g1, g2)
+            assert str(info.value) == f"{op.__name__} batch shapes {a} {sign} {b} do not broadcast"
+        else:
+            assert op(g1, g2).scattering.shape[:-2] == want
+    if want is None:
+        with pytest.raises(ArityError, match="series batch shapes .* do not broadcast"):
+            build_feedback_selector(np.full(a, 0.5), np.full(b, 0.5))
+    else:
+        assert build_feedback_selector(np.full(a, 0.5), np.full(b, 0.5)).scattering.shape == (
+            want + (1, 1))
 
 
 def test_batched_model_shapes():

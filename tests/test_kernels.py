@@ -431,9 +431,9 @@ def _grid_error(call, phis, mus):
     return None
 
 
-def test_weighted_phase_grid_prefilter_skips_non_singular_candidates():
+def test_weighted_phase_grid_refuses_the_first_singular_point_past_near_misses():
     # |Re d| <= tol but |Im d| ~ 1e-5 > tol at (pi, pi - 2e-5), (pi, pi - 3e-5)
-    # and (0, -1e-5): candidates of the prefilter, none singular, all before
+    # and (0, -1e-5): near misses that the singular test passes, all before
     # the one singular point (0, 0) in C order
     phis = np.array([math.pi, 0.0])
     mus = np.array([math.pi - 2e-5, -1e-5, 0.0, math.pi - 3e-5])
@@ -542,7 +542,7 @@ def test_grid_refuses_rows_straddling_the_tolerance_among_safe_rows():
     # phi near sqrt(2e-9) = 4.47e-5 and near pi - 4.47e-5, where 1 - |cos phi|
     # crosses FEEDBACK_SINGULAR_TOL, with mu = 0 and mu = pi on the grid; each
     # such row shares its four-row block with rows far from the singular set,
-    # so a block skips the prefilter only if every one of its rows may
+    # so a block skips the singular test only if every one of its rows may
     cols = kernels.GRID_BLOCK // 4
     rng = np.random.default_rng(29)
     mus = np.concatenate([rng.uniform(-3.0, 3.0, cols - 4), [0.0, math.pi, 1e-6, -1e-6]])

@@ -71,3 +71,36 @@ def test_matrix_products_go_through_one_helper():
             or isinstance(node, ast.Attribute) and node.attr in products)]
         assert found == [], path.name
     assert helper == 1
+
+
+def _calls_to(tree, name):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def test_undriven_models_have_one_builder():
+    # core._model(s, None, h) alone decides what an undriven model holds: the shared
+    # core._no_coupling(n) when unbatched, a zero array of its own when batched.  No
+    # module hands _model a coupling it built in the call, and outside _model the
+    # shared zero is only told by identity
+    for path in sorted(pathlib.Path(slhnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "core.py":
+            assert "_no_coupling" not in path.read_text(), path.name
+        for call in _calls_to(tree, "_model"):
+            assert not isinstance(call.args[1], ast.Call), (path.name, call.lineno)
+    tree = ast.parse((pathlib.Path(slhnet.__file__).parent / "core.py").read_text())
+    told = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef) and node.name in ("_model", "_no_coupling")
+                or isinstance(node, ast.Compare) and all(isinstance(op, ast.Is) for op in node.ops)):
+            told |= {id(n) for n in ast.walk(node)}
+    # series reads the shared zero once, as ``zero``, for its two identity tests
+    calls = {id(c): c for c in _calls_to(tree, "_no_coupling")}
+    held = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and id(node.value) in calls]
+    assert [ast.unparse(node) for node in held] == ["zero = _no_coupling(n)"]
+    loose = [n.lineno for n in ast.walk(tree) if id(n) not in told and (
+        isinstance(n, ast.Name) and n.id == "zero" and isinstance(n.ctx, ast.Load)
+        or id(n) in calls and n is not held[0].value)]
+    assert loose == []

@@ -201,6 +201,11 @@ def test_run_all_refuses_a_size_below_one(size):
     with pytest.raises(ArityError) as info:
         run_all(**{size: 0})
     assert str(info.value) == f"{size} must be at least 1, got 0"
+    # a size is an integer: a float, even a whole one, and a bool are refused
+    for value in (2.5, 2.0, True, "3"):
+        with pytest.raises(ArityError) as info:
+            run_all(**{size: value})
+        assert str(info.value) == f"{size} must be an integer, got {value!r}"
 
 
 _QUICK = ["verify", "--exhaustive", "4", "--grid", "20"]
