@@ -495,4 +495,6 @@ def check_unitary(s: np.ndarray, tol: float) -> bool:
     tol = _check_tolerance(tol)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ArityError(f"expected a square matrix, got shape {s.shape}")
+    if not s.size:
+        raise ArityError(f"expected at least one port, got shape {s.shape}")
     return bool(_unitarity_residual(s) <= tol)

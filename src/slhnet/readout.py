@@ -11,10 +11,10 @@ elimination rule to the component chain and are pinned against that rule
 by the test suite; a sign in the loop denominator is easy to get wrong,
 and the wrong sign visibly breaks the phi = 0 bypass case.
 
-A second, weighted variant replaces the binary control by an arbitrary
-angle phi, giving output phase arg((e^{i mu} - cos phi)/(1 - e^{i mu}
-cos phi)) with small-signal gain cot^2(phi/2): a tunable, non-binary
-selection weight.
+A second, weighted variant is the same binary loop at (2 phi, mu - phi)
+behind an outer phase pi - phi.  Its output phase is arg((e^{i mu} - cos
+phi)/(1 - e^{i mu} cos phi)), with small-signal gain cot^2(phi/2): a
+tunable, non-binary selection weight.
 """
 
 from __future__ import annotations
@@ -78,16 +78,28 @@ def _selector_loop(phi, mu) -> SlhModel:
     return series(_phase_on_port(mu, 1), mz(math.pi / 4, -math.pi / 4, phi))
 
 
+def _loop_angles(phi, mu):
+    # the finite rule, then a refusal before any arithmetic unless the shapes broadcast
+    phi, mu = _check_finite(phi, "phi"), _check_finite(mu, "mu")
+    try:
+        np.broadcast(phi, mu)
+    except ValueError:
+        raise ArityError(f"phi shape {phi.shape} and mu shape {mu.shape} "
+                         "do not broadcast") from None
+    return phi, mu
+
+
 def build_feedback_selector(phi, mu) -> SlhModel:
     """One-port selector: the switch loop closed from output 1 to input 1.
 
-    Array angles broadcast to a batch of selectors.  Singular exactly at
-    (phi, mu) = (0, 0) mod 2*pi, where the loop gain hits the
-    well-posedness threshold; a batch raises SingularLoopError for its
-    first singular element.  The limit of the scattering there is 1 from
-    every direction, which ``chain_feedback_selectors`` substitutes.
+    Array angles broadcast to a batch of selectors; shapes that do not
+    broadcast raise ArityError.  Singular exactly at (phi, mu) = (0, 0)
+    mod 2*pi, where the loop gain hits the well-posedness threshold; a
+    batch raises SingularLoopError for its first singular element.  The
+    limit of the scattering there is 1 from every direction, which
+    ``chain_feedback_selectors`` substitutes.
     """
-    return feedback(_selector_loop(phi, mu), 1, 1)
+    return feedback(_selector_loop(*_loop_angles(phi, mu)), 1, 1)
 
 
 def feedback_selector_scattering(phi: float, mu: float) -> complex:
@@ -144,23 +156,18 @@ def chain_feedback_selectors(mu, phi):
 # weighted selector
 # ---------------------------------------------------------------------------
 
-def _weighted_loop(phi: float | np.ndarray, mu: float | np.ndarray) -> SlhModel:
-    return _selector_loop(2.0 * phi, mu - phi)
+def build_weighted_selector(phi, mu) -> SlhModel:
+    """One-port weighted selector: the binary loop at (2 phi, mu - phi) behind phase pi - phi.
 
-
-def build_weighted_selector(phi: float | np.ndarray,
-                            mu: float | np.ndarray) -> SlhModel:
-    """One-port weighted selector: closed loop plus an outer phase pi - phi.
-
-    Array angles broadcast to a batch of selectors, built by one batched
-    generic feedback elimination; on a 4 x 5 (phi, mu) grid each element
-    matches ``weighted_selector_scattering`` to 3.3e-15.  Singular where
-    1 - e^{i mu} cos phi vanishes, i.e. at (0, 0) and (pi, pi) mod 2*pi;
-    a batch raises SingularLoopError for its first singular element.
+    Array angles broadcast by the same rule to a batch of selectors, built
+    by one batched generic feedback elimination; on a 4 x 5 (phi, mu) grid
+    each element matches ``weighted_selector_scattering`` to 3.3e-15.
+    Singular where 1 - e^{i mu} cos phi vanishes, i.e. at (0, 0) and
+    (pi, pi) mod 2*pi; a batch raises SingularLoopError for its first
+    singular element.
     """
-    phi, mu = _check_finite(phi, "phi"), _check_finite(mu, "mu")
-    closed = feedback(_weighted_loop(phi, mu), 1, 1)
-    return series(phase_shift(math.pi - phi), closed)
+    phi, mu = _loop_angles(phi, mu)
+    return series(phase_shift(math.pi - phi), build_feedback_selector(2.0 * phi, mu - phi))
 
 
 def weighted_selector_scattering(phi: float, mu: float) -> complex:

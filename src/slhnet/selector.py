@@ -73,8 +73,8 @@ def _check_staircase(mem: np.ndarray, ctrl: np.ndarray, tail: np.ndarray) -> Non
     """Refuse a staircase bank unless memory (n, m) lies in [0, 2*pi), controls
     (n, k) and tails (k,) are exactly 0 or pi, and each tail is pi times its column's parity."""
     _check_memory_phases(mem)
-    on = _check_binary_phases(ctrl)
-    if not np.array_equal(np.count_nonzero(on, axis=0) % 2, _check_binary_phases(tail)):
+    parity = np.count_nonzero(_check_binary_phases(ctrl), axis=0) % 2
+    if not np.array_equal(parity, _check_binary_phases(tail, "tail phase")):
         raise DomainError("tail phase must equal the mod-2 sum of the control phases")
 
 
@@ -181,20 +181,17 @@ def _phase_on_port(value: float, port: int) -> SlhModel:
 
 
 def build_selector_chain(spec: SelectorSpec) -> SlhModel:
-    """Fold the staircase through the generic circuit algebra.
+    """Fold the staircase through the generic circuit algebra, as the paper draws it.
 
-    This is the slow reference route: 2(n+1) beamsplitters and 2n+1 phase
-    components combined one series product at a time.  The fast route,
-    ``selector_scattering``, must agree with it exactly up to float
-    associativity.
+    The slow reference route: each control's ``mz_switch`` cell, then its memory
+    shifter on port 2, one series product at a time, closed by the tail's switch.
+    It does not read ``staircase_arrays``, the layout of the fast route
+    ``selector_scattering``; the two agree exactly up to float associativity.
     """
-    thetas, phases, ports = staircase_arrays(spec)
     model = identity(2)
-    for i in range(len(thetas)):
-        model = series(beamsplitter(thetas[i]), model)
-        if i < len(phases):
-            model = series(_phase_on_port(phases[i], int(ports[i])), model)
-    return model
+    for control, memory in zip(spec.control_phases, spec.memory_phases):
+        model = series(_phase_on_port(memory, 2), series(mz_switch(control), model))
+    return series(mz_switch(spec.tail_phase), model)
 
 
 def selector_scattering(spec: SelectorSpec) -> np.ndarray:

@@ -112,6 +112,13 @@ def test_eval_bad_inputs(capsys):
     capsys.readouterr()
 
 
+def test_eval_names_a_non_binary_tail_as_a_tail(capsys):
+    assert main(["eval", "--mu", "0.3", "--phi", "0", "--tail", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tail phase must be exactly 0 or pi, got 0.5\n"
+
+
 def test_eval_derives_the_tail_from_the_schedule(capsys):
     # an omitted --tail is pi times the schedule's parity, the last recovered bit
     for phi, tail in (("0,pi,0", "pi"), ("pi,pi,0", "0"), ("0,0,0", "0"), ("pi", "pi")):

@@ -141,6 +141,8 @@ READERS = {
         lambda x: kernels.selector_batch_amplitudes([0.1], [[x, x]]),
     "chain_feedback_selectors.mu": lambda x: chain_feedback_selectors([x], [0.0]),
     "chain_feedback_selectors.phi": lambda x: chain_feedback_selectors([0.1], [x]),
+    "build_feedback_selector.phi": lambda x: build_feedback_selector(x, 0.1),
+    "build_feedback_selector.mu": lambda x: build_feedback_selector(0.1, x),
     "build_weighted_selector.phi": lambda x: build_weighted_selector(x, 0.1),
     "build_weighted_selector.mu": lambda x: build_weighted_selector(0.1, x),
     "TransferCurve": lambda x: TransferCurve([[x, x, x]]),
@@ -499,8 +501,13 @@ def test_feedback_threshold_is_inclusive():
 def test_check_unitary():
     assert check_unitary(np.eye(3), 0.0)
     assert not check_unitary(np.eye(3) * 1.1, 1e-10)
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError) as info:
         check_unitary(np.ones((2, 3)), 1e-10)
+    assert str(info.value) == "expected a square matrix, got shape (2, 3)"
+    # no port, as SlhModel and identity(0) refuse, not numpy's empty-reduction error
+    with pytest.raises(ArityError) as info:
+        check_unitary(np.zeros((0, 0)), 0.0)
+    assert str(info.value) == "expected at least one port, got shape (0, 0)"
 
 
 def test_a_tolerance_is_read_by_the_finite_rule():
@@ -986,12 +993,13 @@ def test_batch_shapes_that_do_not_broadcast_are_an_arity_error(a, b, want):
             assert str(info.value) == f"{op.__name__} batch shapes {a} {sign} {b} do not broadcast"
         else:
             assert op(g1, g2).scattering.shape[:-2] == want
-    if want is None:
-        with pytest.raises(ArityError, match="series batch shapes .* do not broadcast"):
-            build_feedback_selector(np.full(a, 0.5), np.full(b, 0.5))
-    else:
-        assert build_feedback_selector(np.full(a, 0.5), np.full(b, 0.5)).scattering.shape == (
-            want + (1, 1))
+    for build in (build_feedback_selector, build_weighted_selector):
+        if want is None:
+            with pytest.raises(ArityError) as info:
+                build(np.full(a, 0.5), np.full(b, 0.5))
+            assert str(info.value) == f"phi shape {a} and mu shape {b} do not broadcast"
+        else:
+            assert build(np.full(a, 0.5), np.full(b, 0.5)).scattering.shape == want + (1, 1)
 
 
 def test_batched_model_shapes():

@@ -174,13 +174,13 @@ def test_weighted_refusal_band_equals_batched_feedback_mask(box, count):
     # closed form, the batched generic elimination and sweep_transfer must
     # refuse exactly the same points
     from slhnet.core import _feedback_masked
-    from slhnet.readout import _weighted_loop
+    from slhnet.readout import _selector_loop
 
     rng = np.random.default_rng(7)
     if box == "pi":
         _weighted_band(rng, "origin")  # the boxes are drawn in sequence
     phi, mu = _weighted_band(rng, box)
-    _, singular, _ = _feedback_masked(_weighted_loop(phi, mu), 1, 1)
+    _, singular, _ = _feedback_masked(_selector_loop(2.0 * phi, mu - phi), 1, 1)
     refused = np.array([_refuses(lambda: weighted_selector_scattering(p, m))
                         for p, m in zip(phi.tolist(), mu.tolist())])
     assert refused.sum() == count

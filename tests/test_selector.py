@@ -119,6 +119,15 @@ def test_selector_spec_reads_its_tail_as_one_angle(tail, message):
     assert type(SelectorSpec([0.1], [0.0], 0).tail_phase) is float
 
 
+@pytest.mark.parametrize("build", [lambda tail: SelectorSpec([0.1], [0.0], tail),
+                                   lambda tail: MatrixProductSpec([[0.1]], [[0.0]], [tail])],
+                         ids=["vector", "matrix"])
+def test_a_non_binary_tail_is_named_as_a_tail(build):
+    with pytest.raises(DomainError) as info:
+        build(0.5)
+    assert str(info.value) == "tail phase must be exactly 0 or pi, got 0.5"
+
+
 def test_staircase_layout():
     spec = SelectorSpec.from_selector([1, 0, 1], [0.3, 0.7, 1.1])
     thetas, phases, ports = staircase_arrays(spec)
@@ -169,6 +178,21 @@ def test_kernel_chain_matches_slh_fold():
                 build_selector_chain(spec).scattering,
                 atol=1e-12,
             )
+
+
+def test_chain_reference_does_not_read_the_kernel_layout(monkeypatch):
+    """A fault in ``staircase_arrays`` moves the kernel route and not the series fold."""
+    spec = SelectorSpec.from_selector([1, 0, 1], [0.3, 0.7, 1.1])
+    kernel, fold = selector_scattering(spec), build_selector_chain(spec).scattering
+    assert_allclose(kernel, fold, atol=1e-12)
+
+    def rails_swapped(spec):
+        thetas, phases, ports = staircase_arrays(spec)
+        return thetas, phases, 3 - ports
+
+    monkeypatch.setattr("slhnet.selector.staircase_arrays", rails_swapped)
+    assert np.abs(selector_scattering(spec) - kernel).max() > 0.1
+    assert build_selector_chain(spec).scattering.tobytes() == fold.tobytes()
 
 
 def test_compilation_matrices_entries():
