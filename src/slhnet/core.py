@@ -263,7 +263,7 @@ class SlhModel:
         except ValueError:
             raise ArityError(f"hamiltonian shape {h.shape} does not broadcast to batch shape "
                              f"{s.shape[:-2]}") from None
-        _freeze(self, scattering=s, coupling=l,
+        _freeze(self, scattering=s, coupling=l, _undriven=not np.count_nonzero(l),
                 hamiltonian=float(h) + 0.0 if s.ndim == 2 else h + 0.0)
 
     @property
@@ -299,7 +299,9 @@ def _model(s: np.ndarray, l: np.ndarray | None, h) -> SlhModel:
     validation: ``s`` and ``l`` are complex128 of shapes ``(..., n, n)`` and
     ``(..., n)``, and ``h`` is real and broadcasts to the batch shape, a float if ``()``.
     ``l=None`` is the one undriven rule: an unbatched ``s`` gets the shared
-    ``_no_coupling(n)``, a batched one a zero coupling of its own."""
+    ``_no_coupling(n)``, a batched one a zero coupling of its own.  The ``_undriven``
+    mark the algebra reads is set here and in ``SlhModel.__post_init__`` alone."""
+    undriven = l is None or not np.count_nonzero(l)
     if s.ndim == 2:
         h = float(h)
         l = _no_coupling(len(s)) if l is None else l
@@ -307,13 +309,14 @@ def _model(s: np.ndarray, l: np.ndarray | None, h) -> SlhModel:
         l = np.zeros(s.shape[:-1], dtype=np.complex128) if l is None else l
         if np.shape(h) != s.shape[:-2]:
             h = np.array(np.broadcast_to(h, s.shape[:-2]), dtype=np.float64)
-    return _freeze(object.__new__(SlhModel), scattering=s, coupling=l, hamiltonian=h)
+    return _freeze(object.__new__(SlhModel), scattering=s, coupling=l, hamiltonian=h,
+                   _undriven=undriven)
 
 
 @functools.lru_cache(maxsize=128)
 def _no_coupling(n: int) -> np.ndarray:
-    """The read-only zero coupling of every unbatched undriven n-port the library
-    builds, told by identity without a scan; an evicted one still scans as zero."""
+    """The read-only zero coupling of every unbatched undriven n-port ``_model``
+    builds; storage only, as the ``_undriven`` mark tells a model undriven."""
     zero = np.zeros(n, dtype=np.complex128)
     zero.setflags(write=False)
     return zero
@@ -351,10 +354,7 @@ def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
     except ValueError:  # numpy's "operands could not be broadcast together"
         raise ArityError(f"series batch shapes {s2.shape[:-2]} <| {s1.shape[:-2]} "
                          "do not broadcast") from None
-    zero = _no_coupling(n)
-    # shared zero, told by identity: verify (4808 of 4971 series), ~6% with concat's and feedback's
-    if (g1.coupling is zero and g2.coupling is zero
-            or not (np.count_nonzero(g1.coupling) or np.count_nonzero(g2.coupling))):
+    if g1._undriven and g2._undriven:
         # undriven: the L and cross terms below are exact zeros
         return _model(s, None, g1.hamiltonian + g2.hamiltonian)
     # products with unit axes keep the per-element BLAS calls of the
@@ -383,8 +383,8 @@ def concat(g1: SlhModel, g2: SlhModel) -> SlhModel:
     s = np.zeros(batch + (n1 + n2, n1 + n2), dtype=np.complex128)
     s[..., :n1, :n1] = g1.scattering
     s[..., n1:, n1:] = g2.scattering
-    if g1.coupling is _no_coupling(n1) and g2.coupling is _no_coupling(n2):
-        l = None  # both unbatched and undriven: verify, 2806 of 2824 concat
+    if g1._undriven and g2._undriven:
+        l = None
     else:
         l = np.empty(batch + (n1 + n2,), dtype=np.complex128)
         l[..., :n1] = g1.coupling
@@ -447,7 +447,7 @@ def _feedback_masked(g: SlhModel, k: int, l: int):
     s_fb = np.multiply(col[..., :, None], row[..., None, :])
     np.divide(s_fb, d[..., None, None], out=s_fb)
     np.add(block, s_fb, out=s_fb)
-    if c is _no_coupling(n) or not np.count_nonzero(c):  # verify: 2504 of 2513 hit the shared zero
+    if g._undriven:
         # undriven: the L and H terms below are exact zeros
         return _model(s_fb, None, g.hamiltonian), singular, count
     coupling = c.take(cflat, axis=-1)

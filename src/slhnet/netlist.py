@@ -435,7 +435,7 @@ def parse_netlist(text: str) -> Netlist:
     doc = _require_map(doc, "document")
     _check_keys(doc, ("version", "components", "circuit"), "document")
     version = _take(doc, "version", "document")
-    if version != NETLIST_VERSION:
+    if type(version) is not int or version != NETLIST_VERSION:  # a bool or float is no version
         raise NetlistError(
             "document.version", f"unsupported version {version!r} (expected {NETLIST_VERSION})"
         )

@@ -352,11 +352,15 @@ def run_all(seed: int = DEFAULT_SEED, exhaustive_n: int = 8,
     """Run the whole battery and return a list of CheckResult, each with the
     wall time of its check.  The checks run in this fixed order, which fixes
     the draws each one takes from the shared generator.  Each size must be
-    an integer of at least 1, so that no check passes on no case."""
+    an integer of at least 1, so that no check passes on no case, and the seed
+    an integer of at least 0, so that every run can be repeated."""
     for what, size in (("exhaustive_n", exhaustive_n), ("compositions", compositions),
                        ("grid", grid)):
         if _check_integers(what, size)[0] < 1:
             raise ArityError(f"{what} must be at least 1, got {size}")
+    (seed,) = _check_integers("seed", seed)
+    if seed < 0:
+        raise ArityError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     checks = [
         lambda: _check_switch_dichotomy(),

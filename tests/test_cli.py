@@ -224,6 +224,9 @@ _EDGE_INPUTS += [
      f"error: drive must be finite, got {bad}\n", None)
     for bad in ("nan", "inf")
 ]
+# a negative seed is refused by name, before any check runs
+_EDGE_INPUTS += [(["verify", "--seed", "-1"], 2,
+                  "error: seed must be a non-negative integer, got -1\n", None)]
 
 
 @pytest.mark.parametrize("argv, code, err, check", _EDGE_INPUTS,
@@ -238,7 +241,7 @@ _EDGE_INPUTS += [
                               "netlist-bad-timestamp-tag", "netlist-bad-int-tag",
                               "exhaustive-over", "compositions-negative", "grid-over",
                               "points-over", "exhaustive-zero", "compositions-zero",
-                              "grid-zero", "nan-drive", "inf-drive"])
+                              "grid-zero", "nan-drive", "inf-drive", "negative-seed"])
 def test_edge_inputs(tmp_path, capsys, argv, code, err, check):
     if argv[0] == "netlist":
         path = tmp_path / "edge.yaml"

@@ -969,12 +969,88 @@ def test_shared_zero_cache_stays_bounded_and_evicted_vectors_still_compose():
     for n in range(1, limit + 20):
         series(identity(n), identity(n))
         assert core._no_coupling.cache_info().currsize <= limit
-    # the vector an evicted entry held is no longer the shared one; the scan
-    # still reads it as undriven, with the same bits
+    # the vector an evicted entry held is no longer the shared one; the model's
+    # mark still reads it as undriven, with the same bits
     assert early.coupling is not core._no_coupling(1)
     _assert_bitwise(series(early, phase_shift(0.2)),
                     series(SlhModel(np.eye(1), np.zeros(1)), phase_shift(0.2)))
     assert series(early, early).coupling is core._no_coupling(1)
+
+
+def _assert_marked(g):
+    # the one undriven rule: the mark the algebra reads is whether the coupling is all zero
+    assert g._undriven is (not np.count_nonzero(g.coupling))
+
+
+def test_every_model_is_marked_undriven_exactly_when_its_coupling_is_zero():
+    models, copies = _shared_zero_operands(911)
+    shortcut = [g for group in _shortcut_operands(912, 60).values() for g in group]
+    assert any(g._undriven for g in shortcut) and not all(g._undriven for g in shortcut)
+    drive = coherent_drive([0.5, 1j, 0.0])
+    driven = [drive, series(identity(3), drive), series(drive, identity(3)),
+              feedback(concat(drive, identity(1)), 1, 4), concat(identity(1), drive),
+              concat(drive, SlhModel(np.eye(1), np.zeros(1)))]
+    assert not any(g._undriven for g in driven)
+    for group in (models, copies, shortcut, driven):
+        for g in group:
+            _assert_marked(g)
+    # batched stacks, all undriven or mixed, their compositions and the
+    # elements read back from them
+    for n in range(1, 4):
+        members = [g for g in shortcut if g.ports == n][:6]
+        for batch in (_stack([g for g in members if g._undriven]), _stack(members),
+                      phase_shift(np.full((2, 3), 0.5)) if n == 1 else identity(n)):
+            results = [batch, series(batch, members[0]), series(members[1], batch),
+                       concat(batch, members[0]), concat(identity(1), batch)]
+            if n >= 2:
+                results.append(feedback(batch, 1, n))
+            for g in results:
+                _assert_marked(g)
+                for j in range(len(g.scattering) if g.scattering.ndim > 2 else 0):
+                    _assert_marked(g.at(j))
+
+
+def test_a_driven_series_that_cancels_is_undriven_and_composes_as_the_generic_route():
+    for a, b in ((0.5, -2.0j), (0.3 - 1.1j, 1e-300 + 7.0j)):
+        g = series(coherent_drive([-a, -b]), coherent_drive([a, b]))
+        assert g._undriven and np.array_equal(g.coupling, np.zeros(2))
+        assert g.coupling is not core._no_coupling(2)  # built by the driven route
+        one = series(coherent_drive([-a]), coherent_drive([a]))
+        assert one._undriven
+        for other in (beamsplitter(0.4), coherent_drive([0.2j, -1.0]), g,
+                      _stack([g, beamsplitter(0.1)])):
+            _assert_bitwise(series(other, g), _generic_series(other, g))
+            _assert_bitwise(series(g, other), _generic_series(g, other))
+        _assert_bitwise(series(one, phase_shift(0.3)), _generic_series(one, phase_shift(0.3)))
+        for k, l in ((1, 2), (2, 1)):
+            _assert_bitwise(feedback(g, k, l), _generic_feedback(g, k, l))
+            mixed = series(beamsplitter(0.3), g)
+            _assert_bitwise(feedback(mixed, k, l), _generic_feedback(mixed, k, l))
+
+
+def _generic_concat(g1, g2):
+    """Concatenation with its coupling stacked for every operand, as before
+    every undriven operand took a shortcut: the reference route."""
+    n1, n2 = g1.ports, g2.ports
+    batch = np.broadcast_shapes(g1.scattering.shape[:-2], g2.scattering.shape[:-2])
+    s = np.zeros(batch + (n1 + n2, n1 + n2), dtype=np.complex128)
+    s[..., :n1, :n1] = g1.scattering
+    s[..., n1:, n1:] = g2.scattering
+    l = np.empty(batch + (n1 + n2,), dtype=np.complex128)
+    l[..., :n1] = g1.coupling
+    l[..., n1:] = g2.coupling
+    return core._model(s, l, g1.hamiltonian + g2.hamiltonian)
+
+
+def test_concat_of_batched_and_user_built_undriven_operands_keeps_its_bytes():
+    batched = phase_shift(np.array([[0.1], [0.2]]))
+    user = SlhModel(beamsplitter(0.3).scattering, np.zeros(2), 0.5)
+    wide = SlhModel(np.stack([np.eye(2)] * 3), np.zeros((3, 2)), [0.0, -1.5, 2.0])
+    for g1, g2 in ((batched, user), (user, batched), (batched, wide), (wide, user),
+                   (user, user)):
+        got = concat(g1, g2)
+        assert got._undriven
+        _assert_bitwise(got, _generic_concat(g1, g2))
 
 
 # (batch shape of the first operand, of the second, broadcast batch shape or None)

@@ -188,6 +188,24 @@ def _err(text):
     return info.value
 
 
+_ONE_PART = "components:\n  - {name: a, kind: identity, ports: 1}\n"
+
+
+# YAML 1.1 reads these as True, True, True, 1.0 and 1.0, each equal to 1
+@pytest.mark.parametrize("spelling", ["true", "yes", "on", "1.0", "!!float 1"])
+def test_a_version_that_is_a_bool_or_float_is_refused(spelling):
+    e = _err(f"version: {spelling}\n" + _ONE_PART)
+    value = yaml.safe_load(f"version: {spelling}")["version"]
+    assert (e.location, str(e)) == (
+        "document.version", f"document.version: unsupported version {value!r} (expected 1)")
+
+
+@pytest.mark.parametrize("spelling", ["1", "0x1", "+1"])
+def test_an_integer_version_one_in_any_spelling_is_read(spelling):
+    assert parse_netlist(f"version: {spelling}\n" + _ONE_PART) == parse_netlist(
+        "version: 1\n" + _ONE_PART)
+
+
 def test_diagnostics_carry_locations():
     e = _err("version: 1\ncomponents:\n  - {name: x, kind: mirror, phi: 0}\n")
     assert e.location == "components[0]" and "mirror" in str(e)

@@ -78,29 +78,42 @@ def _calls_to(tree, name):
             and isinstance(n.func, ast.Name) and n.func.id == name]
 
 
+def _enclosing_functions(tree):
+    """Each node's id mapped to the name of the innermost function around it."""
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+        if isinstance(fn, ast.FunctionDef):
+            owner |= {id(n): fn.name for n in ast.walk(fn)}
+    return owner
+
+
 def test_undriven_models_have_one_builder():
     # core._model(s, None, h) alone decides what an undriven model holds: the shared
-    # core._no_coupling(n) when unbatched, a zero array of its own when batched.  No
-    # module hands _model a coupling it built in the call, and outside _model the
-    # shared zero is only told by identity
+    # core._no_coupling(n) when unbatched, a zero array of its own when batched.  It
+    # and SlhModel.__post_init__ alone decide whether a model is undriven, and store
+    # that as the _undriven mark that series, concat and feedback read
     for path in sorted(pathlib.Path(slhnet.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        if path.name != "core.py":
-            assert "_no_coupling" not in path.read_text(), path.name
+        owner = _enclosing_functions(tree)
+        # no module hands _model a coupling it built in the call
         for call in _calls_to(tree, "_model"):
             assert not isinstance(call.args[1], ast.Call), (path.name, call.lineno)
+        # only _model reads the shared zero
+        assert [(path.name, owner.get(id(c))) for c in _calls_to(tree, "_no_coupling")] == (
+            [("core.py", "_model")] if path.name == "core.py" else []), path.name
+        # no model is told undriven by the identity of its coupling
+        told = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in n.ops)
+                and any(isinstance(x, ast.Attribute) and x.attr == "coupling"
+                        for x in [n.left, *n.comparators])]
+        assert told == [], path.name
+    # in core.py, a count of nonzero entries outside _model and __post_init__ is of
+    # the singular mask, never of a coupling
     tree = ast.parse((pathlib.Path(slhnet.__file__).parent / "core.py").read_text())
-    told = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.FunctionDef) and node.name in ("_model", "_no_coupling")
-                or isinstance(node, ast.Compare) and all(isinstance(op, ast.Is) for op in node.ops)):
-            told |= {id(n) for n in ast.walk(node)}
-    # series reads the shared zero once, as ``zero``, for its two identity tests
-    calls = {id(c): c for c in _calls_to(tree, "_no_coupling")}
-    held = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
-            and id(node.value) in calls]
-    assert [ast.unparse(node) for node in held] == ["zero = _no_coupling(n)"]
-    loose = [n.lineno for n in ast.walk(tree) if id(n) not in told and (
-        isinstance(n, ast.Name) and n.id == "zero" and isinstance(n.ctx, ast.Load)
-        or id(n) in calls and n is not held[0].value)]
-    assert loose == []
+    owner = _enclosing_functions(tree)
+    counts = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute) and n.func.attr == "count_nonzero"]
+    marks = ("_model", "__post_init__")
+    assert sorted(owner[id(n)] for n in counts if owner.get(id(n)) in marks) == sorted(marks)
+    elsewhere = [ast.unparse(n) for n in counts if owner.get(id(n)) not in marks]
+    assert elsewhere == ["np.count_nonzero(singular)"]

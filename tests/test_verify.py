@@ -208,6 +208,20 @@ def test_run_all_refuses_a_size_below_one(size):
         assert str(info.value) == f"{size} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "seed must be an integer, got None"),  # OS entropy: a run that cannot be repeated
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("x", "seed must be an integer, got 'x'"),
+    (-1, "seed must be a non-negative integer, got -1"),
+])
+def test_run_all_refuses_a_seed_that_is_not_a_non_negative_integer(monkeypatch, seed, message):
+    monkeypatch.setattr(np.random, "default_rng", None)  # refused before any draw
+    with pytest.raises(ArityError) as info:
+        run_all(seed=seed)
+    assert str(info.value) == message
+
+
 _QUICK = ["verify", "--exhaustive", "4", "--grid", "20"]
 
 
